@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import os
@@ -30,6 +31,7 @@ from .model import DetectorModel, LinkModel, SecurityParams, SourceParams, trans
 from .optimize import optimize_params
 from .presets import desk_detector, desk_link, desk_security, desk_source
 from .security import (
+    KeyRateReport,
     SessionAnalysis,
     expected_post_processing,
     key_rate,
@@ -59,28 +61,32 @@ class RuntimeInfeasible(RuntimeError):
     """Valid configuration that cannot produce the requested result."""
 
 
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+# the session aggregates of [keyrate], named as key_rate's arguments
+_KEYRATE_KEYS = ("n_untagged", "phase_error_rate", "n_sifted", "bit_error_rate", "n_pulses")
+# sections read straight into a model dataclass: its fields are the keys,
+# and the desk preset supplies every key the section leaves out
+_MODEL_SECTIONS = {
+    "link": (LinkModel, desk_link),
+    "detector": (DetectorModel, desk_detector),
+    "source": (SourceParams, desk_source),
+    "security": (SecurityParams, desk_security),
+}
 _SECTION_KEYS = {
-    "link": {"length_a_km", "length_b_km", "atten_db_per_km", "station_loss_db", "noise_per_pulse"},
-    "detector": {"efficiency", "dark_rate_hz", "gate_ns", "pulse_rate_hz"},
-    "source": {
-        "mu1", "mu2", "muz", "p_signal_window", "p_mu1", "p_mu2", "p_vac",
-        "epsilon_send", "misalignment",
-    },
-    "security": {"f_ec", "eps_cor", "eps_pa", "eps_hat", "xi_decoy"},
-    "keyrate": {"n_untagged", "phase_error_rate", "n_sifted", "bit_error_rate", "n_pulses"},
+    **{section: _field_names(cls) for section, (cls, _) in _MODEL_SECTIONS.items()},
+    "keyrate": set(_KEYRATE_KEYS),
     "run": {"n_pulses", "seed", "slice_half_width_rad", "n_jobs"},
     "curve": {"distances_km", "n_pulses"},
     "optimize": {"n_starts", "budget", "n_pulses"},
-    "sensing": {
-        "length_km", "light_speed_km_per_s", "duration_s", "sample_rate_hz",
-        "drift_rate_rad2_per_s", "noise_std_rad", "max_lag_s", "max_slack_s",
-        "photons_per_frame",
+    "sensing": _field_names(LinkGeometry) | {
+        "duration_s", "sample_rate_hz", "drift_rate_rad2_per_s", "noise_std_rad",
+        "max_lag_s", "max_slack_s", "photons_per_frame",
     },
 }
-_VIBRATION_KEYS = {
-    "position_km", "frequency_hz", "amplitude_rad", "phase_rad",
-    "dc_offset_rad", "start_s", "duration_s",
-}
+_VIBRATION_KEYS = _field_names(VibrationSource)
 
 
 def _read_config(path: str | None) -> configparser.ConfigParser:
@@ -106,15 +112,22 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
     return cp
 
 
+def _finite(value: float, name: str) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite")
+    return value
+
+
 def _getfloat(cp, section: str, key: str, default: float | None = None) -> float:
     if not cp.has_option(section, key):
         if default is None:
             raise ConfigError(f"[{section}] is missing required key '{key}'")
         return default
     try:
-        return cp.getfloat(section, key)
+        value = cp.getfloat(section, key)
     except ValueError:
         raise ConfigError(f"[{section}] {key} must be a number") from None
+    return _finite(value, f"[{section}] {key}")
 
 
 def _getint(cp, section: str, key: str, default: int) -> int:
@@ -126,72 +139,41 @@ def _getint(cp, section: str, key: str, default: int) -> int:
         raise ConfigError(f"[{section}] {key} must be an integer") from None
 
 
-def _build_link(cp) -> LinkModel:
-    base = desk_link()
+def _build(cp, section: str, cls=None):
+    """Build the dataclass one INI section describes: cls, or a model section's own.
+
+    A key the section leaves out takes the desk preset's value in a model
+    section, else the field's default; a field with neither is required.
+    """
+    base = None
+    if section in _MODEL_SECTIONS:
+        cls, preset = _MODEL_SECTIONS[section]
+        base = preset()
+    values = {}
+    for f in dataclasses.fields(cls):
+        default = f.default if base is None else getattr(base, f.name)
+        if cp.has_option(section, f.name) or default is dataclasses.MISSING:
+            values[f.name] = _getfloat(cp, section, f.name)
+        else:
+            values[f.name] = default
     try:
-        return LinkModel(
-            length_a_km=_getfloat(cp, "link", "length_a_km", base.length_a_km),
-            length_b_km=_getfloat(cp, "link", "length_b_km", base.length_b_km),
-            atten_db_per_km=_getfloat(cp, "link", "atten_db_per_km", base.atten_db_per_km),
-            station_loss_db=_getfloat(cp, "link", "station_loss_db", base.station_loss_db),
-            noise_per_pulse=_getfloat(cp, "link", "noise_per_pulse", base.noise_per_pulse),
-        )
+        return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"[link] {exc}") from None
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
-def _build_detector(cp) -> DetectorModel:
-    base = desk_detector()
-    try:
-        return DetectorModel(
-            efficiency=_getfloat(cp, "detector", "efficiency", base.efficiency),
-            dark_rate_hz=_getfloat(cp, "detector", "dark_rate_hz", base.dark_rate_hz),
-            gate_ns=_getfloat(cp, "detector", "gate_ns", base.gate_ns),
-            pulse_rate_hz=_getfloat(cp, "detector", "pulse_rate_hz", base.pulse_rate_hz),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[detector] {exc}") from None
-
-
-def _build_source(cp) -> SourceParams:
-    base = desk_source()
-    try:
-        return SourceParams(
-            mu1=_getfloat(cp, "source", "mu1", base.mu1),
-            mu2=_getfloat(cp, "source", "mu2", base.mu2),
-            muz=_getfloat(cp, "source", "muz", base.muz),
-            p_signal_window=_getfloat(cp, "source", "p_signal_window", base.p_signal_window),
-            p_mu1=_getfloat(cp, "source", "p_mu1", base.p_mu1),
-            p_mu2=_getfloat(cp, "source", "p_mu2", base.p_mu2),
-            p_vac=_getfloat(cp, "source", "p_vac", base.p_vac),
-            epsilon_send=_getfloat(cp, "source", "epsilon_send", base.epsilon_send),
-            misalignment=_getfloat(cp, "source", "misalignment", base.misalignment),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[source] {exc}") from None
-
-
-def _build_security(cp) -> SecurityParams:
-    base = desk_security()
-    try:
-        return SecurityParams(
-            f_ec=_getfloat(cp, "security", "f_ec", base.f_ec),
-            eps_cor=_getfloat(cp, "security", "eps_cor", base.eps_cor),
-            eps_pa=_getfloat(cp, "security", "eps_pa", base.eps_pa),
-            eps_hat=_getfloat(cp, "security", "eps_hat", base.eps_hat),
-            xi_decoy=_getfloat(cp, "security", "xi_decoy", base.xi_decoy),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[security] {exc}") from None
+def _seed(cp, args) -> int:
+    seed = args.seed if args.seed is not None else _getint(cp, "run", "seed", 1)
+    if seed < 0:
+        raise ConfigError("[run] seed must be >= 0")
+    return seed
 
 
 def _run_options(cp, args, default_pulses: float):
     n_pulses = _getfloat(cp, "run", "n_pulses", default_pulses)
     if getattr(args, "n_pulses", None) is not None:
-        n_pulses = args.n_pulses
-    seed = _getint(cp, "run", "seed", 1)
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
+        n_pulses = _finite(args.n_pulses, "--n-pulses")
+    seed = _seed(cp, args)
     half_width = _getfloat(cp, "run", "slice_half_width_rad", DEFAULT_SLICE_HALF_WIDTH_RAD)
     n_jobs = _getint(cp, "run", "n_jobs", 1)
     if getattr(args, "n_jobs", None) is not None:
@@ -200,6 +182,8 @@ def _run_options(cp, args, default_pulses: float):
         raise ConfigError("[run] n_pulses must be > 0")
     if not 0.0 < half_width < math.pi / 2.0:
         raise ConfigError("[run] slice_half_width_rad must lie in (0, pi/2)")
+    if n_jobs < 1:
+        raise ConfigError("[run] n_jobs must be >= 1")
     return n_pulses, seed, half_width, n_jobs
 
 
@@ -248,23 +232,26 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _rate_payload(r: KeyRateReport, det: DetectorModel) -> dict:
+    return {
+        "privacy_bits": float(r.privacy_bits),
+        "error_correction_bits": float(r.error_correction_bits),
+        "correctness_bits": float(r.correctness_bits),
+        "secrecy_bits": float(r.secrecy_bits),
+        "secret_bits": float(r.secret_bits),
+        "rate_per_pulse": float(r.rate_per_pulse),
+        "rate_per_pulse_clamped": float(max(r.rate_per_pulse, 0.0)),
+        "clamped": bool(r.rate_per_pulse < 0.0),
+        "bits_per_second": float(r.rate_per_pulse * det.pulse_rate_hz),
+    }
+
+
 def _analysis_payload(analysis: SessionAnalysis, det: DetectorModel, mode: str) -> dict:
-    d = analysis.decoy
-    r = analysis.report
+    decoy = dataclasses.asdict(analysis.decoy)
     return {
         "mode": mode,
-        "n_pulses": float(r.n_pulses),
-        "decoy": {
-            "y0_low": float(d.y0_low),
-            "y0_up": float(d.y0_up),
-            "y1_alice_low": float(d.y1_alice_low),
-            "y1_bob_low": float(d.y1_bob_low),
-            "n1_alice_low": float(d.n1_alice_low),
-            "n1_bob_low": float(d.n1_bob_low),
-            "n1_low": float(d.n1_low),
-            "phase_error_up": float(d.phase_error_up),
-            "feasible": bool(d.feasible),
-        },
+        "n_pulses": float(analysis.report.n_pulses),
+        "decoy": {k: bool(v) if k == "feasible" else float(v) for k, v in decoy.items()},
         "pairing": {
             "pair_count": float(analysis.pair_count),
             "survival_fraction": float(analysis.survival_fraction),
@@ -273,34 +260,26 @@ def _analysis_payload(analysis: SessionAnalysis, det: DetectorModel, mode: str) 
             "n_untagged": float(analysis.n_untagged),
             "phase_error_rate": float(analysis.phase_error_rate),
         },
-        "rate": {
-            "privacy_bits": float(r.privacy_bits),
-            "error_correction_bits": float(r.error_correction_bits),
-            "correctness_bits": float(r.correctness_bits),
-            "secrecy_bits": float(r.secrecy_bits),
-            "secret_bits": float(r.secret_bits),
-            "rate_per_pulse": float(r.rate_per_pulse),
-            "rate_per_pulse_clamped": float(max(r.rate_per_pulse, 0.0)),
-            "clamped": bool(r.rate_per_pulse < 0.0),
-            "bits_per_second": float(r.rate_per_pulse * det.pulse_rate_hz),
-        },
+        "rate": _rate_payload(analysis.report, det),
     }
+
+
+def _post_process(chain, *args) -> SessionAnalysis:
+    """Run one post-processing chain; a tally row without pulses is infeasible."""
+    try:
+        return chain(*args)
+    except ValueError as exc:
+        raise RuntimeInfeasible(str(exc)) from None
 
 
 def _cmd_keyrate(args) -> int:
     cp = _read_config(args.config)
-    det, sec = _build_detector(cp), _build_security(cp)
+    det, sec = _build(cp, "detector"), _build(cp, "security")
     if cp.has_section("keyrate"):
         # session quantities supplied directly, no channel model involved
+        inputs = {key: _getfloat(cp, "keyrate", key) for key in _KEYRATE_KEYS}
         try:
-            report = key_rate(
-                n_untagged=_getfloat(cp, "keyrate", "n_untagged"),
-                phase_error_rate=_getfloat(cp, "keyrate", "phase_error_rate"),
-                n_sifted=_getfloat(cp, "keyrate", "n_sifted"),
-                bit_error_rate=_getfloat(cp, "keyrate", "bit_error_rate"),
-                n_pulses=_getfloat(cp, "keyrate", "n_pulses"),
-                sec=sec,
-            )
+            report = key_rate(**inputs, sec=sec)
         except ValueError as exc:
             raise ConfigError(f"[keyrate] {exc}") from None
         payload = {
@@ -312,35 +291,24 @@ def _cmd_keyrate(args) -> int:
                 "n_sifted": float(report.n_sifted),
                 "bit_error_rate": float(report.bit_error_rate),
             },
-            "rate": {
-                "privacy_bits": float(report.privacy_bits),
-                "error_correction_bits": float(report.error_correction_bits),
-                "correctness_bits": float(report.correctness_bits),
-                "secrecy_bits": float(report.secrecy_bits),
-                "secret_bits": float(report.secret_bits),
-                "rate_per_pulse": float(report.rate_per_pulse),
-                "rate_per_pulse_clamped": float(max(report.rate_per_pulse, 0.0)),
-                "clamped": bool(report.rate_per_pulse < 0.0),
-                "bits_per_second": float(report.rate_per_pulse * det.pulse_rate_hz),
-            },
+            "rate": _rate_payload(report, det),
         }
         _emit(_render(payload, args.format), args.out)
         return 0
-    link, src = _build_link(cp), _build_source(cp)
+    link, src = _build(cp, "link"), _build(cp, "source")
     n_pulses, _, half_width, _ = _run_options(cp, args, default_pulses=1e10)
     tally = expected_tallies(link, det, src, n_pulses, half_width)
-    analysis = expected_post_processing(tally, src, sec, half_width)
+    analysis = _post_process(expected_post_processing, tally, src, sec, half_width)
     _emit(_render(_analysis_payload(analysis, det, "expected"), args.format), args.out)
     return 0
 
 
 def _cmd_simulate(args) -> int:
     cp = _read_config(args.config)
-    link, det = _build_link(cp), _build_detector(cp)
-    src, sec = _build_source(cp), _build_security(cp)
+    link, det, src, sec = (_build(cp, section) for section in _MODEL_SECTIONS)
     n_pulses, seed, half_width, n_jobs = _run_options(cp, args, default_pulses=1e6)
     tally = monte_carlo_session(link, det, src, int(n_pulses), seed, n_jobs, half_width)
-    analysis = mc_post_processing(tally, src, sec, seed, half_width)
+    analysis = _post_process(mc_post_processing, tally, src, sec, seed, half_width)
     payload = _analysis_payload(analysis, det, "monte_carlo")
     payload["seed"] = seed
     payload["tally"] = {
@@ -361,7 +329,7 @@ def _parse_distances(text: str) -> list[float]:
         raise ConfigError("[curve] distances_km is empty")
     if any(d < 0 for d in values):
         raise ConfigError("[curve] distances_km must be >= 0")
-    return values
+    return [_finite(d, "[curve] distances_km") for d in values]
 
 
 _ETA_CEIL = 1.0 - 1e-12
@@ -369,11 +337,12 @@ _ETA_CEIL = 1.0 - 1e-12
 
 def _cmd_curve(args) -> int:
     cp = _read_config(args.config)
-    link, det = _build_link(cp), _build_detector(cp)
-    src, sec = _build_source(cp), _build_security(cp)
+    link, det, src, sec = (_build(cp, section) for section in _MODEL_SECTIONS)
     n_pulses, _, half_width, _ = _run_options(cp, args, default_pulses=1e10)
     if cp.has_option("curve", "n_pulses"):
         n_pulses = _getfloat(cp, "curve", "n_pulses")
+        if n_pulses <= 0:
+            raise ConfigError("[curve] n_pulses must be > 0")
     if args.distances is not None:
         distances = _parse_distances(args.distances)
     elif cp.has_option("curve", "distances_km"):
@@ -384,15 +353,9 @@ def _cmd_curve(args) -> int:
     columns = ["distance_km", "loss_db", "simulated_rate", "plob_absolute", "plob_relative"]
     rows = []
     for d in distances:
-        scaled = LinkModel(
-            length_a_km=d / 2.0,
-            length_b_km=d / 2.0,
-            atten_db_per_km=link.atten_db_per_km,
-            station_loss_db=link.station_loss_db,
-            noise_per_pulse=link.noise_per_pulse,
-        )
+        scaled = dataclasses.replace(link, length_a_km=d / 2.0, length_b_km=d / 2.0)
         tally = expected_tallies(scaled, det, src, n_pulses, half_width)
-        analysis = expected_post_processing(tally, src, sec, half_width)
+        analysis = _post_process(expected_post_processing, tally, src, sec, half_width)
         loss = link.atten_db_per_km * d
         eta_abs = min(transmittance(loss), _ETA_CEIL)
         eta_rel = min(
@@ -414,8 +377,7 @@ def _cmd_curve(args) -> int:
 
 def _cmd_optimize(args) -> int:
     cp = _read_config(args.config)
-    link, det = _build_link(cp), _build_detector(cp)
-    src, sec = _build_source(cp), _build_security(cp)
+    link, det, src, sec = (_build(cp, section) for section in _MODEL_SECTIONS)
     n_pulses = _getfloat(cp, "optimize", "n_pulses", 1e10)
     n_starts = _getint(cp, "optimize", "n_starts", 12)
     budget = _getint(cp, "optimize", "budget", 20000)
@@ -423,7 +385,7 @@ def _cmd_optimize(args) -> int:
         n_starts = args.n_starts
     if args.budget is not None:
         budget = args.budget
-    seed = args.seed if args.seed is not None else _getint(cp, "run", "seed", 1)
+    seed = _seed(cp, args)
     half_width = _getfloat(cp, "run", "slice_half_width_rad", DEFAULT_SLICE_HALF_WIDTH_RAD)
     try:
         result = optimize_params(
@@ -446,16 +408,6 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _build_geometry(cp) -> LinkGeometry:
-    try:
-        return LinkGeometry(
-            length_km=_getfloat(cp, "sensing", "length_km"),
-            light_speed_km_per_s=_getfloat(cp, "sensing", "light_speed_km_per_s", 2.0e5),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[sensing] {exc}") from None
-
-
 def _build_vibrations(cp) -> list[VibrationSource]:
     sections = sorted(
         (s for s in cp.sections() if s.startswith("vibration.")),
@@ -463,33 +415,14 @@ def _build_vibrations(cp) -> list[VibrationSource]:
     )
     if not sections:
         raise ConfigError("sense needs at least one [vibration.*] section")
-    sources = []
-    for section in sections:
-        duration = None
-        if cp.has_option(section, "duration_s"):
-            duration = _getfloat(cp, section, "duration_s")
-        try:
-            sources.append(
-                VibrationSource(
-                    position_km=_getfloat(cp, section, "position_km"),
-                    frequency_hz=_getfloat(cp, section, "frequency_hz"),
-                    amplitude_rad=_getfloat(cp, section, "amplitude_rad"),
-                    phase_rad=_getfloat(cp, section, "phase_rad", 0.0),
-                    dc_offset_rad=_getfloat(cp, section, "dc_offset_rad", 0.0),
-                    start_s=_getfloat(cp, section, "start_s", 0.0),
-                    duration_s=duration,
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {exc}") from None
-    return sources
+    return [_build(cp, section, VibrationSource) for section in sections]
 
 
 def _cmd_sense(args) -> int:
     cp = _read_config(args.config)
     if not cp.has_section("sensing"):
         raise ConfigError("sense needs a [sensing] section")
-    geometry = _build_geometry(cp)
+    geometry = _build(cp, "sensing", LinkGeometry)
     sources = _build_vibrations(cp)
     duration = _getfloat(cp, "sensing", "duration_s")
     fs = _getfloat(cp, "sensing", "sample_rate_hz")
@@ -504,13 +437,21 @@ def _cmd_sense(args) -> int:
             raise ConfigError(
                 f"vibration position {s.position_km} km lies past the link end"
             )
-    seed = args.seed if args.seed is not None else _getint(cp, "run", "seed", 1)
+    seed = _seed(cp, args)
     drift = _getfloat(cp, "sensing", "drift_rate_rad2_per_s", 0.01)
     noise = _getfloat(cp, "sensing", "noise_std_rad", 0.02)
-    trace_a, trace_b = simulate_phase_traces(
-        geometry, sources, duration, fs, seed,
-        drift_rate_rad2_per_s=drift, noise_std_rad=noise,
-    )
+    photons = None
+    if cp.has_option("sensing", "photons_per_frame"):
+        photons = _getfloat(cp, "sensing", "photons_per_frame")
+        if photons <= 0:
+            raise ConfigError("[sensing] photons_per_frame must be > 0")
+    try:
+        trace_a, trace_b = simulate_phase_traces(
+            geometry, sources, duration, fs, seed,
+            drift_rate_rad2_per_s=drift, noise_std_rad=noise,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[sensing] {exc}") from None
 
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -520,11 +461,13 @@ def _cmd_sense(args) -> int:
     write_trace(path_a, trace_a)
     write_trace(path_b, trace_b)
 
-    if cp.has_option("sensing", "photons_per_frame"):
-        photons = _getfloat(cp, "sensing", "photons_per_frame")
+    if photons is not None:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
         left, right = synthesize_reference_counts(trace_b.samples, photons, rng)
-        recovered = recover_phase_from_reference(left, right, fs)
+        try:
+            recovered = recover_phase_from_reference(left, right, fs)
+        except ValueError as exc:
+            raise RuntimeInfeasible(str(exc)) from None
     else:
         recovered = PhaseTrace(
             samples=trace_b.samples, sample_rate_hz=fs, origin="recovered"
@@ -537,18 +480,14 @@ def _cmd_sense(args) -> int:
     slack = None
     if cp.has_option("sensing", "max_slack_s"):
         slack = _getfloat(cp, "sensing", "max_slack_s")
-    result = locate_traces(trace_a, trace_b, geometry, max_lag_s=max_lag, slack_s=slack)
-    record = {
-        "delay_s": float(result.delay_s),
-        "position_from_bob_km": float(result.position_from_bob_km),
-        "position_from_alice_km": float(result.position_from_alice_km),
-        "position_from_bob_unclamped_km": float(result.position_from_bob_unclamped_km),
-        "correlation_peak": float(result.correlation_peak),
-        "out_of_range": bool(result.out_of_range),
-    }
+    try:
+        result = locate_traces(trace_a, trace_b, geometry, max_lag_s=max_lag, slack_s=slack)
+    except ValueError as exc:
+        raise ConfigError(f"[sensing] {exc}") from None
+    record = dataclasses.asdict(result)
+    record = {k: bool(v) if k == "out_of_range" else float(v) for k, v in record.items()}
     loc_path = os.path.join(out_dir, "localization.json")
-    with open(loc_path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    _emit(_render(record, "json"), loc_path)
     summary = {
         "trace_alice": path_a,
         "trace_bob": path_b,
@@ -564,7 +503,7 @@ def _cmd_plob(args) -> int:
     if (args.loss_db is None) == (args.transmittance is None):
         raise ConfigError("plob needs exactly one of --loss-db or --transmittance")
     if args.loss_db is not None:
-        if args.loss_db < 0:
+        if _finite(args.loss_db, "--loss-db") < 0:
             raise ConfigError("--loss-db must be >= 0")
         eta = min(transmittance(args.loss_db), _ETA_CEIL)
     else:

@@ -110,15 +110,13 @@ def params_to_source(vec, misalignment: float = 0.0) -> SourceParams:
 
 
 def _analyze(
-    vec: np.ndarray,
+    src: SourceParams,
     link: LinkModel,
     det: DetectorModel,
     sec: SecurityParams,
     n_pulses: float,
-    misalignment: float,
     slice_half_width_rad: float,
 ) -> SessionAnalysis:
-    src = params_to_source(vec, misalignment)
     tally = expected_tallies(link, det, src, n_pulses, slice_half_width_rad)
     return expected_post_processing(tally, src, sec, slice_half_width_rad)
 
@@ -144,8 +142,7 @@ def evaluate(
         src = params
     else:
         src = params_to_source(np.asarray(params, dtype=float), misalignment)
-    tally = expected_tallies(link, det, src, n_pulses, slice_half_width_rad)
-    analysis = expected_post_processing(tally, src, sec, slice_half_width_rad)
+    analysis = _analyze(src, link, det, sec, n_pulses, slice_half_width_rad)
     if not analysis.feasible:
         return INFEASIBLE_RATE
     return analysis.report.rate_per_pulse
@@ -158,10 +155,6 @@ class OptimizeResult:
     feasible: bool
     evaluations: int
     start_index: int
-
-
-def _better(candidate: tuple[bool, float], incumbent: tuple[bool, float]) -> bool:
-    return candidate > incumbent
 
 
 def optimize_params(
@@ -207,10 +200,11 @@ def optimize_params(
             initial = [initial[n] for n in PARAM_NAMES]
         starts.insert(0, repair(space.clip(np.asarray(initial, dtype=float))))
 
+    # scores compare as (feasible, rate) tuples: any feasible point beats
+    # every infeasible one, then the higher rate wins
     def score(vec: np.ndarray) -> tuple[bool, float]:
-        analysis = _analyze(
-            vec, link, det, sec, n_pulses, misalignment, slice_half_width_rad
-        )
+        src = params_to_source(vec, misalignment)
+        analysis = _analyze(src, link, det, sec, n_pulses, slice_half_width_rad)
         return analysis.feasible, analysis.report.rate_per_pulse
 
     evals = 0
@@ -223,7 +217,7 @@ def optimize_params(
             break
         s = score(vec)
         evals += 1
-        if _better(s, best_score):
+        if s > best_score:
             best_vec, best_score, best_start = vec, s, i
 
     step_frac = 0.25
@@ -240,7 +234,7 @@ def optimize_params(
                     continue
                 s = score(cand)
                 evals += 1
-                if _better(s, best_score):
+                if s > best_score:
                     best_vec, best_score = cand, s
                     improved = True
             if evals >= budget:

@@ -82,27 +82,13 @@ def desk_detector() -> DetectorModel:
 
 
 def desk_source() -> SourceParams:
-    return SourceParams(
-        mu1=0.1,
-        mu2=0.4,
-        muz=0.45,
-        p_signal_window=0.7,
-        p_mu1=0.6,
-        p_mu2=0.05,
-        p_vac=0.35,
-        epsilon_send=0.2717,
-        misalignment=0.028,
-    )
+    """The desk runs the long-haul source program unchanged."""
+    return reference_source()
 
 
 def desk_security() -> SecurityParams:
-    return SecurityParams(
-        f_ec=1.16,
-        eps_cor=1e-10,
-        eps_pa=1e-10,
-        eps_hat=1e-10,
-        xi_decoy=1e-10,
-    )
+    """The same failure budgets as the long-haul session."""
+    return reference_security()
 
 
 def sense_geometry(length_km: float = 200.0) -> LinkGeometry:

@@ -67,19 +67,6 @@ def z_bit_assignment(alice_sent, bob_sent):
     return bit_a, bit_b, err
 
 
-@dataclass(frozen=True)
-class WindowOutcome:
-    """One time slot seen end to end (simulator internal ground truth)."""
-
-    window_kind: str
-    intensity_a: float
-    intensity_b: float
-    alice_sent: bool
-    bob_sent: bool
-    detector_click: str  # "left" | "right" | "both" | "none"
-    true_photon_count_total: int
-
-
 @dataclass
 class TallyRow:
     """Counters for one (window kind, intensity pair) cell.
@@ -419,7 +406,6 @@ def _simulate_chunk(
     return {
         "row": row,
         "lone": lone,
-        "left": left,
         "accepted": accepted,
         "wrong": wrong,
         "single": single,
@@ -427,15 +413,6 @@ def _simulate_chunk(
         "z_error": z_error,
         "bit_a": bit_a,
         "bit_b": bit_b,
-        "signal_code": signal_code,
-        "ia": ia,
-        "ib": ib,
-        "send_a": send_a,
-        "send_b": send_b,
-        "click_l": click_l,
-        "click_r": click_r,
-        "emitted_a": emitted_a,
-        "emitted_b": emitted_b,
     }
 
 
@@ -515,53 +492,3 @@ def monte_carlo_session(
     tally.validate()
     return tally
 
-
-def iter_events(
-    link: LinkModel,
-    det: DetectorModel,
-    src: SourceParams,
-    n_pulses: int,
-    seed: int,
-    slice_half_width_rad: float = DEFAULT_SLICE_HALF_WIDTH_RAD,
-) -> list[WindowOutcome]:
-    """Materialize per-slot outcomes for small diagnostic runs.
-
-    Reuses the exact chunk sampler, so a prefix of iter_events agrees with
-    monte_carlo_session run at the same seed. Intended for n_pulses small
-    enough to hold every outcome in memory.
-    """
-    if n_pulses > MC_CHUNK:
-        raise ValueError(f"iter_events is limited to {MC_CHUNK} slots")
-    eta_a, eta_b = channel_transmittance(link, det)
-    rng = _chunk_rng(seed, 0)
-    data = _simulate_chunk(
-        rng, int(n_pulses), src, eta_a, eta_b, link.noise_per_pulse, slice_half_width_rad
-    )
-    outcomes = []
-    kinds = {True: SIGNAL, False: DECOY}
-    for i in range(int(n_pulses)):
-        code = data["row"][i]
-        if code < 0:
-            kind = "mixed"
-        else:
-            kind = kinds[code >= 9]
-        if data["click_l"][i] and data["click_r"][i]:
-            click = "both"
-        elif data["click_l"][i]:
-            click = "left"
-        elif data["click_r"][i]:
-            click = "right"
-        else:
-            click = "none"
-        outcomes.append(
-            WindowOutcome(
-                window_kind=kind,
-                intensity_a=float(data["ia"][i]),
-                intensity_b=float(data["ib"][i]),
-                alice_sent=bool(data["send_a"][i]) if kind == SIGNAL else bool(data["ia"][i] > 0),
-                bob_sent=bool(data["send_b"][i]) if kind == SIGNAL else bool(data["ib"][i] > 0),
-                detector_click=click,
-                true_photon_count_total=int(data["emitted_a"][i] + data["emitted_b"][i]),
-            )
-        )
-    return outcomes

@@ -1,3 +1,5 @@
+import configparser
+import dataclasses
 import io
 import json
 import math
@@ -8,21 +10,29 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snslab import (
+    LinkGeometry,
+    VibrationSource,
     expected_post_processing,
     expected_tallies,
     key_rate,
     plob_bound,
     transmittance,
 )
+from snslab import cli
 from snslab.cli import entry
 from snslab.presets import (
     desk_detector,
     desk_link,
     desk_security,
     desk_source,
+    reference_detector,
+    reference_link,
     reference_security,
+    reference_source,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -155,26 +165,127 @@ def test_reruns_are_byte_identical():
 
 # ------------------------------------------------------------ config errors
 
-def test_config_error_battery(tmp_path):
-    missing = tmp_path / "nope.ini"
-    assert run_cli("keyrate", "--config", str(missing))[0] == 2
+VIBRATION = "[vibration.a]\nposition_km = 10\nfrequency_hz = 5\namplitude_rad = 0.1\n"
+KEYRATE = (
+    "[keyrate]\nphase_error_rate = 0.1\nn_sifted = 2000\nbit_error_rate = 0.1\nn_pulses = 1e9\n"
+)
+KEYRATE_CONFIG = ["keyrate", "--config", "{cfg}"]
+SENSE_CONFIG = ["sense", "--config", "{cfg}"]
 
-    bogus = tmp_path / "bogus.ini"
-    bogus.write_text("[warp]\nfactor = 9\n")
-    assert run_cli("keyrate", "--config", str(bogus))[0] == 2
 
-    badkey = tmp_path / "badkey.ini"
-    badkey.write_text("[link]\ncolour = blue\n")
-    assert run_cli("keyrate", "--config", str(badkey))[0] == 2
+def sensing_ini(**keys):
+    keys = {"length_km": 100, "sample_rate_hz": 1000, "duration_s": 0.1, **keys}
+    return "[sensing]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + VIBRATION
 
-    badnum = tmp_path / "badnum.ini"
-    badnum.write_text("[link]\nlength_a_km = abc\n")
-    assert run_cli("keyrate", "--config", str(badnum))[0] == 2
 
-    negative = tmp_path / "neg.ini"
-    negative.write_text("[run]\nn_pulses = -5\n")
-    assert run_cli("keyrate", "--config", str(negative))[0] == 2
+# (arguments, INI text written to {cfg} or None for no file, exit code,
+# a piece of the message)
+ERROR_CASES = {
+    "missing-file": (KEYRATE_CONFIG, None, 2, "not found"),
+    "unknown-section": (KEYRATE_CONFIG, "[warp]\nfactor = 9\n", 2, "[warp]"),
+    "unknown-key": (KEYRATE_CONFIG, "[link]\ncolour = blue\n", 2, "colour"),
+    "not-a-number": (KEYRATE_CONFIG, "[link]\nlength_a_km = abc\n", 2, "must be a number"),
+    "negative-pulses": (KEYRATE_CONFIG, "[run]\nn_pulses = -5\n", 2, "n_pulses must be > 0"),
+    "zero-jobs": (["simulate", "--n-jobs", "0"], None, 2, "n_jobs"),
+    "negative-seed": (["simulate", "--n-pulses", "1000", "--seed", "-1"], None, 2, "seed"),
+    "loss-nan": (["plob", "--loss-db", "nan"], None, 2, "--loss-db must be finite"),
+    "pulses-flag-nan": (["keyrate", "--n-pulses", "nan"], None, 2, "--n-pulses"),
+    "pulses-flag-inf": (["keyrate", "--n-pulses", "inf"], None, 2, "--n-pulses"),
+    "link-nan": (KEYRATE_CONFIG, "[link]\nlength_a_km = nan\n", 2, "length_a_km"),
+    "detector-inf": (KEYRATE_CONFIG, "[detector]\nefficiency = inf\n", 2, "efficiency"),
+    "source-nan": (KEYRATE_CONFIG, "[source]\nmuz = nan\n", 2, "muz must be finite"),
+    "security-nan": (KEYRATE_CONFIG, "[security]\nf_ec = nan\n", 2, "f_ec must be finite"),
+    "run-nan": (KEYRATE_CONFIG, "[run]\nslice_half_width_rad = nan\n", 2, "must be finite"),
+    "keyrate-nan": (KEYRATE_CONFIG, KEYRATE + "n_untagged = nan\n", 2, "n_untagged"),
+    "distance-nan": (["curve", "--distances", "10,nan"], None, 2, "distances_km"),
+    "curve-negative-pulses": (
+        ["curve", "--distances", "10", "--config", "{cfg}"], "[curve]\nn_pulses = -5\n", 2,
+        "[curve] n_pulses must be > 0",
+    ),
+    "sensing-inf": (SENSE_CONFIG, sensing_ini(length_km="inf"), 2, "length_km must be finite"),
+    "vibration-nan": (SENSE_CONFIG, sensing_ini() + "phase_rad = nan\n", 2, "phase_rad"),
+    "zero-photons": (SENSE_CONFIG, sensing_ini(photons_per_frame=0), 2, "photons_per_frame"),
+    "negative-noise": (SENSE_CONFIG, sensing_ini(noise_std_rad=-1), 2, "noise"),
+    "negative-max-lag": (SENSE_CONFIG, sensing_ini(max_lag_s=-1), 2, "max_lag_s must be >= 0"),
+    "two-samples": (SENSE_CONFIG, sensing_ini(duration_s=0.002), 2, "at least 3 samples"),
+    "photon-starved-frames": (
+        SENSE_CONFIG, sensing_ini(photons_per_frame=1e-9), 3, "no photons",
+    ),
+    "ten-pulses": (["simulate", "--n-pulses", "10"], None, 3, "tally lacks pulses"),
+    "half-pulse": (["simulate", "--n-pulses", "0.5"], None, 3, "tally lacks pulses"),
+    "no-mu2-pulses": (
+        KEYRATE_CONFIG, "[source]\np_mu2 = 0\np_mu1 = 0.65\n", 3, "tally lacks pulses",
+    ),
+}
 
+
+@pytest.mark.parametrize("case", list(ERROR_CASES))
+def test_config_error_battery(tmp_path, case):
+    argv, text, code, fragment = ERROR_CASES[case]
+    cfg = tmp_path / "case.ini"
+    if text is not None:
+        cfg.write_text(text)
+    argv = [arg.replace("{cfg}", str(cfg)) for arg in argv]
+    if argv[0] == "sense":
+        argv += ["--out", str(tmp_path / "out")]
+    rc, _, err = run_cli(*argv)
+    assert rc == code
+    assert err.startswith("config error:" if code == 2 else "infeasible:")
+    assert fragment in err
+
+
+ROUND_TRIP = {
+    "link": reference_link(),
+    "detector": reference_detector(),
+    "source": reference_source(),
+    "security": reference_security(),
+    "sensing": LinkGeometry(length_km=200.0, light_speed_km_per_s=2.04e5),
+    "vibration.main": VibrationSource(
+        position_km=60.0, frequency_hz=800.0, amplitude_rad=0.8, phase_rad=0.3,
+        dc_offset_rad=1.2, start_s=0.05, duration_s=0.1,
+    ),
+}
+DESK = {
+    "link": desk_link(),
+    "detector": desk_detector(),
+    "source": desk_source(),
+    "security": desk_security(),
+}
+
+
+@pytest.mark.parametrize("section", list(ROUND_TRIP))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_config_sections_round_trip(section, data):
+    value = ROUND_TRIP[section]
+    fields = dataclasses.fields(value)
+    names = {f.name for f in fields}
+    if section == "sensing":
+        # [sensing] also carries the trace and recovery settings
+        assert names <= cli._SECTION_KEYS[section]
+    elif section.startswith("vibration."):
+        assert names == cli._VIBRATION_KEYS
+    else:
+        assert names == cli._SECTION_KEYS[section]
+
+    # any subset of the keys may be written, as long as every key without
+    # a preset or a default is
+    base = DESK.get(section)
+    required = {f.name for f in fields if base is None and f.default is dataclasses.MISSING}
+    written = data.draw(st.sets(st.sampled_from(sorted(names)))) | required
+    cp = configparser.ConfigParser()
+    cp.read_string(f"[{section}]\n" + "".join(
+        f"{name} = {getattr(value, name)!r}\n" for name in sorted(written)
+    ))
+    given_values = {name: getattr(value, name) for name in written}
+    if base is None:
+        expected = type(value)(**given_values)
+    else:
+        expected = dataclasses.replace(base, **given_values)
+    built = cli._build(cp, section, type(value))
+    assert built == expected
+    if written == names:
+        assert built == value
 
 def test_curve_requires_distances():
     assert run_cli("curve")[0] == 2

@@ -10,7 +10,6 @@ from snslab import (
     TallyRow,
     click_probabilities,
     expected_tallies,
-    iter_events,
     monte_carlo_session,
     z_bit_assignment,
 )
@@ -238,35 +237,6 @@ def test_monte_carlo_validates_output(big_desk_session):
     tally.validate()
     assert tally.signal_heralded() == float(tally.z_bits_alice.size)
     assert 0.0 <= tally.pre_pairing_qber() <= 1.0
-
-
-def test_iter_events_consistent_with_session():
-    link, det, src = desk_link(), desk_detector(), desk_source()
-    n = 50_000
-    events = list(iter_events(link, det, src, n, seed=17))
-    assert len(events) == n
-    session = monte_carlo_session(link, det, src, n, seed=17)
-
-    def label(kind, intensity, sent):
-        if kind == SIGNAL:
-            return MUZ if sent else VAC
-        return {0.0: VAC, src.mu1: MU1, src.mu2: MU2}[intensity]
-
-    lone = {}
-    kinds = set()
-    for ev in events:
-        kinds.add(ev.window_kind)
-        if ev.window_kind == "mixed":
-            continue
-        key = (ev.window_kind,
-               label(ev.window_kind, ev.intensity_a, ev.alice_sent),
-               label(ev.window_kind, ev.intensity_b, ev.bob_sent))
-        lone.setdefault(key, 0)
-        if ev.detector_click in ("left", "right"):
-            lone[key] += 1
-    assert "mixed" in kinds
-    for key, count in lone.items():
-        assert session.rows[key].one_detector_events == count
 
 
 def test_session_tally_merge_is_additive():
