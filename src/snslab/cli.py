@@ -39,6 +39,8 @@ from .security import (
     plob_bound,
 )
 from .sensing import (
+    DEFAULT_DRIFT_RATE_RAD2_PER_S,
+    DEFAULT_NOISE_STD_RAD,
     DegenerateTraceError,
     DelayOutOfRangeError,
     LinkGeometry,
@@ -433,13 +435,9 @@ def _cmd_sense(args) -> int:
             raise RuntimeInfeasible(
                 f"source at {s.frequency_hz} Hz aliases at {fs} Hz sampling"
             )
-        if s.position_km > geometry.length_km:
-            raise ConfigError(
-                f"vibration position {s.position_km} km lies past the link end"
-            )
     seed = _seed(cp, args)
-    drift = _getfloat(cp, "sensing", "drift_rate_rad2_per_s", 0.01)
-    noise = _getfloat(cp, "sensing", "noise_std_rad", 0.02)
+    drift = _getfloat(cp, "sensing", "drift_rate_rad2_per_s", DEFAULT_DRIFT_RATE_RAD2_PER_S)
+    noise = _getfloat(cp, "sensing", "noise_std_rad", DEFAULT_NOISE_STD_RAD)
     photons = None
     if cp.has_option("sensing", "photons_per_frame"):
         photons = _getfloat(cp, "sensing", "photons_per_frame")
@@ -452,15 +450,6 @@ def _cmd_sense(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"[sensing] {exc}") from None
-
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-    path_a = os.path.join(out_dir, "trace_alice.txt")
-    path_b = os.path.join(out_dir, "trace_bob.txt")
-    path_rec = os.path.join(out_dir, "recovered_phase.txt")
-    write_trace(path_a, trace_a)
-    write_trace(path_b, trace_b)
-
     if photons is not None:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
         left, right = synthesize_reference_counts(trace_b.samples, photons, rng)
@@ -472,8 +461,6 @@ def _cmd_sense(args) -> int:
         recovered = PhaseTrace(
             samples=trace_b.samples, sample_rate_hz=fs, origin="recovered"
         )
-    write_trace(path_rec, recovered)
-
     max_lag = None
     if cp.has_option("sensing", "max_lag_s"):
         max_lag = _getfloat(cp, "sensing", "max_lag_s")
@@ -484,6 +471,16 @@ def _cmd_sense(args) -> int:
         result = locate_traces(trace_a, trace_b, geometry, max_lag_s=max_lag, slack_s=slack)
     except ValueError as exc:
         raise ConfigError(f"[sensing] {exc}") from None
+
+    # written only after every step above has succeeded, so a failed run leaves no files
+    out_dir = args.out or "."
+    os.makedirs(out_dir, exist_ok=True)
+    path_a = os.path.join(out_dir, "trace_alice.txt")
+    path_b = os.path.join(out_dir, "trace_bob.txt")
+    path_rec = os.path.join(out_dir, "recovered_phase.txt")
+    write_trace(path_a, trace_a)
+    write_trace(path_b, trace_b)
+    write_trace(path_rec, recovered)
     record = dataclasses.asdict(result)
     record = {k: bool(v) if k == "out_of_range" else float(v) for k, v in record.items()}
     loc_path = os.path.join(out_dir, "localization.json")

@@ -87,24 +87,13 @@ class DetectorModel:
     """Threshold single-photon detectors at the measurement station."""
 
     efficiency: float
-    dark_rate_hz: float
-    gate_ns: float
     pulse_rate_hz: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
-        if self.dark_rate_hz < 0.0:
-            raise ValueError("dark_rate_hz must be >= 0")
-        if self.gate_ns <= 0.0:
-            raise ValueError("gate_ns must be > 0")
         if self.pulse_rate_hz <= 0.0:
             raise ValueError("pulse_rate_hz must be > 0")
-
-    @property
-    def dark_per_pulse(self) -> float:
-        """Dark-count probability inside one detection gate."""
-        return self.dark_rate_hz * self.gate_ns * 1e-9
 
 
 def channel_transmittance(link: LinkModel, det: DetectorModel) -> tuple[float, float]:

@@ -24,12 +24,7 @@ def reference_link() -> LinkModel:
 
 
 def reference_detector() -> DetectorModel:
-    return DetectorModel(
-        efficiency=0.82,
-        dark_rate_hz=4.0,
-        gate_ns=0.3,
-        pulse_rate_hz=1e8,
-    )
+    return DetectorModel(efficiency=0.82, pulse_rate_hz=1e8)
 
 
 def reference_source() -> SourceParams:
@@ -73,12 +68,7 @@ def desk_link(total_db: float = 20.0) -> LinkModel:
 
 
 def desk_detector() -> DetectorModel:
-    return DetectorModel(
-        efficiency=0.9,
-        dark_rate_hz=100.0,
-        gate_ns=1.0,
-        pulse_rate_hz=1e6,
-    )
+    return DetectorModel(efficiency=0.9, pulse_rate_hz=1e6)
 
 
 def desk_source() -> SourceParams:

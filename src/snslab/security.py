@@ -68,43 +68,28 @@ def fluctuation_bounds(observed: float, failure_prob: float) -> tuple[float, flo
     while lo > 0.0 and gap(lo) > 0.0:
         lo *= 0.5
     # for near-zero observations the lower root underflows; 0 is its limit
-    lower = 0.0 if lo == 0.0 else _bisect_toward(gap, lo, observed)
+    lower = 0.0 if lo == 0.0 else _bisect(gap, observed, lo)
 
     hi = observed * 2.0
     while gap(hi) > 0.0:
         hi *= 2.0
-    upper = _bisect_away(gap, observed, hi)
+    upper = _bisect(gap, observed, hi)
     return lower, upper
 
 
-def _bisect_toward(gap, lo: float, hi: float) -> float:
-    """Root on (lo, hi] where gap(lo) <= 0 < gap(hi)."""
+def _bisect(gap, pos: float, neg: float) -> float:
+    """Root between pos, where gap > 0, and neg, where gap <= 0; returns the neg end."""
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        mid = 0.5 * (pos + neg)
+        if mid == pos or mid == neg:
             break
         if gap(mid) > 0.0:
-            hi = mid
+            pos = mid
         else:
-            lo = mid
-        if hi - lo <= 1e-12 * hi:
+            neg = mid
+        if abs(neg - pos) <= 1e-12 * (neg if neg > pos else pos):
             break
-    return lo
-
-
-def _bisect_away(gap, lo: float, hi: float) -> float:
-    """Root on [lo, hi) where gap(lo) > 0 >= gap(hi)."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return hi
+    return neg
 
 
 @dataclass(frozen=True)

@@ -384,6 +384,8 @@ def locate_traces(
     """
     if slack_s is None:
         slack_s = 1.0 / trace_alice.sample_rate_hz
+    if slack_s < 0.0:
+        raise ValueError("slack_s must be >= 0")
     if max_lag_s is None:
         max_lag_s = geometry.max_delay_s + slack_s
     delay, peak = cross_correlate_delay(trace_alice, trace_bob, max_lag_s)

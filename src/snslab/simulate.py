@@ -14,6 +14,7 @@ Two views of a session are provided with identical bookkeeping:
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -143,18 +144,29 @@ class SessionTally:
         return errors / heralded
 
 
-def _intensity(label: str, src: SourceParams) -> float:
-    return {VAC: 0.0, MU1: src.mu1, MU2: src.mu2, MUZ: src.muz}[label]
+def _port_clicks(x, y, theta, noise):
+    """Per-angle exclusive and coincident click probabilities of the two ports.
+
+    x, y are the arriving intensities and theta the relative phase; all
+    three broadcast against each other.
+
+    Returns:
+        (lone_left, lone_right, both) at every broadcast point.
+    """
+    cross = 2.0 * np.sqrt(x * y) * np.cos(theta)
+    p_l = 1.0 - (1.0 - noise) * np.exp(-0.5 * (x + y + cross))
+    p_r = 1.0 - (1.0 - noise) * np.exp(-0.5 * (x + y - cross))
+    return p_l * (1.0 - p_r), p_r * (1.0 - p_l), p_l * p_r
 
 
 def click_probabilities(
-    intensity_a: float,
-    intensity_b: float,
+    intensity_a: float | np.ndarray,
+    intensity_b: float | np.ndarray,
     eta_a: float,
     eta_b: float,
     phase_sigma: float = 0.0,
     noise: float = 0.0,
-) -> tuple[float, float, float]:
+) -> tuple:
     """Single-side and coincidence click probabilities of the interferometer.
 
     For arriving intensities x = intensity_a * eta_a and y = intensity_b *
@@ -166,12 +178,17 @@ def click_probabilities(
     invariant under that convolution, so a single fixed quadrature over the
     circle evaluates the average exactly.
 
+    The intensities may be equally shaped arrays; the results then have
+    that shape, one entry per intensity pair.
+
     Returns:
         (p_left_only, p_right_only, p_both): the two exclusive one-detector
         probabilities and the discarded coincidence probability.
     """
-    for name, v in (("intensity_a", intensity_a), ("intensity_b", intensity_b)):
-        if v < 0.0:
+    ia = np.asarray(intensity_a, dtype=float)
+    ib = np.asarray(intensity_b, dtype=float)
+    for name, v in (("intensity_a", ia), ("intensity_b", ib)):
+        if np.any(v < 0.0):
             raise ValueError(f"{name} must be >= 0")
     for name, v in (("eta_a", eta_a), ("eta_b", eta_b)):
         if not 0.0 <= v <= 1.0:
@@ -181,67 +198,23 @@ def click_probabilities(
     if phase_sigma < 0.0:
         raise ValueError("phase_sigma must be >= 0")
 
-    x = intensity_a * eta_a
-    y = intensity_b * eta_b
+    x = (ia * eta_a)[..., None]
+    y = (ib * eta_b)[..., None]
     theta = (np.arange(PHASE_GRID_POINTS) + 0.5) * (2.0 * np.pi / PHASE_GRID_POINTS)
-    cross = 2.0 * math.sqrt(x * y) * np.cos(theta)
-    p_l = 1.0 - (1.0 - noise) * np.exp(-0.5 * (x + y + cross))
-    p_r = 1.0 - (1.0 - noise) * np.exp(-0.5 * (x + y - cross))
-    p_left_only = float(np.mean(p_l * (1.0 - p_r)))
-    p_right_only = float(np.mean(p_r * (1.0 - p_l)))
-    p_both = float(np.mean(p_l * p_r))
-    return p_left_only, p_right_only, p_both
+    probs = tuple(p.mean(axis=-1) for p in _port_clicks(x, y, theta, noise))
+    if probs[0].ndim == 0:
+        return tuple(float(p) for p in probs)
+    return probs
 
 
 _SLICE_DELTA_POINTS = 201
-_SLICE_HERMITE_POINTS = 41
 
 
-def _slice_statistics(
-    intensity_a: float,
-    intensity_b: float,
-    eta_a: float,
-    eta_b: float,
-    sigma: float,
-    half_width: float,
-    noise: float,
-) -> tuple[float, float]:
-    """Expected herald and wrong-port fractions inside the accepted slice.
-
-    Conditioned on the announced relative phase delta falling within
-    half_width of 0 (constructive port on the left), with actual phase
-    delta + jitter. The slice around pi contributes identically with ports
-    swapped, so callers only scale by the total acceptance fraction.
-
-    Returns:
-        (p_one_detector, p_wrong_port) conditioned on an accepted window.
-    """
-    x = intensity_a * eta_a
-    y = intensity_b * eta_b
-    delta = (np.arange(_SLICE_DELTA_POINTS) + 0.5) / _SLICE_DELTA_POINTS
-    delta = (2.0 * delta - 1.0) * half_width
-    nodes, weights = np.polynomial.hermite_e.hermegauss(_SLICE_HERMITE_POINTS)
-    weights = weights / math.sqrt(2.0 * math.pi)
-    theta = delta[:, None] + sigma * nodes[None, :]
-    cross = 2.0 * math.sqrt(x * y) * np.cos(theta)
-    p_l = 1.0 - (1.0 - noise) * np.exp(-0.5 * (x + y + cross))
-    p_r = 1.0 - (1.0 - noise) * np.exp(-0.5 * (x + y - cross))
-    lone_l = (p_l * (1.0 - p_r)) @ weights
-    lone_r = (p_r * (1.0 - p_l)) @ weights
-    herald = float(np.mean(lone_l + lone_r))
-    wrong = float(np.mean(lone_r))
-    return herald, wrong
-
-
-def _single_photon_herald_prob(
-    intensity_a: float, intensity_b: float, eta_a: float, eta_b: float, noise: float
-) -> float:
-    """P(exactly one detector fires | total emitted photon number is 1)."""
-    total = intensity_a + intensity_b
-    if total <= 0.0:
-        return 0.0
-    arrive = (intensity_a * eta_a + intensity_b * eta_b) / total
-    return arrive * (1.0 - noise) + (1.0 - arrive) * 2.0 * noise * (1.0 - noise)
+@functools.cache
+def _jitter_rule() -> tuple[np.ndarray, np.ndarray]:
+    """41-point Gauss-Hermite nodes and weights for a standard normal jitter."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(41)
+    return nodes, weights / math.sqrt(2.0 * math.pi)
 
 
 def expected_tallies(
@@ -256,6 +229,13 @@ def expected_tallies(
     All values are expectations of the Monte Carlo counters, computed by
     the same fixed quadratures used elsewhere in the package. The bit
     arrays stay empty; error expectations live in the row counters.
+
+    All rows are evaluated at once, one array entry per row in row_keys()
+    order. Decoy rows lit on both sides also get the post-selected slice:
+    the announced phase delta within the half width of 0, actual phase
+    delta + jitter, constructive port on the left. The slice around pi
+    contributes identically with ports swapped, so the slice averages are
+    scaled by the total acceptance fraction.
     """
     if n_pulses < 0:
         raise ValueError("n_pulses must be >= 0")
@@ -266,46 +246,54 @@ def expected_tallies(
     sigma = src.jitter_sigma_rad
     accept_frac = 2.0 * slice_half_width_rad / math.pi
 
-    tally = SessionTally(n_pulses=float(n_pulses))
-    decoy_probs = {VAC: src.p_vac, MU1: src.p_mu1, MU2: src.p_mu2}
-    w_decoy = src.p_decoy_window**2
-    for la in _DECOY_LABELS:
-        for lb in _DECOY_LABELS:
-            ia, ib = _intensity(la, src), _intensity(lb, src)
-            pulses = n_pulses * w_decoy * decoy_probs[la] * decoy_probs[lb]
-            lone_l, lone_r, _ = click_probabilities(ia, ib, eta_a, eta_b, sigma, nu)
-            row = tally.row(DECOY, la, lb)
-            row.pulses_sent = pulses
-            row.one_detector_events = pulses * (lone_l + lone_r)
-            if ia > 0.0 and ib > 0.0:
-                herald, wrong = _slice_statistics(
-                    ia, ib, eta_a, eta_b, sigma, slice_half_width_rad, nu
-                )
-                row.accepted_events = pulses * accept_frac * herald
-                row.error_events = pulses * accept_frac * wrong
-            p1 = _single_photon_herald_prob(ia, ib, eta_a, eta_b, nu)
-            row.single_photon_events = pulses * math.exp(-(ia + ib)) * (ia + ib) * p1
-
+    keys = row_keys()
+    level = {VAC: 0.0, MU1: src.mu1, MU2: src.mu2, MUZ: src.muz}
+    ia = np.array([level[a] for _, a, _ in keys])
+    ib = np.array([level[b] for _, _, b in keys])
+    mix = {VAC: src.p_vac, MU1: src.p_mu1, MU2: src.p_mu2}
+    n_decoy = n_pulses * src.p_decoy_window**2
+    n_signal = n_pulses * src.p_signal_window**2
     eps = src.epsilon_send
-    w_signal = src.p_signal_window**2
-    combo_probs = {
-        (MUZ, VAC): eps * (1.0 - eps),
-        (VAC, MUZ): eps * (1.0 - eps),
-        (MUZ, MUZ): eps * eps,
-        (VAC, VAC): (1.0 - eps) ** 2,
-    }
-    for la, lb in _SIGNAL_COMBOS:
-        ia, ib = _intensity(la, src), _intensity(lb, src)
-        pulses = n_pulses * w_signal * combo_probs[(la, lb)]
-        lone_l, lone_r, _ = click_probabilities(ia, ib, eta_a, eta_b, sigma, nu)
-        row = tally.row(SIGNAL, la, lb)
-        row.pulses_sent = pulses
-        row.one_detector_events = pulses * (lone_l + lone_r)
-        # bit errors happen exactly when both or neither side sent
-        if la == lb:
-            row.error_events = row.one_detector_events
-        p1 = _single_photon_herald_prob(ia, ib, eta_a, eta_b, nu)
-        row.single_photon_events = pulses * math.exp(-(ia + ib)) * (ia + ib) * p1
+    # _SIGNAL_COMBOS order: one side sent (twice), both sent, neither sent
+    combos = (eps * (1.0 - eps), eps * (1.0 - eps), eps * eps, (1.0 - eps) ** 2)
+    pulses = np.array(
+        [n_decoy * mix[a] * mix[b] for a in _DECOY_LABELS for b in _DECOY_LABELS]
+        + [n_signal * p for p in combos]
+    )
+
+    lone_l, lone_r, _ = click_probabilities(ia, ib, eta_a, eta_b, sigma, nu)
+    heralds = pulses * (lone_l + lone_r)
+    # a signal row's heralds are all bit errors when both or neither side sent
+    errors = np.where([k == SIGNAL and a == b for k, a, b in keys], heralds, 0.0)
+    accepted = np.zeros(len(keys))
+
+    lit = np.array([k == DECOY for k, _, _ in keys]) & (ia > 0.0) & (ib > 0.0)
+    delta = (np.arange(_SLICE_DELTA_POINTS) + 0.5) / _SLICE_DELTA_POINTS
+    delta = (2.0 * delta - 1.0) * slice_half_width_rad
+    nodes, weights = _jitter_rule()
+    theta = delta[:, None] + sigma * nodes[None, :]
+    x = (ia[lit] * eta_a)[:, None, None]
+    y = (ib[lit] * eta_b)[:, None, None]
+    slice_l, slice_r, _ = _port_clicks(x, y, theta, nu)
+    slice_l, slice_r = slice_l @ weights, slice_r @ weights
+    accepted[lit] = pulses[lit] * accept_frac * np.mean(slice_l + slice_r, axis=-1)
+    errors[lit] = pulses[lit] * accept_frac * np.mean(slice_r, axis=-1)
+
+    # P(exactly one detector fires | one photon emitted in total)
+    total = ia + ib  # a dark row has no single-photon term; 1 avoids 0 / 0
+    arrive = (ia * eta_a + ib * eta_b) / np.where(total > 0.0, total, 1.0)
+    p1 = arrive * (1.0 - nu) + (1.0 - arrive) * 2.0 * nu * (1.0 - nu)
+    single = pulses * np.exp(-total) * total * p1
+
+    tally = SessionTally(n_pulses=float(n_pulses))
+    for idx, key in enumerate(keys):
+        tally.rows[key] = TallyRow(
+            pulses_sent=float(pulses[idx]),
+            one_detector_events=float(heralds[idx]),
+            error_events=float(errors[idx]),
+            accepted_events=float(accepted[idx]),
+            single_photon_events=float(single[idx]),
+        )
     return tally
 
 

@@ -207,6 +207,7 @@ ERROR_CASES = {
     "zero-photons": (SENSE_CONFIG, sensing_ini(photons_per_frame=0), 2, "photons_per_frame"),
     "negative-noise": (SENSE_CONFIG, sensing_ini(noise_std_rad=-1), 2, "noise"),
     "negative-max-lag": (SENSE_CONFIG, sensing_ini(max_lag_s=-1), 2, "max_lag_s must be >= 0"),
+    "negative-max-slack": (SENSE_CONFIG, sensing_ini(max_slack_s=-1), 2, "slack_s must be >= 0"),
     "two-samples": (SENSE_CONFIG, sensing_ini(duration_s=0.002), 2, "at least 3 samples"),
     "photon-starved-frames": (
         SENSE_CONFIG, sensing_ini(photons_per_frame=1e-9), 3, "no photons",
@@ -232,6 +233,8 @@ def test_config_error_battery(tmp_path, case):
     assert rc == code
     assert err.startswith("config error:" if code == 2 else "infeasible:")
     assert fragment in err
+    # a refused run writes nothing, not even the output directory
+    assert not (tmp_path / "out").exists()
 
 
 ROUND_TRIP = {

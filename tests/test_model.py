@@ -67,27 +67,18 @@ def test_link_validation():
                   noise_per_pulse=1.0)
 
 
-def test_detector_dark_per_pulse():
-    det = DetectorModel(efficiency=0.82, dark_rate_hz=4.0, gate_ns=0.3,
-                        pulse_rate_hz=1e8)
-    assert det.dark_per_pulse == pytest.approx(4.0 * 0.3e-9, rel=1e-12)
-
-
 def test_detector_efficiency_range():
     # endpoints are legal: a dead detector and a perfect one
-    DetectorModel(efficiency=0.0, dark_rate_hz=0.0, gate_ns=1.0, pulse_rate_hz=1e6)
-    DetectorModel(efficiency=1.0, dark_rate_hz=0.0, gate_ns=1.0, pulse_rate_hz=1e6)
+    DetectorModel(efficiency=0.0, pulse_rate_hz=1e6)
+    DetectorModel(efficiency=1.0, pulse_rate_hz=1e6)
     with pytest.raises(ValueError):
-        DetectorModel(efficiency=1.01, dark_rate_hz=0.0, gate_ns=1.0, pulse_rate_hz=1e6)
-    with pytest.raises(ValueError):
-        DetectorModel(efficiency=0.5, dark_rate_hz=-1.0, gate_ns=1.0, pulse_rate_hz=1e6)
+        DetectorModel(efficiency=1.01, pulse_rate_hz=1e6)
 
 
 def test_channel_transmittance_composition():
     link = LinkModel(length_a_km=50.0, length_b_km=100.0, atten_db_per_km=0.2,
                      station_loss_db=3.0)
-    det = DetectorModel(efficiency=0.5, dark_rate_hz=0.0, gate_ns=1.0,
-                        pulse_rate_hz=1e6)
+    det = DetectorModel(efficiency=0.5, pulse_rate_hz=1e6)
     eta_a, eta_b = channel_transmittance(link, det)
     assert eta_a == pytest.approx(transmittance(13.0) * 0.5, rel=1e-12)
     assert eta_b == pytest.approx(transmittance(23.0) * 0.5, rel=1e-12)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snslab import (
+    DetectorModel,
     LinkModel,
     SessionTally,
     SourceParams,
@@ -13,6 +16,7 @@ from snslab import (
     monte_carlo_session,
     z_bit_assignment,
 )
+from snslab.model import channel_transmittance
 from snslab.presets import desk_detector, desk_link, desk_source
 from snslab.simulate import DECOY, MU1, MU2, MUZ, SIGNAL, VAC, row_keys
 
@@ -196,6 +200,109 @@ def test_silent_source_produces_no_heralds():
     tally = monte_carlo_session(link, det, src, 200_000, seed=3)
     assert tally.total_one_detector_events() == 0.0
     assert tally.z_bits_alice.size == 0
+
+
+def _slice_reference(x, y, sigma, half_width, noise):
+    # the accepted slice written out for one row: 201 announced phases
+    # times 41 Gauss-Hermite jitter nodes
+    delta = (np.arange(201) + 0.5) / 201
+    delta = (2.0 * delta - 1.0) * half_width
+    nodes, weights = np.polynomial.hermite_e.hermegauss(41)
+    weights = weights / math.sqrt(2.0 * math.pi)
+    theta = delta[:, None] + sigma * nodes[None, :]
+    cross = 2.0 * math.sqrt(x * y) * np.cos(theta)
+    p_l = 1.0 - (1.0 - noise) * np.exp(-0.5 * (x + y + cross))
+    p_r = 1.0 - (1.0 - noise) * np.exp(-0.5 * (x + y - cross))
+    lone_l = (p_l * (1.0 - p_r)) @ weights
+    lone_r = (p_r * (1.0 - p_l)) @ weights
+    return float(np.mean(lone_l + lone_r)), float(np.mean(lone_r))
+
+
+def _reference_tallies(link, det, src, n_pulses, half_width):
+    # row by row, one scalar click_probabilities call per row
+    eta_a, eta_b = channel_transmittance(link, det)
+    nu, sigma = link.noise_per_pulse, src.jitter_sigma_rad
+    accept_frac = 2.0 * half_width / math.pi
+    level = {VAC: 0.0, MU1: src.mu1, MU2: src.mu2, MUZ: src.muz}
+    mix = {VAC: src.p_vac, MU1: src.p_mu1, MU2: src.p_mu2}
+    eps = src.epsilon_send
+    combo = {(MUZ, VAC): eps * (1.0 - eps), (VAC, MUZ): eps * (1.0 - eps),
+             (MUZ, MUZ): eps * eps, (VAC, VAC): (1.0 - eps) ** 2}
+    rows = {}
+    for kind, la, lb in row_keys():
+        ia, ib = level[la], level[lb]
+        if kind == DECOY:
+            pulses = n_pulses * src.p_decoy_window**2 * mix[la] * mix[lb]
+        else:
+            pulses = n_pulses * src.p_signal_window**2 * combo[(la, lb)]
+        lone_l, lone_r, _ = click_probabilities(ia, ib, eta_a, eta_b, sigma, nu)
+        row = TallyRow(pulses_sent=pulses, one_detector_events=pulses * (lone_l + lone_r))
+        if kind == DECOY and ia > 0.0 and ib > 0.0:
+            herald, wrong = _slice_reference(ia * eta_a, ib * eta_b, sigma, half_width, nu)
+            row.accepted_events = pulses * accept_frac * herald
+            row.error_events = pulses * accept_frac * wrong
+        if kind == SIGNAL and la == lb:
+            row.error_events = row.one_detector_events
+        total = ia + ib
+        p1 = 0.0
+        if total > 0.0:
+            arrive = (ia * eta_a + ib * eta_b) / total
+            p1 = arrive * (1.0 - nu) + (1.0 - arrive) * 2.0 * nu * (1.0 - nu)
+        row.single_photon_events = pulses * math.exp(-total) * total * p1
+        rows[(kind, la, lb)] = row
+    return rows
+
+
+@st.composite
+def _sources(draw):
+    unit = st.floats(0.0, 1.0)
+    mu1 = draw(st.floats(1e-3, 0.5))
+    p_mu1 = draw(unit)
+    p_mu2 = draw(unit) * (1.0 - p_mu1)
+    return SourceParams(
+        mu1=mu1, mu2=mu1 + draw(st.floats(1e-3, 1.0)), muz=draw(st.floats(0.0, 1.5)),
+        p_signal_window=draw(unit), p_mu1=p_mu1, p_mu2=p_mu2, p_vac=1.0 - p_mu1 - p_mu2,
+        epsilon_send=draw(unit), misalignment=draw(st.floats(0.0, 0.45)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    link=st.builds(
+        LinkModel,
+        length_a_km=st.floats(0.0, 400.0), length_b_km=st.floats(0.0, 400.0),
+        atten_db_per_km=st.floats(0.0, 0.4), station_loss_db=st.floats(0.0, 5.0),
+        noise_per_pulse=st.one_of(st.just(0.0), st.floats(1e-10, 1e-2)),
+    ),
+    efficiency=st.floats(0.0, 1.0),
+    src=_sources(),
+    n_pulses=st.floats(0.0, 1e14),
+    half_width=st.floats(0.01, 1.5),
+)
+def test_expected_tallies_match_the_row_by_row_evaluation(
+    link, efficiency, src, n_pulses, half_width
+):
+    det = DetectorModel(efficiency=efficiency, pulse_rate_hz=1e6)
+    tally = expected_tallies(link, det, src, n_pulses, half_width)
+    reference = _reference_tallies(link, det, src, n_pulses, half_width)
+    assert list(tally.rows) == list(reference)
+    for key, ref in reference.items():
+        row = tally.rows[key]
+        for f in ("pulses_sent", "one_detector_events", "accepted_events", "error_events"):
+            assert getattr(row, f) == getattr(ref, f), (key, f)
+        # np.exp and math.exp may differ in the last bit
+        assert row.single_photon_events == pytest.approx(ref.single_photon_events,
+                                                         rel=1e-15, abs=0.0), key
+    # array intensities give exactly the per-pair scalar results
+    levels = [0.0, src.mu1, src.mu2, src.muz]
+    ia = np.repeat(levels, 4)
+    ib = np.tile(levels, 4)
+    eta_a, eta_b = channel_transmittance(link, det)
+    args = (eta_a, eta_b, src.jitter_sigma_rad, link.noise_per_pulse)
+    arrays = click_probabilities(ia, ib, *args)
+    scalars = [click_probabilities(a, b, *args) for a, b in zip(ia, ib)]
+    for got, want in zip(arrays, zip(*scalars)):
+        assert got.tolist() == list(want)
 
 
 # -------------------------------------------------------------- monte carlo
