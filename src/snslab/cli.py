@@ -229,9 +229,12 @@ def _render_table(columns: list[str], rows: list[dict], fmt: str) -> str:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out}: {exc}") from None
 
 
 def _rate_payload(r: KeyRateReport, det: DetectorModel) -> dict:
@@ -474,13 +477,16 @@ def _cmd_sense(args) -> int:
 
     # written only after every step above has succeeded, so a failed run leaves no files
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
     path_a = os.path.join(out_dir, "trace_alice.txt")
     path_b = os.path.join(out_dir, "trace_bob.txt")
     path_rec = os.path.join(out_dir, "recovered_phase.txt")
-    write_trace(path_a, trace_a)
-    write_trace(path_b, trace_b)
-    write_trace(path_rec, recovered)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        write_trace(path_a, trace_a)
+        write_trace(path_b, trace_b)
+        write_trace(path_rec, recovered)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out_dir}: {exc}") from None
     record = dataclasses.asdict(result)
     record = {k: bool(v) if k == "out_of_range" else float(v) for k, v in record.items()}
     loc_path = os.path.join(out_dir, "localization.json")

@@ -32,7 +32,11 @@ from .simulate import (
     SIGNAL,
     VAC,
     SessionTally,
+    row_keys,
 )
+
+# position of each tally row in SessionTally.counts
+ROW_INDEX = {key: i for i, key in enumerate(row_keys())}
 
 
 def plob_bound(channel_transmittance: float) -> float:
@@ -124,17 +128,18 @@ def decoy_bounds(
     """
     xi = sec.xi_decoy
     mu1, mu2, muz = src.mu1, src.mu2, src.muz
+    counts = tally.counts.tolist()
 
-    def row(kind: str, la: str, lb: str):
-        r = tally.rows.get((kind, la, lb))
-        if r is None or r.pulses_sent <= 0.0:
+    def row(kind: str, la: str, lb: str) -> list[float]:
+        r = counts[ROW_INDEX[(kind, la, lb)]]
+        if r[0] <= 0.0:
             raise ValueError(f"tally lacks pulses for row ({kind}, {la}, {lb})")
         return r
 
     def gain_bounds(la: str, lb: str) -> tuple[float, float]:
-        r = row(DECOY, la, lb)
-        lo, up = fluctuation_bounds(r.one_detector_events, xi)
-        return lo / r.pulses_sent, up / r.pulses_sent
+        pulses, heralds = row(DECOY, la, lb)[:2]
+        lo, up = fluctuation_bounds(heralds, xi)
+        return lo / pulses, up / pulses
 
     y0_low, y0_up = gain_bounds(VAC, VAC)
 
@@ -150,20 +155,20 @@ def decoy_bounds(
     y1_alice = y1_lower(gain_bounds(MU1, VAC)[0], gain_bounds(MU2, VAC)[1])
     y1_bob = y1_lower(gain_bounds(VAC, MU1)[0], gain_bounds(VAC, MU2)[1])
 
-    matched = row(DECOY, MU1, MU1)
-    sifted_windows = matched.pulses_sent * (2.0 * slice_half_width_rad / math.pi)
+    matched_pulses, _, matched_errors = row(DECOY, MU1, MU1)[:3]
+    sifted_windows = matched_pulses * (2.0 * slice_half_width_rad / math.pi)
 
     if y1_alice <= 0.0 or y1_bob <= 0.0 or sifted_windows <= 0.0:
         return DecoyBounds(y0_low, y0_up, y1_alice, y1_bob, 0.0, 0.0, 0.0, 0.5, False)
 
     p_single = muz * math.exp(-muz)
-    n1_alice = row(SIGNAL, MUZ, VAC).pulses_sent * p_single * y1_alice
-    n1_bob = row(SIGNAL, VAC, MUZ).pulses_sent * p_single * y1_bob
+    n1_alice = row(SIGNAL, MUZ, VAC)[0] * p_single * y1_alice
+    n1_bob = row(SIGNAL, VAC, MUZ)[0] * p_single * y1_bob
 
     # wrong-port gain of the sifted matched-intensity windows, decomposed
     # over photon number: vacuum errs half the time, the single-photon
     # pair term is what we solve for, higher terms are dropped
-    err_up = fluctuation_bounds(matched.error_events, xi)[1]
+    err_up = fluctuation_bounds(matched_errors, xi)[1]
     t_up = err_up / sifted_windows
     y1_pair = 0.5 * (y1_alice + y1_bob)
     e1 = (math.exp(2.0 * mu1) * t_up - 0.5 * y0_low) / (2.0 * mu1 * y1_pair)
@@ -343,18 +348,45 @@ def _signal_groups(tally: SessionTally) -> tuple[float, float, float, float]:
     of 0 (neither talked); group0 where he recorded 0, err0 with both
     talking.
     """
-    h = {
-        (la, lb): tally.rows.get((SIGNAL, la, lb)).one_detector_events
-        if (SIGNAL, la, lb) in tally.rows
-        else 0.0
-        for la in (MUZ, VAC)
-        for lb in (MUZ, VAC)
-    }
-    group1 = h[(MUZ, VAC)] + h[(VAC, VAC)]
-    err1 = h[(VAC, VAC)]
-    group0 = h[(VAC, MUZ)] + h[(MUZ, MUZ)]
-    err0 = h[(MUZ, MUZ)]
-    return group1, err1, group0, err0
+    heralds = tally.counts[:, 1].tolist()
+    sent_quiet, quiet_sent, both, neither = (
+        heralds[ROW_INDEX[(SIGNAL, la, lb)]]
+        for la, lb in ((MUZ, VAC), (VAC, MUZ), (MUZ, MUZ), (VAC, VAC))
+    )
+    return sent_quiet + neither, neither, quiet_sent + both, both
+
+
+def _pairing_tail(
+    tally: SessionTally,
+    sec: SecurityParams,
+    bounds: DecoyBounds,
+    group1: float,
+    group0: float,
+    pair_count: float,
+    survival: float,
+    n_sifted: float,
+    bit_error: float,
+) -> SessionAnalysis:
+    """Untagged count, post-pairing phase error and key rate of one pairing."""
+    # untagged pairs need an untagged member on each side; they always
+    # survive the parity test, and never more of them than kept pairs
+    n_untagged = 0.0
+    if group1 > 0.0 and group0 > 0.0:
+        n_untagged = pair_count * (bounds.n1_alice_low / group1) * (bounds.n1_bob_low / group0)
+    n_untagged = min(n_untagged, n_sifted)
+    phase_error = post_aopp_phase_error(bounds.n1_low, bounds.phase_error_up, n_sifted)
+    report = key_rate(n_untagged, phase_error, n_sifted, bit_error, tally.n_pulses, sec)
+    return SessionAnalysis(
+        decoy=bounds,
+        pair_count=pair_count,
+        survival_fraction=survival,
+        n_sifted=n_sifted,
+        bit_error_rate=bit_error,
+        n_untagged=n_untagged,
+        phase_error_rate=phase_error,
+        report=report,
+        feasible=bounds.feasible,
+    )
 
 
 def expected_post_processing(
@@ -378,25 +410,8 @@ def expected_post_processing(
     eps0 = err0 / group0
     g = min(group1, group0)
     survival = (1.0 - eps1) * (1.0 - eps0) + eps1 * eps0
-    n_sifted = g * survival
     bit_error = (eps1 * eps0 / survival) if survival > 0.0 else 0.0
-    # untagged pairs need an untagged member on each side; they always
-    # survive the parity test, and never more of them than kept pairs
-    n_untagged = g * (bounds.n1_alice_low / group1) * (bounds.n1_bob_low / group0)
-    n_untagged = min(n_untagged, n_sifted)
-    phase_error = post_aopp_phase_error(bounds.n1_low, bounds.phase_error_up, n_sifted)
-    report = key_rate(n_untagged, phase_error, n_sifted, bit_error, tally.n_pulses, sec)
-    return SessionAnalysis(
-        decoy=bounds,
-        pair_count=g,
-        survival_fraction=survival,
-        n_sifted=n_sifted,
-        bit_error_rate=bit_error,
-        n_untagged=n_untagged,
-        phase_error_rate=phase_error,
-        report=report,
-        feasible=bounds.feasible,
-    )
+    return _pairing_tail(tally, sec, bounds, group1, group0, g, survival, g * survival, bit_error)
 
 
 def mc_post_processing(
@@ -412,31 +427,14 @@ def mc_post_processing(
     session can be re-paired independently of how it was sampled.
     """
     bounds = decoy_bounds(tally, src, sec, slice_half_width_rad)
-    group1, err1, group0, err0 = _signal_groups(tally)
+    group1, _, group0, _ = _signal_groups(tally)
     paired = aopp(tally.z_bits_alice, tally.z_bits_bob, seed)
     n_sifted = float(paired.n_kept)
     if n_sifted > 0.0:
         bit_error = float(np.count_nonzero(paired.bits_alice != paired.bits_bob)) / n_sifted
     else:
         bit_error = 0.0
-    if group1 > 0.0 and group0 > 0.0:
-        n_untagged = paired.n_pairs * (bounds.n1_alice_low / group1) * (
-            bounds.n1_bob_low / group0
-        )
-    else:
-        n_untagged = 0.0
-    n_untagged = min(n_untagged, n_sifted)
-    phase_error = post_aopp_phase_error(bounds.n1_low, bounds.phase_error_up, n_sifted)
-    report = key_rate(n_untagged, phase_error, n_sifted, bit_error, tally.n_pulses, sec)
     survival = paired.n_kept / paired.n_pairs if paired.n_pairs else 0.0
-    return SessionAnalysis(
-        decoy=bounds,
-        pair_count=float(paired.n_pairs),
-        survival_fraction=survival,
-        n_sifted=n_sifted,
-        bit_error_rate=bit_error,
-        n_untagged=n_untagged,
-        phase_error_rate=phase_error,
-        report=report,
-        feasible=bounds.feasible,
+    return _pairing_tail(
+        tally, sec, bounds, group1, group0, float(paired.n_pairs), survival, n_sifted, bit_error
     )

@@ -37,6 +37,8 @@ MUZ = "muz"
 
 _DECOY_LABELS = (VAC, MU1, MU2)
 _SIGNAL_COMBOS = ((MUZ, VAC), (VAC, MUZ), (MUZ, MUZ), (VAC, VAC))
+_N_DECOY_ROWS = len(_DECOY_LABELS) ** 2
+_N_ROWS = _N_DECOY_ROWS + len(_SIGNAL_COMBOS)
 
 RowKey = tuple[str, str, str]
 
@@ -84,64 +86,55 @@ class TallyRow:
     accepted_events: float = 0.0
     single_photon_events: float = 0.0
 
-    def add(self, other: "TallyRow") -> None:
-        self.pulses_sent += other.pulses_sent
-        self.one_detector_events += other.one_detector_events
-        self.error_events += other.error_events
-        self.accepted_events += other.accepted_events
-        self.single_photon_events += other.single_photon_events
-
-    def validate(self) -> None:
-        if self.one_detector_events > self.pulses_sent + 1e-9:
-            raise ValueError("one_detector_events exceeds pulses_sent")
-        if self.error_events > self.one_detector_events + 1e-9:
-            raise ValueError("error_events exceeds one_detector_events")
-        limit = self.accepted_events if self.accepted_events > 0 else self.one_detector_events
-        if self.error_events > limit + 1e-9:
-            raise ValueError("error_events exceeds their parent count")
-
 
 @dataclass
 class SessionTally:
-    """Aggregated session statistics plus the ordered signal-window bits."""
+    """Aggregated session statistics plus the ordered signal-window bits.
+
+    counts has one row per row_keys() entry and one column per TallyRow
+    field, in declaration order.
+    """
 
     n_pulses: float
-    rows: dict[RowKey, TallyRow] = field(default_factory=dict)
+    counts: np.ndarray = field(default_factory=lambda: np.zeros((_N_ROWS, 5)))
     z_bits_alice: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
     z_bits_bob: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
 
-    def row(self, kind: str, label_a: str, label_b: str) -> TallyRow:
-        return self.rows.setdefault((kind, label_a, label_b), TallyRow())
+    @property
+    def rows(self) -> dict[RowKey, TallyRow]:
+        """Copy of counts as one TallyRow per key, in row_keys() order."""
+        return {key: TallyRow(*row) for key, row in zip(row_keys(), self.counts.tolist())}
 
     def merge(self, other: "SessionTally") -> None:
         self.n_pulses += other.n_pulses
-        for key, row in other.rows.items():
-            self.row(*key).add(row)
+        self.counts = self.counts + other.counts
         self.z_bits_alice = np.concatenate([self.z_bits_alice, other.z_bits_alice])
         self.z_bits_bob = np.concatenate([self.z_bits_bob, other.z_bits_bob])
 
     def validate(self) -> None:
-        total = 0.0
-        for row in self.rows.values():
-            row.validate()
-            total += row.pulses_sent
+        pulses, heralds, errors, accepted, _ = self.counts.T
+        if np.any(heralds > pulses + 1e-9):
+            raise ValueError("one_detector_events exceeds pulses_sent")
+        if np.any(errors > heralds + 1e-9):
+            raise ValueError("error_events exceeds one_detector_events")
+        if np.any(errors > np.where(accepted > 0, accepted, heralds) + 1e-9):
+            raise ValueError("error_events exceeds their parent count")
         # mixed-role windows are discarded, so tallied pulses undershoot n_pulses
-        if total > self.n_pulses + 1e-6:
+        if pulses.sum() > self.n_pulses + 1e-6:
             raise ValueError("tallied pulses exceed the session length")
 
     def total_one_detector_events(self) -> float:
-        return sum(r.one_detector_events for r in self.rows.values())
+        return sum(self.counts[:, 1].tolist())
 
     def signal_heralded(self) -> float:
-        return sum(r.one_detector_events for (k, _, _), r in self.rows.items() if k == SIGNAL)
+        return sum(self.counts[_N_DECOY_ROWS:, 1].tolist())
 
     def pre_pairing_qber(self) -> float:
         """Raw key error rate before pairing, from the signal rows."""
         heralded = self.signal_heralded()
         if heralded == 0:
             return 0.0
-        errors = sum(r.error_events for (k, _, _), r in self.rows.items() if k == SIGNAL)
-        return errors / heralded
+        return sum(self.counts[_N_DECOY_ROWS:, 2].tolist()) / heralded
 
 
 def _port_clicks(x, y, theta, noise):
@@ -285,29 +278,8 @@ def expected_tallies(
     p1 = arrive * (1.0 - nu) + (1.0 - arrive) * 2.0 * nu * (1.0 - nu)
     single = pulses * np.exp(-total) * total * p1
 
-    tally = SessionTally(n_pulses=float(n_pulses))
-    for idx, key in enumerate(keys):
-        tally.rows[key] = TallyRow(
-            pulses_sent=float(pulses[idx]),
-            one_detector_events=float(heralds[idx]),
-            error_events=float(errors[idx]),
-            accepted_events=float(accepted[idx]),
-            single_photon_events=float(single[idx]),
-        )
-    return tally
-
-
-def _chunk_bounds(n_pulses: int) -> list[tuple[int, int, int]]:
-    """Fixed chunk partition (index, start, size), independent of job count."""
-    bounds = []
-    start = 0
-    idx = 0
-    while start < n_pulses:
-        size = min(MC_CHUNK, n_pulses - start)
-        bounds.append((idx, start, size))
-        start += size
-        idx += 1
-    return bounds
+    counts = np.stack([pulses, heralds, errors, accepted, single], axis=1)
+    return SessionTally(float(n_pulses), counts)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -404,37 +376,22 @@ def _simulate_chunk(
     }
 
 
-_N_ROWS = 13
-
-
 def _tally_chunk(data: dict[str, np.ndarray], n: int) -> SessionTally:
     row = data["row"]
     active = row >= 0
-    tally = SessionTally(n_pulses=float(n))
-
-    def counts(mask: np.ndarray) -> np.ndarray:
-        return np.bincount(row[mask & active], minlength=_N_ROWS)
-
-    pulses = counts(np.ones_like(active))
-    heralds = counts(data["lone"])
-    accepted = counts(data["accepted"])
-    wrong = counts(data["wrong"])
-    single = counts(data["single"])
-    z_err = counts(data["z_error"])
-    for idx, key in enumerate(row_keys()):
-        r = tally.row(*key)
-        r.pulses_sent = float(pulses[idx])
-        r.one_detector_events = float(heralds[idx])
-        r.single_photon_events = float(single[idx])
-        if key[0] == DECOY:
-            r.accepted_events = float(accepted[idx])
-            r.error_events = float(wrong[idx])
-        else:
-            r.error_events = float(z_err[idx])
+    # wrong-port errors occur only in decoy windows and key-bit errors only
+    # in signal windows, so one error column serves both row kinds
+    error = data["wrong"] | data["z_error"]
+    columns = (active, data["lone"], error, data["accepted"], data["single"])
+    counts = np.stack(
+        [np.bincount(row[mask & active], minlength=_N_ROWS) for mask in columns],
+        axis=1,
+        dtype=float,
+    )
     keep = data["z_herald"]
-    tally.z_bits_alice = data["bit_a"][keep].astype(np.uint8)
-    tally.z_bits_bob = data["bit_b"][keep].astype(np.uint8)
-    return tally
+    bits_a = data["bit_a"][keep].astype(np.uint8)
+    bits_b = data["bit_b"][keep].astype(np.uint8)
+    return SessionTally(float(n), counts, bits_a, bits_b)
 
 
 def monte_carlo_session(
@@ -460,19 +417,21 @@ def monte_carlo_session(
         raise ValueError("n_jobs must be >= 1")
     eta_a, eta_b = channel_transmittance(link, det)
     nu = link.noise_per_pulse
-    bounds = _chunk_bounds(int(n_pulses))
+    n_pulses = int(n_pulses)
+    # the chunk partition is fixed by n_pulses alone, never by the job count
+    chunks = range(-(-n_pulses // MC_CHUNK))
 
-    def run(job: tuple[int, int, int]) -> SessionTally:
-        idx, _, size = job
+    def run(idx: int) -> SessionTally:
+        size = min(MC_CHUNK, n_pulses - idx * MC_CHUNK)
         rng = _chunk_rng(seed, idx)
         data = _simulate_chunk(rng, size, src, eta_a, eta_b, nu, slice_half_width_rad)
         return _tally_chunk(data, size)
 
-    if n_jobs == 1 or len(bounds) <= 1:
-        partials = [run(job) for job in bounds]
+    if n_jobs == 1 or len(chunks) <= 1:
+        partials = [run(idx) for idx in chunks]
     else:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            partials = list(pool.map(run, bounds))
+            partials = list(pool.map(run, chunks))
 
     tally = SessionTally(n_pulses=0.0)
     for part in partials:  # merge in chunk order to keep bit streams stable

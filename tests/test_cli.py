@@ -170,7 +170,7 @@ KEYRATE = (
     "[keyrate]\nphase_error_rate = 0.1\nn_sifted = 2000\nbit_error_rate = 0.1\nn_pulses = 1e9\n"
 )
 KEYRATE_CONFIG = ["keyrate", "--config", "{cfg}"]
-SENSE_CONFIG = ["sense", "--config", "{cfg}"]
+SENSE_CONFIG = ["sense", "--config", "{cfg}", "--out", "{out}"]
 
 
 def sensing_ini(**keys):
@@ -217,6 +217,11 @@ ERROR_CASES = {
     "no-mu2-pulses": (
         KEYRATE_CONFIG, "[source]\np_mu2 = 0\np_mu1 = 0.65\n", 3, "tally lacks pulses",
     ),
+    "out-dir-is-a-file": (
+        ["sense", "--config", "{cfg}", "--out", "{cfg}"], sensing_ini(), 2,
+        "cannot write --out",
+    ),
+    "out-parent-missing": (["keyrate", "--out", "{out}/rate.csv"], None, 2, "cannot write --out"),
 }
 
 
@@ -226,15 +231,14 @@ def test_config_error_battery(tmp_path, case):
     cfg = tmp_path / "case.ini"
     if text is not None:
         cfg.write_text(text)
-    argv = [arg.replace("{cfg}", str(cfg)) for arg in argv]
-    if argv[0] == "sense":
-        argv += ["--out", str(tmp_path / "out")]
+    out = tmp_path / "out"
+    argv = [arg.replace("{cfg}", str(cfg)).replace("{out}", str(out)) for arg in argv]
     rc, _, err = run_cli(*argv)
     assert rc == code
     assert err.startswith("config error:" if code == 2 else "infeasible:")
     assert fragment in err
     # a refused run writes nothing, not even the output directory
-    assert not (tmp_path / "out").exists()
+    assert not out.exists()
 
 
 ROUND_TRIP = {

@@ -18,7 +18,8 @@ from snslab import (
     post_aopp_phase_error,
 )
 from snslab.presets import desk_security, desk_source, reference_security
-from snslab.simulate import DECOY, MUZ, SIGNAL, VAC, row_keys
+from snslab.security import ROW_INDEX
+from snslab.simulate import DECOY, MUZ, SIGNAL, VAC
 
 from conftest import REFERENCE_PULSES
 
@@ -146,9 +147,7 @@ def test_decoy_bounds_close_to_ground_truth(big_desk_session):
 
 def test_decoy_bounds_starved_session_is_infeasible():
     tally = SessionTally(n_pulses=1e6)
-    for key in row_keys():
-        row = tally.row(*key)
-        row.pulses_sent = 1000.0
+    tally.counts[:, 0] = 1000.0  # pulses_sent of every row
     src, sec = desk_source(), desk_security()
     b = decoy_bounds(tally, src, sec)
     assert not b.feasible
@@ -158,7 +157,7 @@ def test_decoy_bounds_starved_session_is_infeasible():
 
 def test_decoy_bounds_require_all_rows():
     tally = SessionTally(n_pulses=1e6)
-    tally.row(DECOY, VAC, VAC).pulses_sent = 10.0
+    tally.counts[ROW_INDEX[(DECOY, VAC, VAC)], 0] = 10.0
     with pytest.raises(ValueError):
         decoy_bounds(tally, desk_source(), desk_security())
 

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -98,16 +100,17 @@ def test_z_bit_assignment_truth_table():
 
 
 def test_tally_row_validation():
-    row = TallyRow(pulses_sent=100.0, one_detector_events=5.0, error_events=1.0,
-                   accepted_events=2.0, single_photon_events=3.0)
-    row.validate()
-    bad = TallyRow(pulses_sent=100.0, one_detector_events=5.0, error_events=6.0,
-                   accepted_events=0.0, single_photon_events=0.0)
+    # one row of counts: pulses, heralds, errors, accepted, single-photon
+    def check(*row):
+        tally = SessionTally(n_pulses=1000.0)
+        tally.counts[0] = row
+        tally.validate()
+
+    check(100.0, 5.0, 1.0, 2.0, 3.0)
     with pytest.raises(ValueError):
-        bad.validate()
+        check(100.0, 5.0, 6.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        TallyRow(pulses_sent=1.0, one_detector_events=2.0, error_events=0.0,
-                 accepted_events=0.0, single_photon_events=0.0).validate()
+        check(1.0, 2.0, 0.0, 0.0, 0.0)
 
 
 def test_row_keys_cover_all_combinations():
@@ -357,4 +360,34 @@ def test_session_tally_merge_is_additive():
     assert merged.total_one_detector_events() == (
         a.total_one_detector_events() + b.total_one_detector_events()
     )
-    assert merged.z_bits_alice.size == a.z_bits_alice.size + b.z_bits_alice.size
+    assert np.array_equal(merged.counts, a.counts + b.counts)
+    assert np.array_equal(merged.z_bits_alice, np.concatenate([a.z_bits_alice, b.z_bits_alice]))
+    assert np.array_equal(merged.z_bits_bob, np.concatenate([a.z_bits_bob, b.z_bits_bob]))
+
+
+def test_seeded_monte_carlo_stream_is_frozen():
+    # 300 000 pulses span three chunks; the counts and the bit digest were
+    # taken from the row-dict tally at commit 331f1c0, before the tally
+    # became one array, and must not move
+    tally = monte_carlo_session(desk_link(), desk_detector(), desk_source(), 300_000, seed=4)
+    assert tally.n_pulses == 300_000.0
+    assert [astuple(tally.rows[key]) for key in row_keys()] == [
+        (3253.0, 0.0, 0.0, 0.0, 0.0),
+        (5730.0, 55.0, 0.0, 0.0, 47.0),
+        (460.0, 19.0, 0.0, 0.0, 11.0),
+        (5752.0, 46.0, 0.0, 0.0, 43.0),
+        (9348.0, 169.0, 1.0, 31.0, 138.0),
+        (815.0, 36.0, 0.0, 8.0, 22.0),
+        (463.0, 16.0, 0.0, 0.0, 12.0),
+        (770.0, 38.0, 2.0, 8.0, 29.0),
+        (73.0, 11.0, 0.0, 1.0, 5.0),
+        (29078.0, 1165.0, 0.0, 0.0, 759.0),
+        (29103.0, 1168.0, 0.0, 0.0, 746.0),
+        (10926.0, 797.0, 797.0, 0.0, 343.0),
+        (78085.0, 22.0, 22.0, 0.0, 0.0),
+    ]
+    bits = tally.z_bits_alice.tobytes() + tally.z_bits_bob.tobytes()
+    assert tally.z_bits_alice.size == 3152
+    assert hashlib.sha256(bits).hexdigest() == (
+        "7ce8b84c1fdd018a54aeff35e7976e32d87f1021a91a7aafa2fa5ed2c95b33ea"
+    )
