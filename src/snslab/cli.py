@@ -69,6 +69,17 @@ def _field_names(cls) -> set[str]:
 
 # the session aggregates of [keyrate], named as key_rate's arguments
 _KEYRATE_KEYS = ("n_untagged", "phase_error_rate", "n_sifted", "bit_error_rate", "n_pulses")
+# the [sensing] keys beside LinkGeometry's and their defaults: MISSING marks
+# a required key, None an optional one whose absence the library handles
+_SENSING_KEYS = {
+    "duration_s": dataclasses.MISSING,
+    "sample_rate_hz": dataclasses.MISSING,
+    "drift_rate_rad2_per_s": DEFAULT_DRIFT_RATE_RAD2_PER_S,
+    "noise_std_rad": DEFAULT_NOISE_STD_RAD,
+    "max_lag_s": None,
+    "max_slack_s": None,
+    "photons_per_frame": None,
+}
 # sections read straight into a model dataclass: its fields are the keys,
 # and the desk preset supplies every key the section leaves out
 _MODEL_SECTIONS = {
@@ -83,10 +94,7 @@ _SECTION_KEYS = {
     "run": {"n_pulses", "seed", "slice_half_width_rad", "n_jobs"},
     "curve": {"distances_km", "n_pulses"},
     "optimize": {"n_starts", "budget", "n_pulses"},
-    "sensing": _field_names(LinkGeometry) | {
-        "duration_s", "sample_rate_hz", "drift_rate_rad2_per_s", "noise_std_rad",
-        "max_lag_s", "max_slack_s", "photons_per_frame",
-    },
+    "sensing": _field_names(LinkGeometry) | set(_SENSING_KEYS),
 }
 _VIBRATION_KEYS = _field_names(VibrationSource)
 
@@ -120,9 +128,9 @@ def _finite(value: float, name: str) -> float:
     return value
 
 
-def _getfloat(cp, section: str, key: str, default: float | None = None) -> float:
+def _getfloat(cp, section: str, key: str, default=dataclasses.MISSING) -> float | None:
     if not cp.has_option(section, key):
-        if default is None:
+        if default is dataclasses.MISSING:
             raise ConfigError(f"[{section}] is missing required key '{key}'")
         return default
     try:
@@ -154,10 +162,7 @@ def _build(cp, section: str, cls=None):
     values = {}
     for f in dataclasses.fields(cls):
         default = f.default if base is None else getattr(base, f.name)
-        if cp.has_option(section, f.name) or default is dataclasses.MISSING:
-            values[f.name] = _getfloat(cp, section, f.name)
-        else:
-            values[f.name] = default
+        values[f.name] = _getfloat(cp, section, f.name, default)
     try:
         return cls(**values)
     except ValueError as exc:
@@ -269,8 +274,8 @@ def _analysis_payload(analysis: SessionAnalysis, det: DetectorModel, mode: str) 
     }
 
 
-def _post_process(chain, *args) -> SessionAnalysis:
-    """Run one post-processing chain; a tally row without pulses is infeasible."""
+def _post_process(chain, *args):
+    """Run one step; its ValueError (no pulses in a row, no photons in a frame) is infeasible."""
     try:
         return chain(*args)
     except ValueError as exc:
@@ -429,75 +434,45 @@ def _cmd_sense(args) -> int:
         raise ConfigError("sense needs a [sensing] section")
     geometry = _build(cp, "sensing", LinkGeometry)
     sources = _build_vibrations(cp)
-    duration = _getfloat(cp, "sensing", "duration_s")
-    fs = _getfloat(cp, "sensing", "sample_rate_hz")
-    if duration <= 0 or fs <= 0:
-        raise ConfigError("[sensing] duration_s and sample_rate_hz must be > 0")
-    for s in sources:
-        if 2.0 * s.frequency_hz > fs:
-            raise RuntimeInfeasible(
-                f"source at {s.frequency_hz} Hz aliases at {fs} Hz sampling"
-            )
+    opts = {key: _getfloat(cp, "sensing", key, default) for key, default in _SENSING_KEYS.items()}
+    fs = opts["sample_rate_hz"]
     seed = _seed(cp, args)
-    drift = _getfloat(cp, "sensing", "drift_rate_rad2_per_s", DEFAULT_DRIFT_RATE_RAD2_PER_S)
-    noise = _getfloat(cp, "sensing", "noise_std_rad", DEFAULT_NOISE_STD_RAD)
-    photons = None
-    if cp.has_option("sensing", "photons_per_frame"):
-        photons = _getfloat(cp, "sensing", "photons_per_frame")
-        if photons <= 0:
-            raise ConfigError("[sensing] photons_per_frame must be > 0")
     try:
         trace_a, trace_b = simulate_phase_traces(
-            geometry, sources, duration, fs, seed,
-            drift_rate_rad2_per_s=drift, noise_std_rad=noise,
+            geometry, sources, opts["duration_s"], fs, seed,
+            drift_rate_rad2_per_s=opts["drift_rate_rad2_per_s"],
+            noise_std_rad=opts["noise_std_rad"],
         )
-    except ValueError as exc:
-        raise ConfigError(f"[sensing] {exc}") from None
-    if photons is not None:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-        left, right = synthesize_reference_counts(trace_b.samples, photons, rng)
-        try:
-            recovered = recover_phase_from_reference(left, right, fs)
-        except ValueError as exc:
-            raise RuntimeInfeasible(str(exc)) from None
-    else:
-        recovered = PhaseTrace(
-            samples=trace_b.samples, sample_rate_hz=fs, origin="recovered"
+        if opts["photons_per_frame"] is None:
+            recovered = PhaseTrace(samples=trace_b.samples, sample_rate_hz=fs, origin="recovered")
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+            left, right = synthesize_reference_counts(
+                trace_b.samples, opts["photons_per_frame"], rng
+            )
+            recovered = _post_process(recover_phase_from_reference, left, right, fs)
+        result = locate_traces(
+            trace_a, trace_b, geometry,
+            max_lag_s=opts["max_lag_s"], slack_s=opts["max_slack_s"],
         )
-    max_lag = None
-    if cp.has_option("sensing", "max_lag_s"):
-        max_lag = _getfloat(cp, "sensing", "max_lag_s")
-    slack = None
-    if cp.has_option("sensing", "max_slack_s"):
-        slack = _getfloat(cp, "sensing", "max_slack_s")
-    try:
-        result = locate_traces(trace_a, trace_b, geometry, max_lag_s=max_lag, slack_s=slack)
     except ValueError as exc:
         raise ConfigError(f"[sensing] {exc}") from None
 
     # written only after every step above has succeeded, so a failed run leaves no files
     out_dir = args.out or "."
-    path_a = os.path.join(out_dir, "trace_alice.txt")
-    path_b = os.path.join(out_dir, "trace_bob.txt")
-    path_rec = os.path.join(out_dir, "recovered_phase.txt")
+    traces = {"trace_alice": trace_a, "trace_bob": trace_b, "recovered_phase": recovered}
+    paths = {name: os.path.join(out_dir, f"{name}.txt") for name in traces}
     try:
         os.makedirs(out_dir, exist_ok=True)
-        write_trace(path_a, trace_a)
-        write_trace(path_b, trace_b)
-        write_trace(path_rec, recovered)
+        for name, trace in traces.items():
+            write_trace(paths[name], trace)
     except OSError as exc:
         raise ConfigError(f"cannot write --out {out_dir}: {exc}") from None
     record = dataclasses.asdict(result)
     record = {k: bool(v) if k == "out_of_range" else float(v) for k, v in record.items()}
     loc_path = os.path.join(out_dir, "localization.json")
     _emit(_render(record, "json"), loc_path)
-    summary = {
-        "trace_alice": path_a,
-        "trace_bob": path_b,
-        "recovered_phase": path_rec,
-        "localization_file": loc_path,
-        "localization": record,
-    }
+    summary = {**paths, "localization_file": loc_path, "localization": record}
     sys.stdout.write(_render(summary, args.format))
     return 0
 

@@ -9,7 +9,6 @@ seconds on a laptop while exercising the same code paths.
 from __future__ import annotations
 
 from .model import DetectorModel, LinkModel, SecurityParams, SourceParams
-from .sensing import LinkGeometry
 
 
 def reference_link() -> LinkModel:
@@ -79,7 +78,3 @@ def desk_source() -> SourceParams:
 def desk_security() -> SecurityParams:
     """The same failure budgets as the long-haul session."""
     return reference_security()
-
-
-def sense_geometry(length_km: float = 200.0) -> LinkGeometry:
-    return LinkGeometry(length_km=length_km)

@@ -203,6 +203,11 @@ def click_probabilities(
 _SLICE_DELTA_POINTS = 201
 
 
+def _check_slice_half_width(half_width: float) -> None:
+    if not 0.0 < half_width < math.pi / 2.0:
+        raise ValueError("slice_half_width_rad must lie in (0, pi/2)")
+
+
 @functools.cache
 def _jitter_rule() -> tuple[np.ndarray, np.ndarray]:
     """41-point Gauss-Hermite nodes and weights for a standard normal jitter."""
@@ -232,8 +237,7 @@ def expected_tallies(
     """
     if n_pulses < 0:
         raise ValueError("n_pulses must be >= 0")
-    if not 0.0 < slice_half_width_rad < math.pi / 2.0:
-        raise ValueError("slice_half_width_rad must lie in (0, pi/2)")
+    _check_slice_half_width(slice_half_width_rad)
     eta_a, eta_b = channel_transmittance(link, det)
     nu = link.noise_per_pulse
     sigma = src.jitter_sigma_rad
@@ -415,6 +419,7 @@ def monte_carlo_session(
         raise ValueError("n_pulses must be >= 0")
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
+    _check_slice_half_width(slice_half_width_rad)
     eta_a, eta_b = channel_transmittance(link, det)
     nu = link.noise_per_pulse
     n_pulses = int(n_pulses)

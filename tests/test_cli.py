@@ -205,6 +205,17 @@ ERROR_CASES = {
     "sensing-inf": (SENSE_CONFIG, sensing_ini(length_km="inf"), 2, "length_km must be finite"),
     "vibration-nan": (SENSE_CONFIG, sensing_ini() + "phase_rad = nan\n", 2, "phase_rad"),
     "zero-photons": (SENSE_CONFIG, sensing_ini(photons_per_frame=0), 2, "photons_per_frame"),
+    "zero-sample-rate": (
+        SENSE_CONFIG, sensing_ini(sample_rate_hz=0), 2,
+        "duration_s and sample_rate_hz must be > 0",
+    ),
+    "missing-duration": (
+        SENSE_CONFIG, "[sensing]\nlength_km = 100\nsample_rate_hz = 1000\n" + VIBRATION, 2,
+        "missing required key 'duration_s'",
+    ),
+    # the 5 Hz source needs at least 10 Hz sampling
+    "aliasing": (SENSE_CONFIG, sensing_ini(sample_rate_hz=9), 2, "aliases"),
+    "position-past-end": (SENSE_CONFIG, sensing_ini(length_km=5), 2, "past the 5.0 km link"),
     "negative-noise": (SENSE_CONFIG, sensing_ini(noise_std_rad=-1), 2, "noise"),
     "negative-max-lag": (SENSE_CONFIG, sensing_ini(max_lag_s=-1), 2, "max_lag_s must be >= 0"),
     "negative-max-slack": (SENSE_CONFIG, sensing_ini(max_slack_s=-1), 2, "slack_s must be >= 0"),
@@ -422,26 +433,6 @@ def test_sense_end_to_end(tmp_path):
 def test_sense_missing_section_is_config_error(tmp_path):
     cfg = tmp_path / "nosensing.ini"
     cfg.write_text("[vibration.a]\nposition_km = 1\nfrequency_hz = 5\namplitude_rad = 0.1\n")
-    assert run_cli("sense", "--config", str(cfg))[0] == 2
-
-
-def test_sense_aliasing_source_is_infeasible(tmp_path):
-    cfg = tmp_path / "alias.ini"
-    cfg.write_text(
-        "[sensing]\nlength_km = 100\nsample_rate_hz = 1000\nduration_s = 0.1\n"
-        "[vibration.a]\nposition_km = 10\nfrequency_hz = 900\namplitude_rad = 0.1\n"
-    )
-    code, _, err = run_cli("sense", "--config", str(cfg))
-    assert code == 3
-    assert "aliases" in err
-
-
-def test_sense_position_past_the_end_is_config_error(tmp_path):
-    cfg = tmp_path / "far.ini"
-    cfg.write_text(
-        "[sensing]\nlength_km = 100\nsample_rate_hz = 1000\nduration_s = 0.1\n"
-        "[vibration.a]\nposition_km = 500\nfrequency_hz = 5\namplitude_rad = 0.1\n"
-    )
     assert run_cli("sense", "--config", str(cfg))[0] == 2
 
 

@@ -180,6 +180,35 @@ def test_recovery_tracks_through_folds():
     assert np.max(np.abs(rec.samples - phases)) < 1e-6
 
 
+def _tracker_reference(counts_left, counts_right):
+    """The tracker as a loop over numpy scalars: the exact reference for the library's."""
+    base = np.arccos(np.clip((counts_left - counts_right) / (counts_left + counts_right), -1, 1))
+    out = np.empty_like(base)
+    prev = prev2 = base[0]
+    two_pi = 2.0 * np.pi
+    for i, b in enumerate(base):
+        predicted = 2.0 * prev - prev2
+        k_plus = round((predicted - b) / two_pi)
+        c_plus = b + two_pi * k_plus
+        k_minus = round((predicted + b) / two_pi)
+        c_minus = -b + two_pi * k_minus
+        current = c_plus if abs(c_plus - predicted) <= abs(c_minus - predicted) else c_minus
+        out[i] = current
+        prev2, prev = prev, current
+    return out
+
+
+def test_recovery_equals_per_frame_reference_exactly():
+    # Poisson counts on the drive of the fold test, so the track crosses both folds
+    fs = 3000.0
+    t = np.arange(int(fs)) / fs
+    phases = np.pi / 2 + 2.2 * np.sin(2 * np.pi * 3.0 * t)
+    left, right = synthesize_reference_counts(phases, 1e4, np.random.default_rng(9))
+    rec = recover_phase_from_reference(left, right, fs)
+    assert rec.samples.min() < 0.0 and rec.samples.max() > np.pi
+    assert np.array_equal(rec.samples, _tracker_reference(left, right))
+
+
 def test_recovery_stays_on_track_with_photon_noise():
     fs = 3000.0
     t = np.arange(int(fs)) / fs

@@ -342,6 +342,15 @@ def test_monte_carlo_seed_sensitivity():
     assert a.total_one_detector_events() != b.total_one_detector_events()
 
 
+@pytest.mark.parametrize("half_width", [0.0, math.pi / 2, 2.0])
+def test_both_tally_paths_refuse_a_bad_slice_half_width(half_width):
+    link, det, src = desk_link(), desk_detector(), desk_source()
+    with pytest.raises(ValueError, match="slice_half_width_rad"):
+        expected_tallies(link, det, src, 1e6, half_width)
+    with pytest.raises(ValueError, match="slice_half_width_rad"):
+        monte_carlo_session(link, det, src, 200_000, seed=1, slice_half_width_rad=half_width)
+
+
 def test_monte_carlo_validates_output(big_desk_session):
     tally, _ = big_desk_session
     tally.validate()
