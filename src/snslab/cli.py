@@ -52,7 +52,12 @@ from .sensing import (
     synthesize_reference_counts,
     write_trace,
 )
-from .simulate import DEFAULT_SLICE_HALF_WIDTH_RAD, expected_tallies, monte_carlo_session
+from .simulate import (
+    DEFAULT_SLICE_HALF_WIDTH_RAD,
+    _check_slice_half_width,
+    expected_tallies,
+    monte_carlo_session,
+)
 
 
 class ConfigError(Exception):
@@ -176,19 +181,27 @@ def _seed(cp, args) -> int:
     return seed
 
 
+def _half_width(cp) -> float:
+    """[run] slice_half_width_rad, refused by the library's own check."""
+    half_width = _getfloat(cp, "run", "slice_half_width_rad", DEFAULT_SLICE_HALF_WIDTH_RAD)
+    try:
+        _check_slice_half_width(half_width)
+    except ValueError as exc:
+        raise ConfigError(f"[run] {exc}") from None
+    return half_width
+
+
 def _run_options(cp, args, default_pulses: float):
     n_pulses = _getfloat(cp, "run", "n_pulses", default_pulses)
     if getattr(args, "n_pulses", None) is not None:
         n_pulses = _finite(args.n_pulses, "--n-pulses")
     seed = _seed(cp, args)
-    half_width = _getfloat(cp, "run", "slice_half_width_rad", DEFAULT_SLICE_HALF_WIDTH_RAD)
     n_jobs = _getint(cp, "run", "n_jobs", 1)
     if getattr(args, "n_jobs", None) is not None:
         n_jobs = args.n_jobs
     if n_pulses <= 0:
         raise ConfigError("[run] n_pulses must be > 0")
-    if not 0.0 < half_width < math.pi / 2.0:
-        raise ConfigError("[run] slice_half_width_rad must lie in (0, pi/2)")
+    half_width = _half_width(cp)
     if n_jobs < 1:
         raise ConfigError("[run] n_jobs must be >= 1")
     return n_pulses, seed, half_width, n_jobs
@@ -396,7 +409,7 @@ def _cmd_optimize(args) -> int:
     if args.budget is not None:
         budget = args.budget
     seed = _seed(cp, args)
-    half_width = _getfloat(cp, "run", "slice_half_width_rad", DEFAULT_SLICE_HALF_WIDTH_RAD)
+    half_width = _half_width(cp)
     try:
         result = optimize_params(
             link, det, sec, n_pulses, seed,

@@ -10,6 +10,17 @@ Two views of a session are provided with identical bookkeeping:
 
 * expected_tallies: exact expectations by deterministic quadrature,
 * monte_carlo_session: sampled counts, reproducible and partitionable.
+
+The sampler's draw order is part of its contract, because it fixes the
+seeded stream. Each chunk takes eleven full-length draws, one value per
+slot: the two window roles, the two decoy picks, the two send decisions,
+the announced phase, the jitter, the signal-window phase and the two
+dark-count draws. The photon draws are taken only on their support:
+emission where the intensity is > 0, channel survival where a side
+emitted, and the port split where a photon arrived. This gives the stream
+that full-length photon draws would, because numpy's Generator.poisson at
+lam = 0 and Generator.binomial at n = 0 both return 0 without consuming a
+random number.
 """
 
 from __future__ import annotations
@@ -48,6 +59,31 @@ def row_keys() -> list[RowKey]:
     keys = [(DECOY, la, lb) for la in _DECOY_LABELS for lb in _DECOY_LABELS]
     keys += [(SIGNAL, la, lb) for la, lb in _SIGNAL_COMBOS]
     return keys
+
+
+def _row_intensities(src: SourceParams) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's intensity in every tally row, in row_keys() order."""
+    level = {VAC: 0.0, MU1: src.mu1, MU2: src.mu2, MUZ: src.muz}
+    keys = row_keys()
+    return np.array([level[a] for _, a, _ in keys]), np.array([level[b] for _, _, b in keys])
+
+
+def _row_code_table() -> np.ndarray:
+    """Row code of each slot key ((roles * 3 + pick_a) * 3 + pick_b) * 4 + 2 * sent_a + sent_b.
+
+    roles counts the sides that chose a signal window, pick is a side's
+    decoy level index and sent its signal-window send decision. A mixed
+    window (roles 1) is discarded and gets code _N_ROWS.
+    """
+    index = {key: i for i, key in enumerate(row_keys())}
+    codes = np.full((3, _N_DECOY_ROWS, 2, 2), _N_ROWS, dtype=np.uint8)
+    codes[0] = np.arange(_N_DECOY_ROWS)[:, None, None]
+    for sent_a, sent_b in np.ndindex(2, 2):
+        codes[2, :, sent_a, sent_b] = index[(SIGNAL, (VAC, MUZ)[sent_a], (VAC, MUZ)[sent_b])]
+    return codes.ravel()
+
+
+_ROW_CODE = _row_code_table()
 
 
 def z_bit_assignment(alice_sent, bob_sent):
@@ -244,9 +280,7 @@ def expected_tallies(
     accept_frac = 2.0 * slice_half_width_rad / math.pi
 
     keys = row_keys()
-    level = {VAC: 0.0, MU1: src.mu1, MU2: src.mu2, MUZ: src.muz}
-    ia = np.array([level[a] for _, a, _ in keys])
-    ib = np.array([level[b] for _, _, b in keys])
+    ia, ib = _row_intensities(src)
     mix = {VAC: src.p_vac, MU1: src.p_mu1, MU2: src.p_mu2}
     n_decoy = n_pulses * src.p_decoy_window**2
     n_signal = n_pulses * src.p_signal_window**2
@@ -292,7 +326,7 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     )
 
 
-def _simulate_chunk(
+def _sample_chunk(
     rng: np.random.Generator,
     n: int,
     src: SourceParams,
@@ -300,102 +334,96 @@ def _simulate_chunk(
     eta_b: float,
     nu: float,
     half_width: float,
-) -> dict[str, np.ndarray]:
-    """Sample one block of time slots. Draw order is part of the contract."""
-    sigma = src.jitter_sigma_rad
+) -> SessionTally:
+    """Sample one block of n time slots and tally it.
+
+    The draws, in this order, fix the seeded stream. The nine uniform and
+    normal draws before the photon draws and the two dark-count draws after
+    them are full length. The photon draws are taken only on their support,
+    in slot order: poisson where the intensity is > 0, the channel binomial
+    where a side emitted, and the port binomial where a photon arrived. That
+    is the stream full-length photon draws would give, because numpy's
+    poisson at lam = 0 and its binomial at n = 0 return 0 without consuming
+    a random number. Everything after the draws (port probabilities, slice
+    acceptance, key bits) is computed only on the slots it can change.
+    """
     signal_a = rng.random(n) < src.p_signal_window
     signal_b = rng.random(n) < src.p_signal_window
     pick_a = rng.random(n)
     pick_b = rng.random(n)
     send_a = rng.random(n) < src.epsilon_send
     send_b = rng.random(n) < src.epsilon_send
-    delta = rng.random(n) * (2.0 * np.pi)
-    jitter = rng.standard_normal(n) * sigma
-    theta_signal = rng.random(n) * (2.0 * np.pi)
+    # the two phases in turns and the jitter in sigmas, scaled where they are used
+    delta = rng.random(n)
+    jitter = rng.standard_normal(n)
+    theta_signal = rng.random(n)
 
-    both_signal = signal_a & signal_b
-    both_decoy = ~signal_a & ~signal_b
+    # one row code per slot: decoy pairs 0..8, signal combos 9..12, discarded 13
+    key = np.add(signal_a, signal_b, dtype=np.uint8)
+    for pick in (pick_a, pick_b):
+        key *= 3
+        key += pick >= src.p_vac
+        key += pick >= src.p_vac + src.p_mu1
+    for send in (send_a, send_b):
+        key *= 2
+        key += send
+    row = _ROW_CODE.take(key)
+    ia, ib = (np.append(levels, 0.0) for levels in _row_intensities(src))
 
-    # decoy intensity codes 0/1/2 for vac/mu1/mu2
-    code_a = np.where(pick_a < src.p_vac, 0, np.where(pick_a < src.p_vac + src.p_mu1, 1, 2))
-    code_b = np.where(pick_b < src.p_vac, 0, np.where(pick_b < src.p_vac + src.p_mu1, 1, 2))
-    levels = np.array([0.0, src.mu1, src.mu2])
-    ia = np.where(both_decoy, levels[code_a], np.where(both_signal & send_a, src.muz, 0.0))
-    ib = np.where(both_decoy, levels[code_b], np.where(both_signal & send_b, src.muz, 0.0))
+    emitted = np.zeros(n, dtype=np.int64)  # both sides' photons, for the single-photon column
+    sent = []
+    for levels in (ia, ib):
+        slots = np.flatnonzero((levels > 0.0).take(row))
+        photons = rng.poisson(levels[row[slots]])
+        emitted[slots] += photons
+        fired = photons > 0
+        sent.append((slots[fired], photons[fired]))
+    arrived = np.zeros(n, dtype=np.int64)
+    for (slots, photons), eta in zip(sent, (eta_a, eta_b)):
+        arrived[slots] += rng.binomial(photons, eta)
 
-    theta = np.where(both_decoy, delta + jitter, theta_signal)
-
-    emitted_a = rng.poisson(ia)
-    emitted_b = rng.poisson(ib)
-    arrived = rng.binomial(emitted_a, eta_a) + rng.binomial(emitted_b, eta_b)
-
-    x = ia * eta_a
-    y = ib * eta_b
+    hit = np.flatnonzero(arrived)
+    hit_row = row[hit]
+    x = ia[hit_row] * eta_a
+    y = ib[hit_row] * eta_b
+    theta = np.where(
+        hit_row < _N_DECOY_ROWS,
+        delta[hit] * (2.0 * np.pi) + jitter[hit] * src.jitter_sigma_rad,
+        theta_signal[hit] * (2.0 * np.pi),
+    )
     total = x + y
     with np.errstate(invalid="ignore", divide="ignore"):
         p_left_port = np.where(
             total > 0.0, (0.5 * total + np.sqrt(x * y) * np.cos(theta)) / total, 0.5
         )
-    p_left_port = np.clip(p_left_port, 0.0, 1.0)
-    n_left = rng.binomial(arrived, p_left_port)
-    n_right = arrived - n_left
-    click_l = (n_left > 0) | (rng.random(n) < nu)
-    click_r = (n_right > 0) | (rng.random(n) < nu)
+    n_left = rng.binomial(arrived[hit], np.clip(p_left_port, 0.0, 1.0))
+    click_l = rng.random(n) < nu
+    click_r = rng.random(n) < nu
+    click_l[hit] |= n_left > 0
+    click_r[hit] |= n_left < arrived[hit]
 
-    lone = click_l ^ click_r
-    left = lone & click_l
+    # classify the lone heralds of tallied windows
+    herald = np.flatnonzero(click_l ^ click_r)
+    herald = herald[row[herald] < _N_ROWS]
+    r = row[herald]
+    phase = delta[herald] * (2.0 * np.pi)
+    in0 = np.abs((phase + np.pi) % (2.0 * np.pi) - np.pi) <= half_width
+    inpi = np.abs(phase - np.pi) <= half_width
+    lit = (ia > 0.0) & (ib > 0.0)
+    lit[_N_DECOY_ROWS:] = False  # the slice applies to decoy rows only
+    accepted = lit[r] & (in0 | inpi)
+    error = accepted & np.where(click_l[herald], inpi, in0)
+    z = r >= _N_DECOY_ROWS
+    bits_a, bits_b, z_error = z_bit_assignment(send_a[herald[z]], send_b[herald[z]])
+    # wrong-port errors occur only in decoy rows and key-bit errors only in
+    # signal rows, so one error column serves both row kinds
+    error[z] = z_error
+    single = emitted[herald] == 1
 
-    # row codes: decoy pairs 0..8, signal combos 9..12, discarded -1
-    row = np.full(n, -1, dtype=np.int64)
-    row[both_decoy] = (3 * code_a + code_b)[both_decoy]
-    signal_code = np.select(
-        [send_a & ~send_b, ~send_a & send_b, send_a & send_b],
-        [9, 10, 11],
-        default=12,
-    )
-    row[both_signal] = signal_code[both_signal]
-
-    wrapped0 = np.abs((delta + np.pi) % (2.0 * np.pi) - np.pi)
-    wrappedpi = np.abs(delta - np.pi)
-    in0 = wrapped0 <= half_width
-    inpi = wrappedpi <= half_width
-    both_lit = both_decoy & (ia > 0.0) & (ib > 0.0)
-    accepted = both_lit & lone & (in0 | inpi)
-    wrong = accepted & ((in0 & ~left) | (inpi & left))
-
-    single = lone & ((emitted_a + emitted_b) == 1)
-    z_herald = both_signal & lone
-    bit_a, bit_b, _ = z_bit_assignment(send_a, send_b)
-    z_error = z_herald & (send_a == send_b)
-    return {
-        "row": row,
-        "lone": lone,
-        "accepted": accepted,
-        "wrong": wrong,
-        "single": single,
-        "z_herald": z_herald,
-        "z_error": z_error,
-        "bit_a": bit_a,
-        "bit_b": bit_b,
-    }
-
-
-def _tally_chunk(data: dict[str, np.ndarray], n: int) -> SessionTally:
-    row = data["row"]
-    active = row >= 0
-    # wrong-port errors occur only in decoy windows and key-bit errors only
-    # in signal windows, so one error column serves both row kinds
-    error = data["wrong"] | data["z_error"]
-    columns = (active, data["lone"], error, data["accepted"], data["single"])
-    counts = np.stack(
-        [np.bincount(row[mask & active], minlength=_N_ROWS) for mask in columns],
-        axis=1,
-        dtype=float,
-    )
-    keep = data["z_herald"]
-    bits_a = data["bit_a"][keep].astype(np.uint8)
-    bits_b = data["bit_b"][keep].astype(np.uint8)
-    return SessionTally(float(n), counts, bits_a, bits_b)
+    pulses = np.bincount(row, minlength=_N_ROWS + 1)[:_N_ROWS]
+    columns = [pulses, np.bincount(r, minlength=_N_ROWS)]
+    columns += [np.bincount(r[mask], minlength=_N_ROWS) for mask in (error, accepted, single)]
+    return SessionTally(float(n), np.stack(columns, axis=1, dtype=float), bits_a, bits_b)
 
 
 def monte_carlo_session(
@@ -429,8 +457,7 @@ def monte_carlo_session(
     def run(idx: int) -> SessionTally:
         size = min(MC_CHUNK, n_pulses - idx * MC_CHUNK)
         rng = _chunk_rng(seed, idx)
-        data = _simulate_chunk(rng, size, src, eta_a, eta_b, nu, slice_half_width_rad)
-        return _tally_chunk(data, size)
+        return _sample_chunk(rng, size, src, eta_a, eta_b, nu, slice_half_width_rad)
 
     if n_jobs == 1 or len(chunks) <= 1:
         partials = [run(idx) for idx in chunks]

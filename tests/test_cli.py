@@ -171,6 +171,8 @@ KEYRATE = (
 )
 KEYRATE_CONFIG = ["keyrate", "--config", "{cfg}"]
 SENSE_CONFIG = ["sense", "--config", "{cfg}", "--out", "{out}"]
+WIDE_SLICE = "[run]\nslice_half_width_rad = 2\n"
+WIDE_SLICE_ERROR = "config error: [run] slice_half_width_rad must lie in (0, pi/2)\n"
 
 
 def sensing_ini(**keys):
@@ -196,6 +198,16 @@ ERROR_CASES = {
     "source-nan": (KEYRATE_CONFIG, "[source]\nmuz = nan\n", 2, "muz must be finite"),
     "security-nan": (KEYRATE_CONFIG, "[security]\nf_ec = nan\n", 2, "f_ec must be finite"),
     "run-nan": (KEYRATE_CONFIG, "[run]\nslice_half_width_rad = nan\n", 2, "must be finite"),
+    # every command that reads the half width refuses it with the same message
+    "half-width-keyrate": (KEYRATE_CONFIG, WIDE_SLICE, 2, WIDE_SLICE_ERROR),
+    "half-width-simulate": (["simulate", "--config", "{cfg}"], WIDE_SLICE, 2, WIDE_SLICE_ERROR),
+    "half-width-curve": (
+        ["curve", "--distances", "10", "--config", "{cfg}"], WIDE_SLICE, 2, WIDE_SLICE_ERROR,
+    ),
+    "half-width-optimize": (
+        ["optimize", "--budget", "1", "--n-starts", "1", "--config", "{cfg}"], WIDE_SLICE, 2,
+        WIDE_SLICE_ERROR,
+    ),
     "keyrate-nan": (KEYRATE_CONFIG, KEYRATE + "n_untagged = nan\n", 2, "n_untagged"),
     "distance-nan": (["curve", "--distances", "10,nan"], None, 2, "distances_km"),
     "curve-negative-pulses": (

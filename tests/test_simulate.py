@@ -4,7 +4,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snslab import (
@@ -20,7 +20,9 @@ from snslab import (
 )
 from snslab.model import channel_transmittance
 from snslab.presets import desk_detector, desk_link, desk_source
-from snslab.simulate import DECOY, MU1, MU2, MUZ, SIGNAL, VAC, row_keys
+from snslab.simulate import (
+    DECOY, MC_CHUNK, MU1, MU2, MUZ, SIGNAL, VAC, _chunk_rng, _N_ROWS, _sample_chunk, row_keys,
+)
 
 TALLY_FIELDS = ("pulses_sent", "one_detector_events", "error_events",
                 "accepted_events", "single_photon_events")
@@ -257,13 +259,14 @@ def _reference_tallies(link, det, src, n_pulses, half_width):
 
 
 @st.composite
-def _sources(draw):
+def _sources(draw, top=1.5):
+    # intensities up to top: mu1 up to a third of it, muz up to all of it
     unit = st.floats(0.0, 1.0)
-    mu1 = draw(st.floats(1e-3, 0.5))
+    mu1 = draw(st.floats(1e-3, top / 3.0))
     p_mu1 = draw(unit)
     p_mu2 = draw(unit) * (1.0 - p_mu1)
     return SourceParams(
-        mu1=mu1, mu2=mu1 + draw(st.floats(1e-3, 1.0)), muz=draw(st.floats(0.0, 1.5)),
+        mu1=mu1, mu2=mu1 + draw(st.floats(1e-3, top * 2.0 / 3.0)), muz=draw(st.floats(0.0, top)),
         p_signal_window=draw(unit), p_mu1=p_mu1, p_mu2=p_mu2, p_vac=1.0 - p_mu1 - p_mu2,
         epsilon_send=draw(unit), misalignment=draw(st.floats(0.0, 0.45)),
     )
@@ -400,3 +403,169 @@ def test_seeded_monte_carlo_stream_is_frozen():
     assert hashlib.sha256(bits).hexdigest() == (
         "7ce8b84c1fdd018a54aeff35e7976e32d87f1021a91a7aafa2fa5ed2c95b33ea"
     )
+
+
+# The two-step chunk sampler the fused _sample_chunk replaced, kept verbatim
+# as the reference it must match bit for bit.
+
+def _simulate_chunk(
+    rng: np.random.Generator,
+    n: int,
+    src: SourceParams,
+    eta_a: float,
+    eta_b: float,
+    nu: float,
+    half_width: float,
+) -> dict[str, np.ndarray]:
+    """Sample one block of time slots. Draw order is part of the contract."""
+    sigma = src.jitter_sigma_rad
+    signal_a = rng.random(n) < src.p_signal_window
+    signal_b = rng.random(n) < src.p_signal_window
+    pick_a = rng.random(n)
+    pick_b = rng.random(n)
+    send_a = rng.random(n) < src.epsilon_send
+    send_b = rng.random(n) < src.epsilon_send
+    delta = rng.random(n) * (2.0 * np.pi)
+    jitter = rng.standard_normal(n) * sigma
+    theta_signal = rng.random(n) * (2.0 * np.pi)
+
+    both_signal = signal_a & signal_b
+    both_decoy = ~signal_a & ~signal_b
+
+    # decoy intensity codes 0/1/2 for vac/mu1/mu2
+    code_a = np.where(pick_a < src.p_vac, 0, np.where(pick_a < src.p_vac + src.p_mu1, 1, 2))
+    code_b = np.where(pick_b < src.p_vac, 0, np.where(pick_b < src.p_vac + src.p_mu1, 1, 2))
+    levels = np.array([0.0, src.mu1, src.mu2])
+    ia = np.where(both_decoy, levels[code_a], np.where(both_signal & send_a, src.muz, 0.0))
+    ib = np.where(both_decoy, levels[code_b], np.where(both_signal & send_b, src.muz, 0.0))
+
+    theta = np.where(both_decoy, delta + jitter, theta_signal)
+
+    emitted_a = rng.poisson(ia)
+    emitted_b = rng.poisson(ib)
+    arrived = rng.binomial(emitted_a, eta_a) + rng.binomial(emitted_b, eta_b)
+
+    x = ia * eta_a
+    y = ib * eta_b
+    total = x + y
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p_left_port = np.where(
+            total > 0.0, (0.5 * total + np.sqrt(x * y) * np.cos(theta)) / total, 0.5
+        )
+    p_left_port = np.clip(p_left_port, 0.0, 1.0)
+    n_left = rng.binomial(arrived, p_left_port)
+    n_right = arrived - n_left
+    click_l = (n_left > 0) | (rng.random(n) < nu)
+    click_r = (n_right > 0) | (rng.random(n) < nu)
+
+    lone = click_l ^ click_r
+    left = lone & click_l
+
+    # row codes: decoy pairs 0..8, signal combos 9..12, discarded -1
+    row = np.full(n, -1, dtype=np.int64)
+    row[both_decoy] = (3 * code_a + code_b)[both_decoy]
+    signal_code = np.select(
+        [send_a & ~send_b, ~send_a & send_b, send_a & send_b],
+        [9, 10, 11],
+        default=12,
+    )
+    row[both_signal] = signal_code[both_signal]
+
+    wrapped0 = np.abs((delta + np.pi) % (2.0 * np.pi) - np.pi)
+    wrappedpi = np.abs(delta - np.pi)
+    in0 = wrapped0 <= half_width
+    inpi = wrappedpi <= half_width
+    both_lit = both_decoy & (ia > 0.0) & (ib > 0.0)
+    accepted = both_lit & lone & (in0 | inpi)
+    wrong = accepted & ((in0 & ~left) | (inpi & left))
+
+    single = lone & ((emitted_a + emitted_b) == 1)
+    z_herald = both_signal & lone
+    bit_a, bit_b, _ = z_bit_assignment(send_a, send_b)
+    z_error = z_herald & (send_a == send_b)
+    return {
+        "row": row,
+        "lone": lone,
+        "accepted": accepted,
+        "wrong": wrong,
+        "single": single,
+        "z_herald": z_herald,
+        "z_error": z_error,
+        "bit_a": bit_a,
+        "bit_b": bit_b,
+    }
+
+
+def _tally_chunk(data: dict[str, np.ndarray], n: int) -> SessionTally:
+    row = data["row"]
+    active = row >= 0
+    # wrong-port errors occur only in decoy windows and key-bit errors only
+    # in signal windows, so one error column serves both row kinds
+    error = data["wrong"] | data["z_error"]
+    columns = (active, data["lone"], error, data["accepted"], data["single"])
+    counts = np.stack(
+        [np.bincount(row[mask & active], minlength=_N_ROWS) for mask in columns],
+        axis=1,
+        dtype=float,
+    )
+    keep = data["z_herald"]
+    bits_a = data["bit_a"][keep].astype(np.uint8)
+    bits_b = data["bit_b"][keep].astype(np.uint8)
+    return SessionTally(float(n), counts, bits_a, bits_b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.one_of(st.sampled_from([1, MC_CHUNK]), st.integers(1, MC_CHUNK)),
+    src=_sources(top=45.0),
+    link=st.builds(
+        LinkModel,
+        length_a_km=st.one_of(st.just(0.0), st.floats(0.0, 150.0)),
+        length_b_km=st.one_of(st.just(0.0), st.floats(0.0, 150.0)),
+        atten_db_per_km=st.floats(0.0, 0.4), station_loss_db=st.floats(0.0, 5.0),
+        noise_per_pulse=st.sampled_from([0.0, 1e-6, 1e-2, 0.3]),
+    ),
+    half_width=st.floats(0.0, math.pi / 2.0, exclude_min=True, exclude_max=True),
+)
+@example(seed=4, n=MC_CHUNK, src=desk_source(), link=desk_link(), half_width=0.3)
+@example(seed=0, n=1, src=desk_source(), link=desk_link(), half_width=0.3)
+@example(
+    seed=7, n=MC_CHUNK,
+    src=SourceParams(mu1=12.0, mu2=45.0, muz=30.0, p_signal_window=0.5, p_mu1=0.4,
+                     p_mu2=0.4, p_vac=0.2, epsilon_send=0.5, misalignment=0.1),
+    link=LinkModel(length_a_km=0.0, length_b_km=60.0, atten_db_per_km=0.2,
+                   station_loss_db=0.0, noise_per_pulse=0.3),
+    half_width=1.5,
+)
+def test_fused_chunk_sampler_equals_the_two_step_reference(seed, n, src, link, half_width):
+    eta_a, eta_b = channel_transmittance(link, desk_detector())
+    args = (src, eta_a, eta_b, link.noise_per_pulse, half_width)
+    want = _tally_chunk(_simulate_chunk(_chunk_rng(seed, 0), n, *args), n)
+    got = _sample_chunk(_chunk_rng(seed, 0), n, *args)
+    assert got.n_pulses == want.n_pulses == float(n)
+    assert got.counts.dtype == want.counts.dtype
+    assert np.array_equal(got.counts, want.counts)
+    for side in ("z_bits_alice", "z_bits_bob"):
+        assert getattr(got, side).dtype == getattr(want, side).dtype
+        assert getattr(got, side).tobytes() == getattr(want, side).tobytes()
+
+
+@pytest.mark.parametrize("n_pulses", [MC_CHUNK - 1, MC_CHUNK + 1, 3 * MC_CHUNK + 7])
+def test_session_tally_is_the_chunk_order_sum_of_its_chunks(n_pulses):
+    link, det, src = desk_link(), desk_detector(), desk_source()
+    eta_a, eta_b = channel_transmittance(link, det)
+    seed = 11
+    sizes = [min(MC_CHUNK, n_pulses - start) for start in range(0, n_pulses, MC_CHUNK)]
+    parts = [
+        _sample_chunk(_chunk_rng(seed, idx), size, src, eta_a, eta_b, link.noise_per_pulse, 0.3)
+        for idx, size in enumerate(sizes)
+    ]
+    serial = monte_carlo_session(link, det, src, n_pulses, seed, n_jobs=1)
+    threaded = monte_carlo_session(link, det, src, n_pulses, seed, n_jobs=2)
+    for tally in (serial, threaded):
+        assert tally.n_pulses == float(n_pulses)
+        assert np.array_equal(tally.counts, sum(part.counts for part in parts))
+        for side in ("z_bits_alice", "z_bits_bob"):
+            want = np.concatenate([getattr(part, side) for part in parts])
+            assert getattr(tally, side).tobytes() == want.tobytes()
