@@ -13,6 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# Largest mean photon number per pulse any source or click model accepts.
+# It keeps exp(mu) finite in the decoy analysis and bounds the number of
+# harmonics the closed-form click probabilities sum.
+MAX_INTENSITY = 100.0
+
 
 def transmittance(loss_db: float) -> float:
     """Convert a loss budget in dB to a transmittance in (0, 1].
@@ -134,6 +139,8 @@ class SourceParams:
             raise ValueError("intensities must satisfy 0 < mu1 < mu2")
         if self.muz < 0.0:
             raise ValueError("muz must be >= 0")
+        if max(self.mu2, self.muz) > MAX_INTENSITY:
+            raise ValueError(f"intensities must be <= {MAX_INTENSITY:g} photons per pulse")
         if not 0.0 <= self.p_signal_window <= 1.0:
             raise ValueError("p_signal_window must lie in [0, 1]")
         for name in ("p_mu1", "p_mu2", "p_vac"):

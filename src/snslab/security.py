@@ -242,19 +242,12 @@ def aopp(bits_alice, bits_bob, seed) -> AoppResult:
     return AoppResult(pairs=pairs, kept=kept, bits_alice=a[lead], bits_bob=b[lead])
 
 
-def post_aopp_phase_error(
-    n_untagged_before: float, phase_error_before: float, survived_pairs: float
-) -> float:
+def post_aopp_phase_error(phase_error_before: float) -> float:
     """Map a pre-pairing phase-error rate through the pairing step.
 
     A distilled pair is phase-wrong when exactly one member was, hence
-    2 e (1 - e); rates are capped at one half before mapping. The two
-    count arguments describe the population the rate refers to; the map
-    itself is population-free, so they are only sanity-checked here, but
-    callers that later tighten the bound will already have them in hand.
+    2 e (1 - e); rates are capped at one half before mapping.
     """
-    if n_untagged_before < 0.0 or survived_pairs < 0.0:
-        raise ValueError("counts must be >= 0")
     e = phase_error_before
     if not 0.0 <= e <= 1.0 or not math.isfinite(e):
         raise ValueError("phase_error_before must lie in [0, 1]")
@@ -374,7 +367,7 @@ def _pairing_tail(
     if group1 > 0.0 and group0 > 0.0:
         n_untagged = pair_count * (bounds.n1_alice_low / group1) * (bounds.n1_bob_low / group0)
     n_untagged = min(n_untagged, n_sifted)
-    phase_error = post_aopp_phase_error(bounds.n1_low, bounds.phase_error_up, n_sifted)
+    phase_error = post_aopp_phase_error(bounds.phase_error_up)
     report = key_rate(n_untagged, phase_error, n_sifted, bit_error, tally.n_pulses, sec)
     return SessionAnalysis(
         decoy=bounds,

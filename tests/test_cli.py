@@ -196,6 +196,15 @@ ERROR_CASES = {
     "link-nan": (KEYRATE_CONFIG, "[link]\nlength_a_km = nan\n", 2, "length_a_km"),
     "detector-inf": (KEYRATE_CONFIG, "[detector]\nefficiency = inf\n", 2, "efficiency"),
     "source-nan": (KEYRATE_CONFIG, "[source]\nmuz = nan\n", 2, "muz must be finite"),
+    # exp(mu2) overflowed in the decoy analysis and muz = 1e300 gave a NaN key
+    "source-mu2-too-bright": (
+        ["curve", "--distances", "10", "--config", "{cfg}"], "[source]\nmu2 = 800\n", 2,
+        "[source] intensities must be <= 100 photons per pulse",
+    ),
+    "source-muz-too-bright": (
+        KEYRATE_CONFIG, "[source]\nmuz = 1e300\n", 2,
+        "[source] intensities must be <= 100 photons per pulse",
+    ),
     "security-nan": (KEYRATE_CONFIG, "[security]\nf_ec = nan\n", 2, "f_ec must be finite"),
     "run-nan": (KEYRATE_CONFIG, "[run]\nslice_half_width_rad = nan\n", 2, "must be finite"),
     # every command that reads the half width refuses it with the same message
@@ -458,7 +467,7 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
-    assert payload["bound_bits_per_use"] == pytest.approx(3.62e-11, rel=0.01)
+    assert payload["bound_bits_per_use"] == pytest.approx(3.62e-11, rel=0.01, abs=0.0)
 
 
 @pytest.mark.skipif(shutil.which("snslab") is None, reason="script not on PATH")

@@ -17,7 +17,7 @@ from snslab import (
 def test_transmittance_values():
     assert transmittance(0.0) == 1.0
     assert transmittance(10.0) == pytest.approx(0.1, rel=1e-12)
-    assert transmittance(106.0) == pytest.approx(10.0**-10.6, rel=1e-12)
+    assert transmittance(106.0) == pytest.approx(10.0**-10.6, rel=1e-12, abs=0.0)
     with pytest.raises(ValueError):
         transmittance(-1.0)
     with pytest.raises(ValueError):
@@ -80,8 +80,8 @@ def test_channel_transmittance_composition():
                      station_loss_db=3.0)
     det = DetectorModel(efficiency=0.5, pulse_rate_hz=1e6)
     eta_a, eta_b = channel_transmittance(link, det)
-    assert eta_a == pytest.approx(transmittance(13.0) * 0.5, rel=1e-12)
-    assert eta_b == pytest.approx(transmittance(23.0) * 0.5, rel=1e-12)
+    assert eta_a == pytest.approx(transmittance(13.0) * 0.5, rel=1e-12, abs=0.0)
+    assert eta_b == pytest.approx(transmittance(23.0) * 0.5, rel=1e-12, abs=0.0)
     assert eta_a > eta_b
 
 

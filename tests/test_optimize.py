@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ DESK_VEC = np.array([0.1, 0.4, 0.45, 0.7, 0.6, 0.05, 0.2717])
 
 def test_evaluate_accepts_both_parameter_forms(desk):
     link, det, src, sec = desk
+    # params_to_source derives p_vac = 1 - p_mu1 - p_mu2, which is not the preset's 0.35
+    src = dataclasses.replace(src, p_vac=1.0 - 0.6 - 0.05)
     r_src = evaluate(src, link, det, sec, 1e9)
     r_vec = evaluate(DESK_VEC, link, det, sec, 1e9, misalignment=src.misalignment)
     assert r_src == r_vec
