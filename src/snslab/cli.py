@@ -191,20 +191,13 @@ def _half_width(cp) -> float:
     return half_width
 
 
-def _run_options(cp, args, default_pulses: float):
+def _n_pulses(cp, args, default_pulses: float) -> float:
     n_pulses = _getfloat(cp, "run", "n_pulses", default_pulses)
     if getattr(args, "n_pulses", None) is not None:
         n_pulses = _finite(args.n_pulses, "--n-pulses")
-    seed = _seed(cp, args)
-    n_jobs = _getint(cp, "run", "n_jobs", 1)
-    if getattr(args, "n_jobs", None) is not None:
-        n_jobs = args.n_jobs
     if n_pulses <= 0:
         raise ConfigError("[run] n_pulses must be > 0")
-    half_width = _half_width(cp)
-    if n_jobs < 1:
-        raise ConfigError("[run] n_jobs must be >= 1")
-    return n_pulses, seed, half_width, n_jobs
+    return n_pulses
 
 
 def _fmt_value(v) -> str:
@@ -319,7 +312,7 @@ def _cmd_keyrate(args) -> int:
         _emit(_render(payload, args.format), args.out)
         return 0
     link, src = _build(cp, "link"), _build(cp, "source")
-    n_pulses, _, half_width, _ = _run_options(cp, args, default_pulses=1e10)
+    n_pulses, half_width = _n_pulses(cp, args, default_pulses=1e10), _half_width(cp)
     tally = expected_tallies(link, det, src, n_pulses, half_width)
     analysis = _post_process(expected_post_processing, tally, src, sec, half_width)
     _emit(_render(_analysis_payload(analysis, det, "expected"), args.format), args.out)
@@ -329,7 +322,11 @@ def _cmd_keyrate(args) -> int:
 def _cmd_simulate(args) -> int:
     cp = _read_config(args.config)
     link, det, src, sec = (_build(cp, section) for section in _MODEL_SECTIONS)
-    n_pulses, seed, half_width, n_jobs = _run_options(cp, args, default_pulses=1e6)
+    n_pulses, seed = _n_pulses(cp, args, default_pulses=1e6), _seed(cp, args)
+    n_jobs = args.n_jobs if args.n_jobs is not None else _getint(cp, "run", "n_jobs", 1)
+    half_width = _half_width(cp)
+    if n_jobs < 1:
+        raise ConfigError("[run] n_jobs must be >= 1")
     tally = monte_carlo_session(link, det, src, int(n_pulses), seed, n_jobs, half_width)
     analysis = _post_process(mc_post_processing, tally, src, sec, seed, half_width)
     payload = _analysis_payload(analysis, det, "monte_carlo")
@@ -361,7 +358,7 @@ _ETA_CEIL = 1.0 - 1e-12
 def _cmd_curve(args) -> int:
     cp = _read_config(args.config)
     link, det, src, sec = (_build(cp, section) for section in _MODEL_SECTIONS)
-    n_pulses, _, half_width, _ = _run_options(cp, args, default_pulses=1e10)
+    n_pulses, half_width = _n_pulses(cp, args, default_pulses=1e10), _half_width(cp)
     if cp.has_option("curve", "n_pulses"):
         n_pulses = _getfloat(cp, "curve", "n_pulses")
         if n_pulses <= 0:
@@ -376,14 +373,17 @@ def _cmd_curve(args) -> int:
     columns = ["distance_km", "loss_db", "simulated_rate", "plob_absolute", "plob_relative"]
     rows = []
     for d in distances:
-        scaled = dataclasses.replace(link, length_a_km=d / 2.0, length_b_km=d / 2.0)
+        loss = link.atten_db_per_km * d
+        try:
+            scaled = dataclasses.replace(link, length_a_km=d / 2.0, length_b_km=d / 2.0)
+            eta_abs = min(transmittance(loss), _ETA_CEIL)
+            eta_rel = min(
+                transmittance(loss + link.station_loss_db) * det.efficiency, _ETA_CEIL
+            )
+        except ValueError as exc:
+            raise ConfigError(f"[curve] distance {d!r} km: {exc}") from None
         tally = expected_tallies(scaled, det, src, n_pulses, half_width)
         analysis = _post_process(expected_post_processing, tally, src, sec, half_width)
-        loss = link.atten_db_per_km * d
-        eta_abs = min(transmittance(loss), _ETA_CEIL)
-        eta_rel = min(
-            transmittance(loss + link.station_loss_db) * det.efficiency, _ETA_CEIL
-        )
         rows.append(
             {
                 "distance_km": float(d),
@@ -506,11 +506,12 @@ def _cmd_plob(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, with_seed: bool = True) -> None:
-    p.add_argument("--config", help="INI file; missing values fall back to desk presets")
+def _add_common(p: argparse.ArgumentParser, *, config: bool = True, seed: bool = False) -> None:
+    if config:
+        p.add_argument("--config", help="INI file; missing values fall back to desk presets")
     p.add_argument("--out", help="write the result here instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
-    if with_seed:
+    if seed:
         p.add_argument("--seed", type=int, help="overrides [run] seed")
 
 
@@ -528,7 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_keyrate)
 
     p = sub.add_parser("simulate", help="sampled session with realized pairing")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--n-pulses", type=float)
     p.add_argument("--n-jobs", type=int, help="worker threads; result is identical")
     p.set_defaults(func=_cmd_simulate)
@@ -539,7 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("optimize", help="tune source parameters for a link")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--n-starts", type=int)
     p.add_argument("--budget", type=int)
     p.set_defaults(func=_cmd_optimize)
@@ -553,7 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sense)
 
     p = sub.add_parser("plob", help="repeaterless bound for a loss or transmittance")
-    _add_common(p, with_seed=False)
+    _add_common(p, config=False)
     p.add_argument("--loss-db", type=float)
     p.add_argument("--transmittance", type=float)
     p.set_defaults(func=_cmd_plob)

@@ -69,6 +69,8 @@ class LinkModel:
             raise ValueError("station_loss_db must be >= 0")
         if not 0.0 <= self.noise_per_pulse < 1.0:
             raise ValueError("noise_per_pulse must lie in [0, 1)")
+        if not all(math.isfinite(self.arm_loss_db(side)) for side in "ab"):
+            raise ValueError("the loss of each arm must be finite")
 
     @property
     def total_length_km(self) -> float:

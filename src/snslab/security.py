@@ -56,44 +56,56 @@ def fluctuation_bounds(observed: float, failure_prob: float) -> tuple[float, flo
     Both sides solve observed - m + observed*ln(m/observed) = ln(failure_prob)
     for the mean m; the left-hand side peaks at 0 when m equals the
     observation and falls off on both sides.
+
+    With m = observed*e^v and c = ln(failure_prob)/observed < 0 the
+    equation reads f(v) = v - expm1(v) - c = 0. f is concave and peaks at
+    -c > 0 when v = 0, so it has one root on each side of 0 (the two real
+    branches of Lambert W). Newton's method solves each from a start
+    where f <= 0, lower root first:
+
+    * for c < -1, v = c - 1, where f = -e^(c-1), and v = log1p(-c)*(1 - 1/c),
+      where e^d >= 1 + d with d = log1p(-c)/(-c) gives f <= 0;
+    * otherwise v = c - s and v = s with s = sqrt(-2c), where
+      e^-t - 1 + t >= t^2/(2 + t) at t = s - c and expm1(s) >= s + s^2/2
+      give f <= 0.
+
+    No start exceeds ln of the largest float, so expm1 stays finite.
+
+    A concave function lies below its tangents, so every Newton iterate
+    from such a start stays on the outer side of its root and moves
+    monotonically onto it: each bound is safe wherever the loop stops. It
+    stops when f is no longer negative, so that a step would not move
+    toward v = 0, or when a step falls below 1e-15*max(1, |v|); the
+    absolute precision of v is the relative precision of m. Where c
+    overflows (observed below |ln(failure_prob)|/1.8e308) the roots take
+    their observed -> 0 limits, as for observed = 0.
     """
     if observed < 0.0 or not math.isfinite(observed):
         raise ValueError("observed must be a finite count >= 0")
     if not 0.0 < failure_prob < 1.0:
         raise ValueError("failure_prob must lie strictly between 0 and 1")
     target = math.log(failure_prob)
-    if observed == 0.0:
+    c = target / observed if observed > 0.0 else -math.inf
+    if c == -math.inf:
         return 0.0, -target
-
-    def gap(m: float) -> float:
-        return observed - m + observed * math.log(m / observed) - target
-
-    lo = observed * 0.5
-    while lo > 0.0 and gap(lo) > 0.0:
-        lo *= 0.5
-    # for near-zero observations the lower root underflows; 0 is its limit
-    lower = 0.0 if lo == 0.0 else _bisect(gap, observed, lo)
-
-    hi = observed * 2.0
-    while gap(hi) > 0.0:
-        hi *= 2.0
-    upper = _bisect(gap, observed, hi)
-    return lower, upper
-
-
-def _bisect(gap, pos: float, neg: float) -> float:
-    """Root between pos, where gap > 0, and neg, where gap <= 0; returns the neg end."""
-    for _ in range(200):
-        mid = 0.5 * (pos + neg)
-        if mid == pos or mid == neg:
-            break
-        if gap(mid) > 0.0:
-            pos = mid
-        else:
-            neg = mid
-        if abs(neg - pos) <= 1e-12 * (neg if neg > pos else pos):
-            break
-    return neg
+    if c < -1.0:
+        starts = (c - 1.0, math.log1p(-c) * (1.0 - 1.0 / c))
+    else:
+        s = math.sqrt(-2.0 * c)
+        starts = (c - s, s)
+    roots = []
+    for v in starts:
+        while True:
+            e = math.expm1(v)
+            f = v - e - c
+            if not f < 0.0:
+                break
+            step = f / e
+            v += step
+            if abs(step) <= 1e-15 * max(1.0, abs(v)):
+                break
+        roots.append(observed * math.exp(v))
+    return roots[0], roots[1]
 
 
 @dataclass(frozen=True)

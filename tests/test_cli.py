@@ -173,6 +173,8 @@ KEYRATE_CONFIG = ["keyrate", "--config", "{cfg}"]
 SENSE_CONFIG = ["sense", "--config", "{cfg}", "--out", "{out}"]
 WIDE_SLICE = "[run]\nslice_half_width_rad = 2\n"
 WIDE_SLICE_ERROR = "config error: [run] slice_half_width_rad must lie in (0, pi/2)\n"
+HUGE_ARM = "[link]\nlength_a_km = 1e308\natten_db_per_km = 10\n"
+HUGE_ARM_ERROR = "config error: [link] the loss of each arm must be finite\n"
 
 
 def sensing_ini(**keys):
@@ -254,6 +256,18 @@ ERROR_CASES = {
         "cannot write --out",
     ),
     "out-parent-missing": (["keyrate", "--out", "{out}/rate.csv"], None, 2, "cannot write --out"),
+    # 1e308 km at 10 dB/km overflows the arm loss; it crashed in transmittance
+    "arm-loss-overflow-keyrate": (KEYRATE_CONFIG, HUGE_ARM, 2, HUGE_ARM_ERROR),
+    "arm-loss-overflow-simulate": (["simulate", "--config", "{cfg}"], HUGE_ARM, 2, HUGE_ARM_ERROR),
+    "arm-loss-overflow-optimize": (
+        ["optimize", "--budget", "1", "--n-starts", "1", "--config", "{cfg}"], HUGE_ARM, 2,
+        HUGE_ARM_ERROR,
+    ),
+    "curve-loss-overflow": (
+        ["curve", "--distances", "1.7e308", "--config", "{cfg}"],
+        "[link]\natten_db_per_km = 1.5\n", 2,
+        "config error: [curve] distance 1.7e+308 km: loss_db must be finite",
+    ),
 }
 
 
@@ -271,6 +285,31 @@ def test_config_error_battery(tmp_path, case):
     assert fragment in err
     # a refused run writes nothing, not even the output directory
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plob", "--config", "/nonexistent.ini", "--loss-db", "3"],
+        ["keyrate", "--seed", "1"],
+        ["curve", "--seed", "1", "--distances", "10"],
+    ],
+    ids=["plob-config", "keyrate-seed", "curve-seed"],
+)
+def test_flags_a_command_never_reads_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["keyrate"], ["curve", "--distances", "10"]])
+def test_keyrate_and_curve_ignore_the_sampling_keys(tmp_path, argv):
+    # [run] seed and n_jobs only steer the sampler; the analytic commands skip them
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nseed = -3\nn_jobs = 0\n")
+    code, out, _ = run_cli(*argv, "--config", str(cfg))
+    assert code == 0
+    assert out == run_cli(*argv)[1]
 
 
 ROUND_TRIP = {

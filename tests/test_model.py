@@ -65,6 +65,11 @@ def test_link_validation():
     with pytest.raises(ValueError):
         LinkModel(length_a_km=1.0, length_b_km=1.0, atten_db_per_km=0.2,
                   noise_per_pulse=1.0)
+    # an arm loss that overflows, or is undefined (0 dB/km over infinite fiber)
+    with pytest.raises(ValueError, match="loss of each arm must be finite"):
+        LinkModel(length_a_km=1e308, length_b_km=1.0, atten_db_per_km=10.0)
+    with pytest.raises(ValueError, match="loss of each arm must be finite"):
+        LinkModel(length_a_km=1.0, length_b_km=math.inf, atten_db_per_km=0.0)
 
 
 def test_detector_efficiency_range():

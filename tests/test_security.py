@@ -1,4 +1,5 @@
 import math
+import sys
 from itertools import product
 
 import numpy as np
@@ -85,10 +86,40 @@ def test_fluctuation_bounds_zero_observation():
 
 def test_fluctuation_bounds_survive_underflowing_observations():
     # expected-count callers can pass values near the float floor; the
-    # lower root then underflows and must come back as exactly 0
-    lo, up = fluctuation_bounds(1e-300, 1e-10)
-    assert lo == 0.0
-    assert up == pytest.approx(-math.log(1e-10), rel=1e-6)
+    # lower root then underflows and must come back as exactly 0, and the
+    # upper root tends to -ln(xi), also where ln(xi)/observed overflows
+    for observed in (1e-300, 5e-324):
+        lo, up = fluctuation_bounds(observed, 1e-10)
+        assert lo == 0.0
+        assert up == pytest.approx(-math.log(1e-10), rel=1e-6)
+
+
+def test_fluctuation_bounds_survive_the_largest_observations():
+    # the second failure probability makes ln(xi)/observed underflow to 0
+    for xi in (1e-10, math.nextafter(1.0, 0.0)):
+        lo, up = fluctuation_bounds(1.7e308, xi)
+        assert 0.0 <= lo <= 1.7e308 <= up < math.inf
+
+
+def test_fluctuation_bounds_match_a_40_digit_lambert_w_reference():
+    # with m = observed*u the tail equation reads u*e^-u = e^(c-1),
+    # c = ln(xi)/observed, so the roots are m = -observed*W_k(-e^(c-1))
+    # on the branches k = 0 (lower) and k = -1 (upper)
+    mp = pytest.importorskip("mpmath")
+    observations = (1e-300, 1e-3, 0.5, 1.0, 3.2, 437.0, 1e4, 1e8, 1e13, 1e300)
+    with mp.workdps(40):
+        for observed, xi in product(observations, (1e-10, 1e-6, 0.05, 0.3)):
+            z = -mp.exp(mp.log(xi) / observed - 1)
+            bounds = fluctuation_bounds(observed, xi)
+            for got, branch, outward in zip(bounds, (0, -1), (-1.0, 1.0)):
+                want = -observed * mp.re(mp.lambertw(z, branch))
+                if want < sys.float_info.min:
+                    assert got == pytest.approx(float(want), abs=sys.float_info.min)
+                    continue
+                rel = float((got - want) / want)
+                assert abs(rel) <= 1e-13, (observed, xi, branch, rel)
+                # a bound may lie inside the interval only by rounding
+                assert rel * outward >= -1e-14, (observed, xi, branch, rel)
 
 
 def test_fluctuation_bounds_widen_with_confidence():
