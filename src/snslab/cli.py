@@ -281,7 +281,8 @@ def _analysis_payload(analysis: SessionAnalysis, det: DetectorModel, mode: str) 
 
 
 def _post_process(chain, *args):
-    """Run one step; its ValueError (no pulses in a row, no photons in a frame) is infeasible."""
+    """Run one step; its ValueError (a session past the sampler's cap, no pulses in a row,
+    no photons in a frame) is infeasible."""
     try:
         return chain(*args)
     except ValueError as exc:
@@ -327,7 +328,8 @@ def _cmd_simulate(args) -> int:
     half_width = _half_width(cp)
     if n_jobs < 1:
         raise ConfigError("[run] n_jobs must be >= 1")
-    tally = monte_carlo_session(link, det, src, int(n_pulses), seed, n_jobs, half_width)
+    tally = _post_process(monte_carlo_session, link, det, src, int(n_pulses), seed, n_jobs,
+                          half_width)
     analysis = _post_process(mc_post_processing, tally, src, sec, seed, half_width)
     payload = _analysis_payload(analysis, det, "monte_carlo")
     payload["seed"] = seed

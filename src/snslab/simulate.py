@@ -13,21 +13,31 @@ Two views of a session are provided with identical bookkeeping:
 * monte_carlo_session: sampled counts, reproducible and partitionable.
 
 The sampler's draw order is part of its contract, because it fixes the
-seeded stream. Each chunk takes eleven full-length draws, one value per
-slot: the two window roles, the two decoy picks, the two send decisions,
-the announced phase, the jitter, the signal-window phase and the two
-dark-count draws. The photon draws are taken only on their support:
-emission where the intensity is > 0, channel survival where a side
-emitted, and the port split where a photon arrived. This gives the stream
-that full-length photon draws would, because numpy's Generator.poisson at
-lam = 0 and Generator.binomial at n = 0 both return 0 without consuming a
-random number.
+seeded stream. Each chunk draws, in this order:
+
+1. one uniform per slot, mapped to the slot's row code (13 tally rows plus
+   discarded) by thresholds on the row probabilities of _row_pulses;
+2. for Alice, then for Bob: the photon number, only where the side's
+   intensity is > 0, then its channel survival, only where it emitted;
+3. the dark clicks of each detector: a binomial(n, noise) count, then that
+   many slot positions without replacement;
+4. one uniform phase per slot where a click can be read (a photon arrived
+   or a detector clicked dark), read as the announced phase in decoy
+   windows and as the relative phase in signal windows, then the jitter
+   of each slot a photon reached;
+5. the port split of the arrived photons.
+
+The row code carries the roles, decoy picks and send decisions, so the
+tallies and the slot-ordered key bits have the law that independent
+per-slot draws of each of them would give. The sampler reads no click
+probability: every click comes from photons or from the dark-count draw.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +48,9 @@ from .model import (
 
 DEFAULT_SLICE_HALF_WIDTH_RAD = 0.3
 MC_CHUNK = 1 << 17
+# the largest session monte_carlo_session accepts; README derives it from
+# the sampler's measured cost per pulse
+MC_MAX_PULSES = 1e9
 
 DECOY = "decoy"
 SIGNAL = "signal"
@@ -69,22 +82,26 @@ def _row_intensities(src: SourceParams) -> tuple[np.ndarray, np.ndarray]:
     return np.array([level[a] for _, a, _ in keys]), np.array([level[b] for _, _, b in keys])
 
 
-def _row_code_table() -> np.ndarray:
-    """Row code of each slot key ((roles * 3 + pick_a) * 3 + pick_b) * 4 + 2 * sent_a + sent_b.
+def _row_pulses(src: SourceParams, n_pulses: float) -> np.ndarray:
+    """Expected pulses of every tally row in a session of n_pulses, in row_keys() order.
 
-    roles counts the sides that chose a signal window, pick is a side's
-    decoy level index and sent its signal-window send decision. A mixed
-    window (roles 1) is discarded and gets code _N_ROWS.
+    At n_pulses = 1 these are the row probabilities; the remaining
+    2 p_signal_window (1 - p_signal_window) are the discarded mixed windows.
     """
-    index = {key: i for i, key in enumerate(row_keys())}
-    codes = np.full((3, _N_DECOY_ROWS, 2, 2), _N_ROWS, dtype=np.uint8)
-    codes[0] = np.arange(_N_DECOY_ROWS)[:, None, None]
-    for sent_a, sent_b in np.ndindex(2, 2):
-        codes[2, :, sent_a, sent_b] = index[(SIGNAL, (VAC, MUZ)[sent_a], (VAC, MUZ)[sent_b])]
-    return codes.ravel()
+    mix = {VAC: src.p_vac, MU1: src.p_mu1, MU2: src.p_mu2}
+    n_decoy = n_pulses * src.p_decoy_window**2
+    n_signal = n_pulses * src.p_signal_window**2
+    eps = src.epsilon_send
+    # _SIGNAL_COMBOS order: one side sent (twice), both sent, neither sent
+    combos = (eps * (1.0 - eps), eps * (1.0 - eps), eps * eps, (1.0 - eps) ** 2)
+    return np.array(
+        [n_decoy * mix[a] * mix[b] for a in _DECOY_LABELS for b in _DECOY_LABELS]
+        + [n_signal * p for p in combos]
+    )
 
 
-_ROW_CODE = _row_code_table()
+# the send decisions of Alice and Bob that each row code stands for
+_SENDS = np.array([(a == MUZ, b == MUZ) for _, a, b in row_keys()]).T
 
 
 def z_bit_assignment(alice_sent, bob_sent):
@@ -315,16 +332,7 @@ def expected_tallies(
 
     keys = row_keys()
     ia, ib = _row_intensities(src)
-    mix = {VAC: src.p_vac, MU1: src.p_mu1, MU2: src.p_mu2}
-    n_decoy = n_pulses * src.p_decoy_window**2
-    n_signal = n_pulses * src.p_signal_window**2
-    eps = src.epsilon_send
-    # _SIGNAL_COMBOS order: one side sent (twice), both sent, neither sent
-    combos = (eps * (1.0 - eps), eps * (1.0 - eps), eps * eps, (1.0 - eps) ** 2)
-    pulses = np.array(
-        [n_decoy * mix[a] * mix[b] for a in _DECOY_LABELS for b in _DECOY_LABELS]
-        + [n_signal * p for p in combos]
-    )
+    pulses = _row_pulses(src, n_pulses)
 
     lone_l, lone_r, _ = click_probabilities(ia, ib, eta_a, eta_b, nu)
     heralds = pulses * (lone_l + lone_r)
@@ -370,76 +378,71 @@ def _sample_chunk(
 ) -> SessionTally:
     """Sample one block of n time slots and tally it.
 
-    The draws, in this order, fix the seeded stream. The nine uniform and
-    normal draws before the photon draws and the two dark-count draws after
-    them are full length. The photon draws are taken only on their support,
-    in slot order: poisson where the intensity is > 0, the channel binomial
-    where a side emitted, and the port binomial where a photon arrived. That
-    is the stream full-length photon draws would give, because numpy's
-    poisson at lam = 0 and its binomial at n = 0 return 0 without consuming
-    a random number. Everything after the draws (port probabilities, slice
-    acceptance, key bits) is computed only on the slots it can change.
+    The draws, in this order, fix the seeded stream (see the module
+    docstring): the row code of every slot, from one uniform each; for each
+    side in turn, the photon number where its intensity is > 0, then the
+    channel survival where it emitted; each detector's dark clicks, a
+    binomial(n, nu) count placed on that many distinct slots; one phase per
+    slot where a click can be read, then the jitter of each slot a photon
+    reached; the port split of the arrived photons. Everything after the
+    photon draws works on the readable slots only, in slot order.
     """
-    signal_a = rng.random(n) < src.p_signal_window
-    signal_b = rng.random(n) < src.p_signal_window
-    pick_a = rng.random(n)
-    pick_b = rng.random(n)
-    send_a = rng.random(n) < src.epsilon_send
-    send_b = rng.random(n) < src.epsilon_send
-    # the two phases in turns and the jitter in sigmas, scaled where they are used
-    delta = rng.random(n)
-    jitter = rng.standard_normal(n)
-    theta_signal = rng.random(n)
-
-    # one row code per slot: decoy pairs 0..8, signal combos 9..12, discarded 13
-    key = np.add(signal_a, signal_b, dtype=np.uint8)
-    for pick in (pick_a, pick_b):
-        key *= 3
-        key += pick >= src.p_vac
-        key += pick >= src.p_vac + src.p_mu1
-    for send in (send_a, send_b):
-        key *= 2
-        key += send
-    row = _ROW_CODE.take(key)
+    thresholds = np.cumsum(_row_pulses(src, 1.0))
+    # where no window is discarded the last threshold becomes exactly 1
+    thresholds /= thresholds[-1] + 2.0 * src.p_signal_window * src.p_decoy_window
+    # row codes: decoy pairs 0..8, signal combos 9..12, discarded 13; the
+    # number of slots at or past each threshold gives the pulse column
+    u = rng.random(n)
+    row = np.zeros(n, dtype=np.uint8)
+    past = [n]
+    for threshold in thresholds:
+        beyond = u >= threshold
+        row += beyond
+        past.append(np.count_nonzero(beyond))
+    pulses = -np.diff(past)
     ia, ib = (np.append(levels, 0.0) for levels in _row_intensities(src))
 
     emitted = np.zeros(n, dtype=np.int64)  # both sides' photons, for the single-photon column
-    sent = []
-    for levels in (ia, ib):
+    reached = []
+    for levels, eta in ((ia, eta_a), (ib, eta_b)):
         slots = np.flatnonzero((levels > 0.0).take(row))
-        photons = rng.poisson(levels[row[slots]])
-        emitted[slots] += photons
+        photons = rng.poisson(levels.take(row.take(slots)))
         fired = photons > 0
-        sent.append((slots[fired], photons[fired]))
-    arrived = np.zeros(n, dtype=np.int64)
-    for (slots, photons), eta in zip(sent, (eta_a, eta_b)):
-        arrived[slots] += rng.binomial(photons, eta)
+        slots, photons = slots[fired], photons[fired]
+        emitted[slots] += photons
+        arrivals = rng.binomial(photons, eta)
+        reached.append((slots[arrivals > 0], arrivals[arrivals > 0]))
 
+    dark = [rng.choice(n, rng.binomial(n, nu), replace=False, shuffle=False) for _ in range(2)]
+    # from here on, one entry per slot where a click can be read, in slot order
+    slot = np.sort(np.concatenate([slots for slots, _ in reached] + dark))
+    slot = slot[np.diff(slot, prepend=-1) > 0]  # np.unique costs ten times more here
+    arrived = np.zeros(slot.size, dtype=np.int64)
+    for slots, arrivals in reached:
+        arrived[np.searchsorted(slot, slots)] += arrivals
+    r = row[slot]
+    # in turns: the announced phase of a decoy window, the phase of a signal window
+    turn = rng.random(slot.size)
     hit = np.flatnonzero(arrived)
-    hit_row = row[hit]
-    x = ia[hit_row] * eta_a
-    y = ib[hit_row] * eta_b
-    theta = np.where(
-        hit_row < _N_DECOY_ROWS,
-        delta[hit] * (2.0 * np.pi) + jitter[hit] * src.jitter_sigma_rad,
-        theta_signal[hit] * (2.0 * np.pi),
-    )
-    total = x + y
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_left_port = np.where(
-            total > 0.0, (0.5 * total + np.sqrt(x * y) * np.cos(theta)) / total, 0.5
-        )
-    n_left = rng.binomial(arrived[hit], np.clip(p_left_port, 0.0, 1.0))
-    click_l = rng.random(n) < nu
-    click_r = rng.random(n) < nu
-    click_l[hit] |= n_left > 0
-    click_r[hit] |= n_left < arrived[hit]
+    n_hit = arrived[hit]
+    # a uniform phase plus jitter is still uniform, so signal windows take
+    # the jitter as well without changing their law
+    theta = turn[hit] * (2.0 * np.pi) + rng.standard_normal(hit.size) * src.jitter_sigma_rad
+    x = ia.take(r[hit]) * eta_a
+    y = ib.take(r[hit]) * eta_b
+    p_left_port = 0.5 + np.sqrt(x * y) * np.cos(theta) / (x + y)  # x + y > 0 where photons arrive
+    n_left = rng.binomial(n_hit, np.clip(p_left_port, 0.0, 1.0))
+    click_l = np.zeros(slot.size, dtype=bool)
+    click_r = np.zeros(slot.size, dtype=bool)
+    click_l[hit] = n_left > 0
+    click_r[hit] = n_left < n_hit
+    for click, positions in zip((click_l, click_r), dark):
+        click[np.searchsorted(slot, positions)] = True
 
     # classify the lone heralds of tallied windows
-    herald = np.flatnonzero(click_l ^ click_r)
-    herald = herald[row[herald] < _N_ROWS]
-    r = row[herald]
-    phase = delta[herald] * (2.0 * np.pi)
+    herald = np.flatnonzero((click_l ^ click_r) & (r < _N_ROWS))
+    r = r[herald]
+    phase = turn[herald] * (2.0 * np.pi)
     in0 = np.abs((phase + np.pi) % (2.0 * np.pi) - np.pi) <= half_width
     inpi = np.abs(phase - np.pi) <= half_width
     lit = (ia > 0.0) & (ib > 0.0)
@@ -447,13 +450,12 @@ def _sample_chunk(
     accepted = lit[r] & (in0 | inpi)
     error = accepted & np.where(click_l[herald], inpi, in0)
     z = r >= _N_DECOY_ROWS
-    bits_a, bits_b, z_error = z_bit_assignment(send_a[herald[z]], send_b[herald[z]])
+    bits_a, bits_b, z_error = z_bit_assignment(*_SENDS[:, r[z]])
     # wrong-port errors occur only in decoy rows and key-bit errors only in
     # signal rows, so one error column serves both row kinds
     error[z] = z_error
-    single = emitted[herald] == 1
+    single = emitted[slot[herald]] == 1
 
-    pulses = np.bincount(row, minlength=_N_ROWS + 1)[:_N_ROWS]
     columns = [pulses, np.bincount(r, minlength=_N_ROWS)]
     columns += [np.bincount(r[mask], minlength=_N_ROWS) for mask in (error, accepted, single)]
     return SessionTally(float(n), np.stack(columns, axis=1, dtype=float), bits_a, bits_b)
@@ -474,10 +476,16 @@ def monte_carlo_session(
     substream derived from (seed, chunk index), so the result is
     bit-identical for any n_jobs and any partitioning of chunks over
     workers. Ground-truth photon numbers are recorded per row so the decoy
-    analysis can be audited against the simulator.
+    analysis can be audited against the simulator. A session longer than
+    MC_MAX_PULSES is refused before the first chunk.
     """
     if n_pulses < 0:
         raise ValueError("n_pulses must be >= 0")
+    if n_pulses > MC_MAX_PULSES:
+        raise ValueError(
+            f"n_pulses {n_pulses:g} is past the sampler's cap of {MC_MAX_PULSES:g} pulses"
+            " (MC_MAX_PULSES)"
+        )
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
     _check_slice_half_width(slice_half_width_rad)
@@ -492,15 +500,11 @@ def monte_carlo_session(
         rng = _chunk_rng(seed, idx)
         return _sample_chunk(rng, size, src, eta_a, eta_b, nu, slice_half_width_rad)
 
-    if n_jobs == 1 or len(chunks) <= 1:
-        partials = [run(idx) for idx in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            partials = list(pool.map(run, chunks))
-
     tally = SessionTally(n_pulses=0.0)
-    for part in partials:  # merge in chunk order to keep bit streams stable
-        tally.merge(part)
+    threaded = n_jobs > 1 and len(chunks) > 1
+    with ThreadPoolExecutor(max_workers=n_jobs) if threaded else nullcontext() as pool:
+        for part in (pool.map if threaded else map)(run, chunks):
+            tally.merge(part)  # in chunk order, to keep the bit streams stable
     tally.validate()
     return tally
 

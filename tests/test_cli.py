@@ -248,6 +248,11 @@ ERROR_CASES = {
     ),
     "ten-pulses": (["simulate", "--n-pulses", "10"], None, 3, "tally lacks pulses"),
     "half-pulse": (["simulate", "--n-pulses", "0.5"], None, 3, "tally lacks pulses"),
+    # refused before the first chunk, so the case samples nothing
+    "pulses-past-cap": (
+        ["simulate", "--n-pulses", "1e300"], None, 3,
+        "infeasible: n_pulses 1e+300 is past the sampler's cap of 1e+09 pulses (MC_MAX_PULSES)",
+    ),
     "no-mu2-pulses": (
         KEYRATE_CONFIG, "[source]\np_mu2 = 0\np_mu1 = 0.65\n", 3, "tally lacks pulses",
     ),

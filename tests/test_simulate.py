@@ -22,9 +22,11 @@ from snslab import (
 from snslab.model import channel_transmittance
 from snslab.presets import desk_detector, desk_link, desk_source
 from snslab.simulate import (
-    DECOY, MC_CHUNK, MU1, MU2, MUZ, SIGNAL, VAC, _chunk_rng, _lone_clicks, _N_ROWS, _sample_chunk,
-    row_keys,
+    DECOY, MC_CHUNK, MC_MAX_PULSES, MU1, MU2, MUZ, SIGNAL, VAC, _chunk_rng, _lone_clicks, _N_ROWS,
+    _sample_chunk, row_keys,
 )
+
+from conftest import balanced_source
 
 TALLY_FIELDS = ("pulses_sent", "one_detector_events", "error_events",
                 "accepted_events", "single_photon_events")
@@ -438,35 +440,43 @@ def test_session_tally_merge_is_additive():
 
 
 def test_seeded_monte_carlo_stream_is_frozen():
-    # 300 000 pulses span three chunks; the counts and the bit digest were
-    # taken from the row-dict tally at commit 331f1c0, before the tally
-    # became one array, and must not move
+    # 300 000 pulses span three chunks. Re-frozen at the commit "Draw only
+    # what a click can read: a sparse chunk sampler, equal in law": the
+    # sampler stopped taking eleven full-length draws per chunk and now
+    # draws one row code per slot, the dark clicks as a count and positions,
+    # and the phases only where a click can be read. That moved the stream
+    # but not its law, which the agreement test against the two-step
+    # reference below checks. The values were first frozen from the
+    # row-dict tally at commit 331f1c0; they must not move without a stated
+    # reason.
     tally = monte_carlo_session(desk_link(), desk_detector(), desk_source(), 300_000, seed=4)
     assert tally.n_pulses == 300_000.0
     assert [astuple(tally.rows[key]) for key in row_keys()] == [
-        (3253.0, 0.0, 0.0, 0.0, 0.0),
-        (5730.0, 55.0, 0.0, 0.0, 47.0),
-        (460.0, 19.0, 0.0, 0.0, 11.0),
-        (5752.0, 46.0, 0.0, 0.0, 43.0),
-        (9348.0, 169.0, 1.0, 31.0, 138.0),
-        (815.0, 36.0, 0.0, 8.0, 22.0),
-        (463.0, 16.0, 0.0, 0.0, 12.0),
-        (770.0, 38.0, 2.0, 8.0, 29.0),
-        (73.0, 11.0, 0.0, 1.0, 5.0),
-        (29078.0, 1165.0, 0.0, 0.0, 759.0),
-        (29103.0, 1168.0, 0.0, 0.0, 746.0),
-        (10926.0, 797.0, 797.0, 0.0, 343.0),
-        (78085.0, 22.0, 22.0, 0.0, 0.0),
+        (3310.0, 2.0, 0.0, 0.0, 0.0),
+        (5780.0, 45.0, 0.0, 0.0, 38.0),
+        (488.0, 12.0, 0.0, 0.0, 6.0),
+        (5682.0, 48.0, 0.0, 0.0, 41.0),
+        (9680.0, 192.0, 1.0, 36.0, 156.0),
+        (832.0, 26.0, 0.0, 3.0, 14.0),
+        (479.0, 12.0, 0.0, 0.0, 7.0),
+        (827.0, 34.0, 1.0, 8.0, 18.0),
+        (81.0, 5.0, 0.0, 0.0, 3.0),
+        (28832.0, 1105.0, 0.0, 0.0, 715.0),
+        (29320.0, 1161.0, 0.0, 0.0, 769.0),
+        (11011.0, 885.0, 885.0, 0.0, 380.0),
+        (77971.0, 20.0, 20.0, 0.0, 0.0),
     ]
     bits = tally.z_bits_alice.tobytes() + tally.z_bits_bob.tobytes()
-    assert tally.z_bits_alice.size == 3152
+    assert tally.z_bits_alice.size == 3171
     assert hashlib.sha256(bits).hexdigest() == (
-        "7ce8b84c1fdd018a54aeff35e7976e32d87f1021a91a7aafa2fa5ed2c95b33ea"
+        "0d52bb0b2124164016c3e3fe26c56cd27d63c1d02fb3801b0acee0958e55a0f4"
     )
 
 
-# The two-step chunk sampler the fused _sample_chunk replaced, kept verbatim
-# as the reference it must match bit for bit.
+# The two-step chunk sampler that _sample_chunk replaced, kept as an
+# independent reference: it draws every slot's roles, decoy picks, send
+# decisions, phases and dark clicks at full length, one draw each, and it
+# builds the row codes from them rather than from _row_pulses.
 
 def _simulate_chunk(
     rng: np.random.Generator,
@@ -574,6 +584,45 @@ def _tally_chunk(data: dict[str, np.ndarray], n: int) -> SessionTally:
     return SessionTally(float(n), counts, bits_a, bits_b)
 
 
+_BRIGHT_SOURCE = SourceParams(
+    mu1=12.0, mu2=45.0, muz=30.0, p_signal_window=0.5, p_mu1=0.4, p_mu2=0.4, p_vac=0.2,
+    epsilon_send=0.5, misalignment=0.1,
+)
+_BRIGHT_LINK = LinkModel(length_a_km=0.0, length_b_km=60.0, atten_db_per_km=0.2,
+                         station_loss_db=0.0, noise_per_pulse=0.3)
+
+
+@pytest.mark.parametrize(
+    "src, link, half_width",
+    [
+        (desk_source(), desk_link(), 0.3),
+        (balanced_source(), desk_link(), 0.3),
+        (_BRIGHT_SOURCE, _BRIGHT_LINK, 1.5),
+    ],
+    ids=["desk", "balanced", "bright"],
+)
+def test_chunk_sampler_agrees_in_law_with_the_two_step_reference(src, link, half_width):
+    # 16 chunks a side, each side on its own seeds; every cell is a sum of
+    # independent per-slot indicators, so its variance is at most its mean
+    det = desk_detector()
+    eta_a, eta_b = channel_transmittance(link, det)
+    args = (src, eta_a, eta_b, link.noise_per_pulse, half_width)
+    old, new = SessionTally(n_pulses=0.0), SessionTally(n_pulses=0.0)
+    for idx in range(16):
+        data = _simulate_chunk(_chunk_rng(1000, idx), MC_CHUNK, *args)
+        old.merge(_tally_chunk(data, MC_CHUNK))
+        new.merge(_sample_chunk(_chunk_rng(2000, idx), MC_CHUNK, *args))
+    assert new.n_pulses == old.n_pulses == 16.0 * MC_CHUNK
+    zero = expected_tallies(link, det, src, old.n_pulses, half_width).counts == 0.0
+    assert not old.counts[zero].any() and not new.counts[zero].any()
+    gap = np.abs(old.counts - new.counts)
+    assert np.all(gap <= 5.0 * np.sqrt(old.counts + new.counts)), (old.counts, new.counts)
+    n_old, n_new = old.signal_heralded(), new.signal_heralded()
+    q = (old.pre_pairing_qber() * n_old + new.pre_pairing_qber() * n_new) / (n_old + n_new)
+    sd = math.sqrt(q * (1.0 - q) * (1.0 / n_old + 1.0 / n_new))
+    assert abs(old.pre_pairing_qber() - new.pre_pairing_qber()) <= 5.0 * sd
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
@@ -590,25 +639,51 @@ def _tally_chunk(data: dict[str, np.ndarray], n: int) -> SessionTally:
 )
 @example(seed=4, n=MC_CHUNK, src=desk_source(), link=desk_link(), half_width=0.3)
 @example(seed=0, n=1, src=desk_source(), link=desk_link(), half_width=0.3)
-@example(
-    seed=7, n=MC_CHUNK,
-    src=SourceParams(mu1=12.0, mu2=45.0, muz=30.0, p_signal_window=0.5, p_mu1=0.4,
-                     p_mu2=0.4, p_vac=0.2, epsilon_send=0.5, misalignment=0.1),
-    link=LinkModel(length_a_km=0.0, length_b_km=60.0, atten_db_per_km=0.2,
-                   station_loss_db=0.0, noise_per_pulse=0.3),
-    half_width=1.5,
-)
-def test_fused_chunk_sampler_equals_the_two_step_reference(seed, n, src, link, half_width):
+@example(seed=7, n=MC_CHUNK, src=_BRIGHT_SOURCE, link=_BRIGHT_LINK, half_width=1.5)
+def test_chunk_sampler_keeps_the_exact_invariants_in_every_draw(seed, n, src, link, half_width):
     eta_a, eta_b = channel_transmittance(link, desk_detector())
-    args = (src, eta_a, eta_b, link.noise_per_pulse, half_width)
-    want = _tally_chunk(_simulate_chunk(_chunk_rng(seed, 0), n, *args), n)
-    got = _sample_chunk(_chunk_rng(seed, 0), n, *args)
-    assert got.n_pulses == want.n_pulses == float(n)
-    assert got.counts.dtype == want.counts.dtype
-    assert np.array_equal(got.counts, want.counts)
-    for side in ("z_bits_alice", "z_bits_bob"):
-        assert getattr(got, side).dtype == getattr(want, side).dtype
-        assert getattr(got, side).tobytes() == getattr(want, side).tobytes()
+    tally = _sample_chunk(
+        _chunk_rng(seed, 0), n, src, eta_a, eta_b, link.noise_per_pulse, half_width
+    )
+    tally.validate()
+    assert tally.n_pulses == float(n)
+    bits_a, bits_b = tally.z_bits_alice, tally.z_bits_bob
+    assert bits_a.size == bits_b.size == tally.signal_heralded()
+    rows = tally.rows
+    for combo in ((MUZ, MUZ), (VAC, VAC)):
+        assert rows[(SIGNAL, *combo)].error_events == rows[(SIGNAL, *combo)].one_detector_events
+    for combo in ((MUZ, VAC), (VAC, MUZ)):
+        assert rows[(SIGNAL, *combo)].error_events == 0.0
+    assert np.count_nonzero(bits_a != bits_b) == sum(
+        rows[(SIGNAL, *combo)].error_events for combo in ((MUZ, MUZ), (VAC, VAC))
+    )
+    lit = {(DECOY, a, b) for a in (MU1, MU2) for b in (MU1, MU2)}
+    for key, row in rows.items():
+        if key not in lit:
+            assert row.accepted_events == 0.0, key
+        assert row.single_photon_events <= row.one_detector_events, key
+
+
+@pytest.mark.parametrize("nu", [1e-4, 0.3])
+def test_dark_clicks_of_a_silent_source_herald_at_two_nu_one_minus_nu(nu):
+    # only the dark-count draw can click; a lone click has probability
+    # 2 nu (1 - nu) in every slot, whatever its row
+    link = LinkModel(length_a_km=50.0, length_b_km=50.0, atten_db_per_km=0.2,
+                     station_loss_db=0.0, noise_per_pulse=nu)
+    src = SourceParams(mu1=0.1, mu2=0.4, muz=0.45, p_signal_window=0.5, p_mu1=0.0,
+                       p_mu2=0.0, p_vac=1.0, epsilon_send=0.0, misalignment=0.0)
+    tally = monte_carlo_session(link, desk_detector(), src, 8 * MC_CHUNK, seed=12)
+    p = 2.0 * nu * (1.0 - nu)
+    for key, row in tally.rows.items():
+        sd = math.sqrt(row.pulses_sent * p * (1.0 - p))
+        assert abs(row.one_detector_events - row.pulses_sent * p) <= 5.0 * sd, key
+        assert row.single_photon_events == 0.0
+
+
+def test_sessions_past_the_cap_are_refused_before_the_first_chunk():
+    link, det, src = desk_link(), desk_detector(), desk_source()
+    with pytest.raises(ValueError, match="cap"):
+        monte_carlo_session(link, det, src, int(MC_MAX_PULSES) + 1, seed=1)
 
 
 @pytest.mark.parametrize("n_pulses", [MC_CHUNK - 1, MC_CHUNK + 1, 3 * MC_CHUNK + 7])
