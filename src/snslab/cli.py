@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import json
 import math
@@ -473,20 +474,32 @@ def _cmd_sense(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"[sensing] {exc}") from None
 
-    # written only after every step above has succeeded, so a failed run leaves no files
+    # written only after every step above has succeeded, and under temporary
+    # names that are moved into place once every write is done, so a failed
+    # run leaves none of its files behind
     out_dir = args.out or "."
     traces = {"trace_alice": trace_a, "trace_bob": trace_b, "recovered_phase": recovered}
     paths = {name: os.path.join(out_dir, f"{name}.txt") for name in traces}
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        for name, trace in traces.items():
-            write_trace(paths[name], trace)
-    except OSError as exc:
-        raise ConfigError(f"cannot write --out {out_dir}: {exc}") from None
     record = dataclasses.asdict(result)
     record = {k: bool(v) if k == "out_of_range" else float(v) for k, v in record.items()}
     loc_path = os.path.join(out_dir, "localization.json")
-    _emit(_render(record, "json"), loc_path)
+    staged = {path: os.path.join(out_dir, f".{os.path.basename(path)}.{os.getpid()}.tmp")
+              for path in [*paths.values(), loc_path]}
+    placed = []
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, trace in traces.items():
+            write_trace(staged[paths[name]], trace)
+        with open(staged[loc_path], "w", encoding="ascii") as fh:
+            fh.write(_render(record, "json"))
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
+            placed.append(path)
+    except OSError as exc:
+        for path in [*staged.values(), *placed]:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise ConfigError(f"cannot write --out {out_dir}: {exc}") from None
     summary = {**paths, "localization_file": loc_path, "localization": record}
     sys.stdout.write(_render(summary, args.format))
     return 0

@@ -13,6 +13,8 @@ key=value header so files round-trip byte for byte.
 from __future__ import annotations
 
 import math
+import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +95,8 @@ class PhaseTrace:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if self.sample_rate_hz <= 0.0:
-            raise ValueError("sample_rate_hz must be > 0")
+        if not 0.0 < self.sample_rate_hz < math.inf:
+            raise ValueError("sample_rate_hz must be finite and > 0")
 
     @property
     def n_samples(self) -> int:
@@ -105,34 +107,60 @@ class PhaseTrace:
         return self.n_samples / self.sample_rate_hz
 
 
+# samples per block of the Python-level loops (trace lines, tracker frames): the
+# per-block calls are amortized and no Python object spans the whole trace. At
+# 4096 a block's text (~160 kB) crossed malloc's mmap threshold, and the sense
+# bench's peak RSS then crept up by as much as 9 MB over repeated writes
+_BLOCK = 512
+
+
 def write_trace(path, trace: PhaseTrace) -> None:
-    """Two-column text dump (time_s, phase_rad); repr keeps round trips exact."""
-    with open(path, "w", encoding="ascii") as fh:
+    """Two-column text dump (time_s, phase_rad); repr keeps round trips exact.
+
+    Line i holds repr(i / rate) and repr(samples[i]). Each block of lines
+    is formatted by one %-operation from C; np.arange(n) / rate equals the
+    per-line i / rate bit for bit below 2**53 samples.
+    """
+    if not trace.origin.isascii() or any(ch.isspace() for ch in trace.origin):
+        raise ValueError(f"origin {trace.origin!r} must be ASCII without whitespace")
+    n = trace.n_samples
+    block = np.empty((min(n, _BLOCK), 2))
+    # a tiny rate overflows i / rate to inf, written as "inf" like any other float
+    with open(path, "w", encoding="ascii") as fh, np.errstate(over="ignore"):
         fh.write(f"# sample_rate_hz={trace.sample_rate_hz!r} origin={trace.origin}\n")
-        rate = trace.sample_rate_hz
-        fh.writelines(f"{i / rate!r} {v!r}\n" for i, v in enumerate(trace.samples.tolist()))
+        for start in range(0, n, _BLOCK):
+            rows = block[: min(n - start, _BLOCK)]
+            np.divide(np.arange(start, start + len(rows)), trace.sample_rate_hz, out=rows[:, 0])
+            rows[:, 1] = trace.samples[start : start + len(rows)]
+            fh.write("%r %r\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def read_trace(path) -> PhaseTrace:
+    """Read a write_trace file; blank lines are skipped, every other needs two columns."""
+    path = os.fsdecode(path)
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
-        if not header.startswith("# "):
-            raise ValueError(f"{path}: missing trace header")
-        fields = dict(part.split("=", 1) for part in header[2:].split())
+    if not header.startswith("# "):
+        raise ValueError(f"{path}: missing trace header")
+    fields = dict(part.split("=", 1) for part in header[2:].split())
+    try:
+        rate = float(fields["sample_rate_hz"])
+        origin = fields["origin"]
+    except KeyError as exc:
+        raise ValueError(f"{path}: header lacks {exc.args[0]}") from None
+    with warnings.catch_warnings():
+        # a header-only trace is valid and holds no samples
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            rate = float(fields["sample_rate_hz"])
-            origin = fields["origin"]
-        except KeyError as exc:
-            raise ValueError(f"{path}: header lacks {exc.args[0]}") from None
-        samples = []
-        for line in fh:
-            if not line.strip():
-                continue
-            cols = line.split()
-            if len(cols) != 2:
-                raise ValueError(f"{path}: expected two columns per sample line")
-            samples.append(float(cols[1]))
-    return PhaseTrace(samples=np.array(samples), sample_rate_hz=rate, origin=origin)
+            # by name, not by handle: numpy then reads the file in chunks from C
+            body = np.loadtxt(path, skiprows=1, encoding="ascii", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: expected two numbers per sample line: {exc}") from None
+    if body.shape[0] == 0:
+        body = np.empty((0, 2))
+    if body.shape[1] != 2:
+        raise ValueError(f"{path}: expected two columns per sample line")
+    return PhaseTrace(samples=body[:, 1].copy(), sample_rate_hz=rate, origin=origin)
 
 
 def simulate_phase_traces(
@@ -238,19 +266,25 @@ def recover_phase_from_reference(
     if np.any(total <= 0.0):
         raise ValueError("a frame recorded no photons on either port")
     base = np.arccos(np.clip((nl - nr) / total, -1.0, 1.0))
+    # Python floats, a block at a time: numpy scalars or a store per frame cost several
+    # times more, and whole-trace lists of floats would hold 32 bytes per frame
     out = np.empty_like(base)
-    # Python floats: on numpy scalars the per-frame arithmetic costs several times more
+    rnd = round
     prev = prev2 = float(base[0])
     two_pi = 2.0 * np.pi
-    for i, b in enumerate(map(float, base)):
-        predicted = 2.0 * prev - prev2
-        k_plus = round((predicted - b) / two_pi)
-        c_plus = b + two_pi * k_plus
-        k_minus = round((predicted + b) / two_pi)
-        c_minus = -b + two_pi * k_minus
-        current = c_plus if abs(c_plus - predicted) <= abs(c_minus - predicted) else c_minus
-        out[i] = current
-        prev2, prev = prev, current
+    for start in range(0, base.size, _BLOCK):
+        block = []
+        append = block.append
+        for b in base[start : start + _BLOCK].tolist():
+            predicted = 2.0 * prev - prev2
+            k_plus = rnd((predicted - b) / two_pi)
+            c_plus = b + two_pi * k_plus
+            k_minus = rnd((predicted + b) / two_pi)
+            c_minus = -b + two_pi * k_minus
+            current = c_plus if abs(c_plus - predicted) <= abs(c_minus - predicted) else c_minus
+            append(current)
+            prev2, prev = prev, current
+        out[start : start + len(block)] = block
     return PhaseTrace(samples=out, sample_rate_hz=frame_rate_hz, origin=origin)
 
 

@@ -495,6 +495,42 @@ def test_sense_end_to_end(tmp_path):
         assert (out_dir / name).read_bytes() == blob
 
 
+@pytest.mark.parametrize("blocker", ["trace_bob.txt", "localization.json"])
+def test_failed_sense_write_leaves_no_file(tmp_path, blocker):
+    # a directory where an output file should go makes that one move fail
+    # after the other files were written
+    cfg = tmp_path / "case.ini"
+    cfg.write_text(sensing_ini())
+    out = tmp_path / "out"
+    (out / blocker).mkdir(parents=True)
+    code, stdout, err = run_cli("sense", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert err.startswith("config error: cannot write --out") and "Traceback" not in err
+    assert stdout == ""
+    assert [p.name for p in out.iterdir()] == [blocker]
+    assert not any((out / blocker).iterdir())
+
+
+def test_sense_write_failure_on_the_second_trace_leaves_no_file(tmp_path, monkeypatch):
+    calls = []
+
+    def failing_second_write(path, trace):
+        calls.append(path)
+        if len(calls) == 2:
+            raise PermissionError(13, "Permission denied", path)
+        cli_write_trace(path, trace)
+
+    cli_write_trace = cli.write_trace
+    monkeypatch.setattr(cli, "write_trace", failing_second_write)
+    cfg = tmp_path / "case.ini"
+    cfg.write_text(sensing_ini())
+    out = tmp_path / "out"
+    code, _, err = run_cli("sense", "--config", str(cfg), "--out", str(out))
+    assert code == 2 and "Permission denied" in err
+    assert len(calls) == 2
+    assert list(out.iterdir()) == []
+
+
 def test_sense_missing_section_is_config_error(tmp_path):
     cfg = tmp_path / "nosensing.ini"
     cfg.write_text("[vibration.a]\nposition_km = 1\nfrequency_hz = 5\namplitude_rad = 0.1\n")

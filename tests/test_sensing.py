@@ -1,9 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from snslab.sensing import (
+    _BLOCK,
     DegenerateTraceError,
     DelayOutOfRangeError,
     LinkGeometry,
@@ -79,6 +83,12 @@ def test_phase_trace_properties_and_validation():
         PhaseTrace(samples=np.zeros((2, 2)), sample_rate_hz=1.0, origin="x")
     with pytest.raises(ValueError):
         PhaseTrace(samples=np.zeros(4), sample_rate_hz=0.0, origin="x")
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf])
+def test_phase_trace_refuses_non_finite_rates(rate):
+    with pytest.raises(ValueError, match="sample_rate_hz must be finite"):
+        PhaseTrace(samples=np.zeros(4), sample_rate_hz=rate, origin="x")
 
 
 # -------------------------------------------------------------- simulation
@@ -209,6 +219,55 @@ def test_recovery_equals_per_frame_reference_exactly():
     assert np.array_equal(rec.samples, _tracker_reference(left, right))
 
 
+def _tracker_array_store_reference(counts_left, counts_right):
+    """The tracker as a loop that stores each frame into an array: the byte reference."""
+    total = counts_left + counts_right
+    base = np.arccos(np.clip((counts_left - counts_right) / total, -1.0, 1.0))
+    out = np.empty_like(base)
+    prev = prev2 = float(base[0])
+    two_pi = 2.0 * np.pi
+    for i, b in enumerate(map(float, base)):
+        predicted = 2.0 * prev - prev2
+        k_plus = round((predicted - b) / two_pi)
+        c_plus = b + two_pi * k_plus
+        k_minus = round((predicted + b) / two_pi)
+        c_minus = -b + two_pi * k_minus
+        current = c_plus if abs(c_plus - predicted) <= abs(c_minus - predicted) else c_minus
+        out[i] = current
+        prev2, prev = prev, current
+    return out
+
+
+def _sense_demo_counts():
+    # the sense_demo.ini link, source and photon budget over a shorter record
+    geo = LinkGeometry(length_km=200.0)
+    source = VibrationSource(position_km=60.0, frequency_hz=800.0, amplitude_rad=0.8,
+                             dc_offset_rad=1.2, start_s=0.05, duration_s=0.1)
+    _, bob = simulate_phase_traces(geo, source, 0.1, 200e3, seed=5)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(1,)))
+    return synthesize_reference_counts(bob.samples, 1e4, rng)
+
+
+def _winding_counts():
+    # a ramp through three full turns plus a wobble: the track crosses the
+    # folds at 0 and pi again and again and leaves the first branch for good
+    t = np.arange(6000) / 3000.0
+    phases = 0.4 + 3.0 * np.pi * t + 0.8 * np.sin(2 * np.pi * 5.0 * t)
+    return synthesize_reference_counts(phases, 1e6, np.random.default_rng(21))
+
+
+@pytest.mark.parametrize("counts, min_span", [(_sense_demo_counts, 2.0),
+                                              (_winding_counts, 5.0 * np.pi)],
+                         ids=["sense-demo", "winding"])
+def test_tracker_is_pinned_to_the_array_store_loop(counts, min_span):
+    left, right = counts()
+    rec = recover_phase_from_reference(left, right, 3000.0)
+    want = _tracker_array_store_reference(left, right)
+    assert np.ptp(want) > min_span
+    assert rec.samples.dtype == np.float64
+    assert rec.samples.tobytes() == want.tobytes()
+
+
 def test_recovery_stays_on_track_with_photon_noise():
     fs = 3000.0
     t = np.arange(int(fs)) / fs
@@ -265,6 +324,91 @@ def test_trace_reader_rejects_malformed_files(tmp_path):
     bad.write_text("# sample_rate_hz=10.0 origin=alice\n0.0 1.0 2.0\n")
     with pytest.raises(ValueError):
         read_trace(bad)
+
+
+def _write_trace_reference(path, trace):
+    """The per-line writer the block writer replaced: the byte reference for trace files."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"# sample_rate_hz={trace.sample_rate_hz!r} origin={trace.origin}\n")
+        rate = trace.sample_rate_hz
+        fh.writelines(f"{i / rate!r} {v!r}\n" for i, v in enumerate(trace.samples.tolist()))
+
+
+def _assert_same_samples(got, want):
+    """Bit for bit, except that any nan only has to read back as a nan."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def _check_writer(directory, samples, rate):
+    trace = PhaseTrace(samples=np.array(samples, dtype=float), sample_rate_hz=rate, origin="x")
+    ours, ref = directory / "ours.txt", directory / "ref.txt"
+    write_trace(ours, trace)
+    _write_trace_reference(ref, trace)
+    assert ours.read_bytes() == ref.read_bytes()
+    back = read_trace(ours)
+    assert back.sample_rate_hz == rate and back.origin == "x"
+    _assert_same_samples(back.samples, trace.samples)
+
+
+SPECIAL_FLOATS = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e-5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    samples=st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)), max_size=60),
+    rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+@example(samples=SPECIAL_FLOATS, rate=5e-324)
+@example(samples=SPECIAL_FLOATS, rate=1.7976931348623157e308)
+def test_block_writer_matches_the_per_line_writer(tmp_path_factory, samples, rate):
+    _check_writer(tmp_path_factory.mktemp("io"), samples, rate)
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1], ids=lambda n: f"n{n}"
+)
+def test_block_writer_matches_at_block_edges(tmp_path, n):
+    samples = np.random.default_rng(n).standard_normal(n)
+    samples[::97] = SPECIAL_FLOATS[n % len(SPECIAL_FLOATS)]
+    _check_writer(tmp_path, samples, 200e3)
+
+
+def test_writer_refuses_an_origin_the_reader_cannot_split(tmp_path):
+    path = tmp_path / "t.txt"
+    for origin in ("my trace", "tab\there", "line\nbreak"):
+        with pytest.raises(ValueError, match="origin"):
+            write_trace(path, PhaseTrace(samples=np.zeros(3), sample_rate_hz=1.0, origin=origin))
+        assert not path.exists()
+
+
+def test_trace_reader_skips_blank_lines(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("# sample_rate_hz=2.0 origin=a\n\n0.0 1.5\n   \n\t\n0.5 -2.5\n \n")
+    back = read_trace(path)
+    assert back.samples.tolist() == [1.5, -2.5]
+
+
+@pytest.mark.parametrize("line", ["1.0", "1.0 2.0 3.0", "1.0 abc"])
+@pytest.mark.parametrize("row", [0, 1, 5])
+def test_trace_reader_names_the_file_of_a_bad_line_at_any_row(tmp_path, line, row):
+    rows = ["0.0 1.0"] * 6
+    rows[row] = line
+    path = tmp_path / "bad.txt"
+    path.write_text("# sample_rate_hz=10.0 origin=alice\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=str(path)):
+        read_trace(path)
+
+
+def test_header_only_trace_reads_as_no_samples_without_warning(tmp_path):
+    path = tmp_path / "empty.txt"
+    write_trace(path, PhaseTrace(samples=np.zeros(0), sample_rate_hz=5.0, origin="a"))
+    assert path.read_text() == "# sample_rate_hz=5.0 origin=a\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_trace(path)
+    assert back.n_samples == 0 and back.sample_rate_hz == 5.0
 
 
 # ------------------------------------------------------------- correlation
