@@ -98,8 +98,8 @@ _SECTION_KEYS = {
     **{section: _field_names(cls) for section, (cls, _) in _MODEL_SECTIONS.items()},
     "keyrate": set(_KEYRATE_KEYS),
     "run": {"n_pulses", "seed", "slice_half_width_rad", "n_jobs"},
-    "curve": {"distances_km", "n_pulses"},
-    "optimize": {"n_starts", "budget", "n_pulses"},
+    "curve": {"distances_km"},
+    "optimize": {"n_starts", "budget"},
     "sensing": _field_names(LinkGeometry) | set(_SENSING_KEYS),
 }
 _VIBRATION_KEYS = _field_names(VibrationSource)
@@ -175,8 +175,15 @@ def _build(cp, section: str, cls=None):
         raise ConfigError(f"[{section}] {exc}") from None
 
 
+def _setting(cp, args, section: str, key: str, default):
+    """[section] key (an integer if default is), checked even beside its flag; the flag wins."""
+    value = (_getint if isinstance(default, int) else _getfloat)(cp, section, key, default)
+    flag = getattr(args, key, None)
+    return value if flag is None else _finite(flag, "--" + key.replace("_", "-"))
+
+
 def _seed(cp, args) -> int:
-    seed = args.seed if args.seed is not None else _getint(cp, "run", "seed", 1)
+    seed = _setting(cp, args, "run", "seed", 1)
     if seed < 0:
         raise ConfigError("[run] seed must be >= 0")
     return seed
@@ -193,9 +200,7 @@ def _half_width(cp) -> float:
 
 
 def _n_pulses(cp, args, default_pulses: float) -> float:
-    n_pulses = _getfloat(cp, "run", "n_pulses", default_pulses)
-    if getattr(args, "n_pulses", None) is not None:
-        n_pulses = _finite(args.n_pulses, "--n-pulses")
+    n_pulses = _setting(cp, args, "run", "n_pulses", default_pulses)
     if n_pulses <= 0:
         raise ConfigError("[run] n_pulses must be > 0")
     return n_pulses
@@ -295,6 +300,9 @@ def _cmd_keyrate(args) -> int:
     det, sec = _build(cp, "detector"), _build(cp, "security")
     if cp.has_section("keyrate"):
         # session quantities supplied directly, no channel model involved
+        if args.n_pulses is not None:
+            raise ConfigError("--n-pulses does not apply here: [keyrate] n_pulses is the "
+                              "length of the session the aggregates came from")
         inputs = {key: _getfloat(cp, "keyrate", key) for key in _KEYRATE_KEYS}
         try:
             report = key_rate(**inputs, sec=sec)
@@ -325,7 +333,7 @@ def _cmd_simulate(args) -> int:
     cp = _read_config(args.config)
     link, det, src, sec = (_build(cp, section) for section in _MODEL_SECTIONS)
     n_pulses, seed = _n_pulses(cp, args, default_pulses=1e6), _seed(cp, args)
-    n_jobs = args.n_jobs if args.n_jobs is not None else _getint(cp, "run", "n_jobs", 1)
+    n_jobs = _setting(cp, args, "run", "n_jobs", 1)
     half_width = _half_width(cp)
     if n_jobs < 1:
         raise ConfigError("[run] n_jobs must be >= 1")
@@ -362,10 +370,6 @@ def _cmd_curve(args) -> int:
     cp = _read_config(args.config)
     link, det, src, sec = (_build(cp, section) for section in _MODEL_SECTIONS)
     n_pulses, half_width = _n_pulses(cp, args, default_pulses=1e10), _half_width(cp)
-    if cp.has_option("curve", "n_pulses"):
-        n_pulses = _getfloat(cp, "curve", "n_pulses")
-        if n_pulses <= 0:
-            raise ConfigError("[curve] n_pulses must be > 0")
     if args.distances is not None:
         distances = _parse_distances(args.distances)
     elif cp.has_option("curve", "distances_km"):
@@ -404,14 +408,9 @@ def _cmd_curve(args) -> int:
 def _cmd_optimize(args) -> int:
     cp = _read_config(args.config)
     link, det, src, sec = (_build(cp, section) for section in _MODEL_SECTIONS)
-    n_pulses = _getfloat(cp, "optimize", "n_pulses", 1e10)
-    n_starts = _getint(cp, "optimize", "n_starts", 12)
-    budget = _getint(cp, "optimize", "budget", 20000)
-    if args.n_starts is not None:
-        n_starts = args.n_starts
-    if args.budget is not None:
-        budget = args.budget
-    seed = _seed(cp, args)
+    n_pulses, seed = _n_pulses(cp, args, default_pulses=1e10), _seed(cp, args)
+    n_starts = _setting(cp, args, "optimize", "n_starts", 12)
+    budget = _setting(cp, args, "optimize", "budget", 20000)
     half_width = _half_width(cp)
     try:
         result = optimize_params(
@@ -521,13 +520,15 @@ def _cmd_plob(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, *, config: bool = True, seed: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, *, config=True, seed=False, n_pulses=False) -> None:
     if config:
         p.add_argument("--config", help="INI file; missing values fall back to desk presets")
     p.add_argument("--out", help="write the result here instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     if seed:
         p.add_argument("--seed", type=int, help="overrides [run] seed")
+    if n_pulses:
+        p.add_argument("--n-pulses", type=float, help="session length; overrides [run] n_pulses")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -539,13 +540,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keyrate", help="expected key rate of one configuration")
-    _add_common(p)
-    p.add_argument("--n-pulses", type=float, help="session length in pulses")
+    _add_common(p, n_pulses=True)
     p.set_defaults(func=_cmd_keyrate)
 
     p = sub.add_parser("simulate", help="sampled session with realized pairing")
-    _add_common(p, seed=True)
-    p.add_argument("--n-pulses", type=float)
+    _add_common(p, seed=True, n_pulses=True)
     p.add_argument("--n-jobs", type=int, help="worker threads; result is identical")
     p.set_defaults(func=_cmd_simulate)
 
@@ -555,7 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("optimize", help="tune source parameters for a link")
-    _add_common(p, seed=True)
+    _add_common(p, seed=True, n_pulses=True)
     p.add_argument("--n-starts", type=int)
     p.add_argument("--budget", type=int)
     p.set_defaults(func=_cmd_optimize)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -142,12 +142,14 @@ def read_trace(path) -> PhaseTrace:
         header = fh.readline()
     if not header.startswith("# "):
         raise ValueError(f"{path}: missing trace header")
-    fields = dict(part.split("=", 1) for part in header[2:].split())
     try:
-        rate = float(fields["sample_rate_hz"])
-        origin = fields["origin"]
+        fields = dict(part.split("=", 1) for part in header[2:].split())
+        head = PhaseTrace(samples=np.empty(0), sample_rate_hz=float(fields["sample_rate_hz"]),
+                          origin=fields["origin"])
     except KeyError as exc:
         raise ValueError(f"{path}: header lacks {exc.args[0]}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad trace header: {exc}") from None
     with warnings.catch_warnings():
         # a header-only trace is valid and holds no samples
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -160,7 +162,7 @@ def read_trace(path) -> PhaseTrace:
         body = np.empty((0, 2))
     if body.shape[1] != 2:
         raise ValueError(f"{path}: expected two columns per sample line")
-    return PhaseTrace(samples=body[:, 1].copy(), sample_rate_hz=rate, origin=origin)
+    return replace(head, samples=body[:, 1].copy())
 
 
 def simulate_phase_traces(
@@ -179,8 +181,8 @@ def simulate_phase_traces(
     random-walk drift (common-mode fiber and laser wander) and carry
     independent white readout noise.
     """
-    if duration_s <= 0.0 or sample_rate_hz <= 0.0:
-        raise ValueError("duration_s and sample_rate_hz must be > 0")
+    if not (0.0 < duration_s < math.inf and 0.0 < sample_rate_hz < math.inf):
+        raise ValueError("duration_s and sample_rate_hz must be > 0 and finite")
     if isinstance(sources, VibrationSource):
         sources = [sources]
     for s in sources:

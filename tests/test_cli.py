@@ -221,9 +221,32 @@ ERROR_CASES = {
     ),
     "keyrate-nan": (KEYRATE_CONFIG, KEYRATE + "n_untagged = nan\n", 2, "n_untagged"),
     "distance-nan": (["curve", "--distances", "10,nan"], None, 2, "distances_km"),
-    "curve-negative-pulses": (
-        ["curve", "--distances", "10", "--config", "{cfg}"], "[curve]\nn_pulses = -5\n", 2,
-        "[curve] n_pulses must be > 0",
+    # [run] n_pulses is the one session-length key
+    "curve-pulses-key": (
+        ["curve", "--distances", "10", "--config", "{cfg}"], "[curve]\nn_pulses = 1e9\n", 2,
+        "unknown key 'n_pulses' in [curve]",
+    ),
+    "optimize-pulses-key": (
+        ["optimize", "--budget", "1", "--n-starts", "1", "--config", "{cfg}"],
+        "[optimize]\nn_pulses = 1e9\n", 2, "unknown key 'n_pulses' in [optimize]",
+    ),
+    # the aggregates of [keyrate] come from a session of their own length
+    "keyrate-direct-pulses-flag": (
+        [*KEYRATE_CONFIG, "--n-pulses", "5"], KEYRATE + "n_untagged = 1000\n", 2,
+        "[keyrate] n_pulses is the length of the session the aggregates came from",
+    ),
+    # a flag wins over its key, but the key is still read and checked
+    "seed-flag-bad-key": (
+        ["optimize", "--seed", "3", "--budget", "1", "--n-starts", "1", "--config", "{cfg}"],
+        "[run]\nseed = abc\n", 2, "[run] seed must be an integer",
+    ),
+    "jobs-flag-bad-key": (
+        ["simulate", "--n-jobs", "1", "--n-pulses", "1000", "--config", "{cfg}"],
+        "[run]\nn_jobs = two\n", 2, "[run] n_jobs must be an integer",
+    ),
+    "budget-flag-bad-key": (
+        ["optimize", "--budget", "1", "--n-starts", "1", "--config", "{cfg}"],
+        "[optimize]\nbudget = 1.5\n", 2, "[optimize] budget must be an integer",
     ),
     "sensing-inf": (SENSE_CONFIG, sensing_ini(length_km="inf"), 2, "length_km must be finite"),
     "vibration-nan": (SENSE_CONFIG, sensing_ini() + "phase_rad = nan\n", 2, "phase_rad"),
@@ -298,8 +321,9 @@ def test_config_error_battery(tmp_path, case):
         ["plob", "--config", "/nonexistent.ini", "--loss-db", "3"],
         ["keyrate", "--seed", "1"],
         ["curve", "--seed", "1", "--distances", "10"],
+        ["curve", "--n-pulses", "1e9", "--distances", "10"],
     ],
-    ids=["plob-config", "keyrate-seed", "curve-seed"],
+    ids=["plob-config", "keyrate-seed", "curve-seed", "curve-n-pulses"],
 )
 def test_flags_a_command_never_reads_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
@@ -437,7 +461,8 @@ def test_curve_csv_columns():
 def test_optimize_cli_small_budget():
     code, out, _ = run_cli(
         "optimize", "--config", str(CONFIGS / "desk.ini"),
-        "--budget", "25", "--n-starts", "3", "--seed", "2", "--format", "json",
+        "--budget", "25", "--n-starts", "3", "--seed", "2", "--n-pulses", "1e9",
+        "--format", "json",
     )
     assert code == 0
     p = json.loads(out)
@@ -452,11 +477,37 @@ def test_optimize_cli_infeasible_link_exits_3(tmp_path):
     cfg = tmp_path / "dead.ini"
     cfg.write_text(
         "[link]\nlength_a_km = 1000\nlength_b_km = 1000\n"
-        "[optimize]\nn_pulses = 1e5\nn_starts = 2\nbudget = 5\n"
+        "[run]\nn_pulses = 1e5\n[optimize]\nn_starts = 2\nbudget = 5\n"
     )
     code, _, err = run_cli("optimize", "--config", str(cfg), "--seed", "1")
     assert code == 3
     assert "infeasible" in err
+
+
+def test_optimize_reads_the_session_length_of_run(tmp_path):
+    desk = (CONFIGS / "desk.ini").read_text()
+    cfg = tmp_path / "desk_1e9.ini"
+    cfg.write_text(desk.replace("n_pulses = 2e6", "n_pulses = 1e9"))
+    args = ("optimize", "--budget", "25", "--n-starts", "3", "--seed", "2")
+    code, out, _ = run_cli(*args, "--config", str(cfg))
+    assert code == 0
+    assert run_cli(*args, "--config", str(CONFIGS / "desk.ini"), "--n-pulses", "1e9")[1] == out
+
+
+def test_every_command_keys_the_658_km_link():
+    # the paper's point: 106 dB over 658.7 km at 1.007e13 pulses, read from [run]
+    cfg = str(CONFIGS / "longhaul_link.ini")
+    code, out, _ = run_cli("keyrate", "--config", cfg, "--format", "json")
+    assert code == 0
+    rate = json.loads(out)["rate"]["rate_per_pulse"]
+    assert rate > 0.0
+    code, out, _ = run_cli("curve", "--config", cfg, "--distances", "658.7", "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["simulated_rate"] > row["plob_relative"]
+    code, out, _ = run_cli("optimize", "--config", cfg, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rate_per_pulse"] >= rate
 
 
 # ------------------------------------------------------------------- sense

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -142,6 +143,11 @@ def test_simulation_validation():
     with pytest.raises(ValueError):
         simulate_phase_traces(geo, _burst(50.0), 0.1, 50e3, seed=0,
                               noise_std_rad=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be > 0 and finite"):
+            simulate_phase_traces(geo, _burst(50.0), bad, 50e3, seed=0)
+        with pytest.raises(ValueError, match="must be > 0 and finite"):
+            simulate_phase_traces(geo, _burst(50.0), 0.1, bad, seed=0)
     # sampling at exactly twice the source frequency is allowed
     a, _ = simulate_phase_traces(geo, _burst(50.0), 0.1, 1000.0, seed=0)
     assert a.n_samples == 100
@@ -324,6 +330,11 @@ def test_trace_reader_rejects_malformed_files(tmp_path):
     bad.write_text("# sample_rate_hz=10.0 origin=alice\n0.0 1.0 2.0\n")
     with pytest.raises(ValueError):
         read_trace(bad)
+    # header faults name the file too
+    for header in ("rate origin=a", "sample_rate_hz=abc origin=a", "sample_rate_hz=nan origin=a"):
+        bad.write_text(f"# {header}\n0.0 1.0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: bad trace header"):
+            read_trace(bad)
 
 
 def _write_trace_reference(path, trace):
