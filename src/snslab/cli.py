@@ -425,6 +425,8 @@ def _cmd_optimize(args) -> int:
     payload = {
         "params": {k: float(v) for k, v in result.params.items()},
         "rate_per_pulse": float(result.rate),
+        "rate_per_pulse_clamped": float(max(result.rate, 0.0)),
+        "clamped": bool(result.rate < 0.0),
         "bits_per_second": float(result.rate * det.pulse_rate_hz),
         "evaluations": int(result.evaluations),
         "start_index": int(result.start_index),

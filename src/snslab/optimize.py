@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import DetectorModel, LinkModel, SecurityParams, SourceParams
 from .security import SessionAnalysis, expected_post_processing
-from .simulate import DEFAULT_SLICE_HALF_WIDTH_RAD, expected_tallies
+from .simulate import DEFAULT_SLICE_HALF_WIDTH_RAD, _click_table, _mix_tallies
 
 PARAM_NAMES = (
     "mu1",
@@ -116,8 +116,15 @@ def _analyze(
     sec: SecurityParams,
     n_pulses: float,
     slice_half_width_rad: float,
+    tables: dict,
 ) -> SessionAnalysis:
-    tally = expected_tallies(link, det, src, n_pulses, slice_half_width_rad)
+    """The full chain at one point. tables holds the click tables built so far
+    at this link and half width, keyed by the only fields of src they read."""
+    key = (src.mu1, src.mu2, src.muz, src.misalignment)
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = _click_table(link, det, src, slice_half_width_rad)
+    tally = _mix_tallies(table, src, n_pulses)
     return expected_post_processing(tally, src, sec, slice_half_width_rad)
 
 
@@ -142,7 +149,7 @@ def evaluate(
         src = params
     else:
         src = params_to_source(np.asarray(params, dtype=float), misalignment)
-    analysis = _analyze(src, link, det, sec, n_pulses, slice_half_width_rad)
+    analysis = _analyze(src, link, det, sec, n_pulses, slice_half_width_rad, tables={})
     if not analysis.feasible:
         return INFEASIBLE_RATE
     return analysis.report.rate_per_pulse
@@ -200,11 +207,15 @@ def optimize_params(
             initial = [initial[n] for n in PARAM_NAMES]
         starts.insert(0, repair(space.clip(np.asarray(initial, dtype=float))))
 
+    # the click tables of this search only: the coordinate descent moves one
+    # coordinate at a time, and 4 of the 7 never change the table
+    tables = {}
+
     # scores compare as (feasible, rate) tuples: any feasible point beats
     # every infeasible one, then the higher rate wins
     def score(vec: np.ndarray) -> tuple[bool, float]:
         src = params_to_source(vec, misalignment)
-        analysis = _analyze(src, link, det, sec, n_pulses, slice_half_width_rad)
+        analysis = _analyze(src, link, det, sec, n_pulses, slice_half_width_rad, tables)
         return analysis.feasible, analysis.report.rate_per_pulse
 
     evals = 0

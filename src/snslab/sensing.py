@@ -198,7 +198,10 @@ def simulate_phase_traces(
     if drift_rate_rad2_per_s < 0.0 or noise_std_rad < 0.0:
         raise ValueError("noise magnitudes must be >= 0")
 
-    n = int(round(duration_s * sample_rate_hz))
+    n_samples = duration_s * sample_rate_hz
+    if not math.isfinite(n_samples):
+        raise ValueError(f"duration_s * sample_rate_hz = {n_samples} samples is not finite")
+    n = int(round(n_samples))
     t = np.arange(n) / sample_rate_hz
     v = geometry.light_speed_km_per_s
     alice = np.zeros(n)

@@ -39,6 +39,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,6 +103,11 @@ def _row_pulses(src: SourceParams, n_pulses: float) -> np.ndarray:
 
 # the send decisions of Alice and Bob that each row code stands for
 _SENDS = np.array([(a == MUZ, b == MUZ) for _, a, b in row_keys()]).T
+
+# a signal row's heralds are all bit errors when both or neither side sent
+_ALL_ERRORS = np.array([k == SIGNAL and a == b for k, a, b in row_keys()])
+# decoy rows with light on both sides; mu1 and mu2 are > 0 in every SourceParams
+_LIT = np.array([k == DECOY and a != VAC and b != VAC for k, a, b in row_keys()])
 
 
 def z_bit_assignment(alice_sent, bob_sent):
@@ -298,6 +304,66 @@ def _check_slice_half_width(half_width: float) -> None:
         raise ValueError("slice_half_width_rad must lie in (0, pi/2)")
 
 
+class _ClickTable(NamedTuple):
+    """The part of expected_tallies that no mixing probability reaches.
+
+    One entry per tally row, in row_keys() order, except slice_l and slice_r,
+    which hold the lit decoy rows only. It reads the channel, the three
+    intensities, the jitter (from misalignment) and the slice half width.
+    """
+
+    lone_l: np.ndarray
+    lone_r: np.ndarray
+    slice_l: np.ndarray
+    slice_r: np.ndarray
+    accept_frac: float
+    exp_total: np.ndarray
+    total: np.ndarray
+    p1: np.ndarray
+
+
+def _click_table(
+    link: LinkModel, det: DetectorModel, src: SourceParams, slice_half_width_rad: float
+) -> _ClickTable:
+    """Click and single-photon factors of every row of expected_tallies."""
+    _check_slice_half_width(slice_half_width_rad)
+    eta_a, eta_b = channel_transmittance(link, det)
+    nu = link.noise_per_pulse
+    sigma = src.jitter_sigma_rad
+    ia, ib = _row_intensities(src)
+    lone_l, lone_r, _ = click_probabilities(ia, ib, eta_a, eta_b, nu)
+
+    def slice_gain(k):
+        # uniform announced phase on [-w, w] times Gaussian jitter
+        w = slice_half_width_rad
+        return np.sinc(k * (w / math.pi)) * np.exp(-0.5 * (k * sigma) ** 2)
+
+    slice_l, slice_r, _ = _lone_clicks(ia[_LIT] * eta_a, ib[_LIT] * eta_b, nu, slice_gain)
+
+    # P(exactly one detector fires | one photon emitted in total)
+    total = ia + ib  # a dark row has no single-photon term; 1 avoids 0 / 0
+    arrive = (ia * eta_a + ib * eta_b) / np.where(total > 0.0, total, 1.0)
+    p1 = arrive * (1.0 - nu) + (1.0 - arrive) * 2.0 * nu * (1.0 - nu)
+    accept_frac = 2.0 * slice_half_width_rad / math.pi
+    return _ClickTable(lone_l, lone_r, slice_l, slice_r, accept_frac, np.exp(-total), total, p1)
+
+
+def _mix_tallies(table: _ClickTable, src: SourceParams, n_pulses: float) -> SessionTally:
+    """Weigh a click table by the row pulses of src's mixing probabilities."""
+    if n_pulses < 0:
+        raise ValueError("n_pulses must be >= 0")
+    pulses = _row_pulses(src, n_pulses)
+    heralds = pulses * (table.lone_l + table.lone_r)
+    errors = np.where(_ALL_ERRORS, heralds, 0.0)
+    accepted = np.zeros(_N_ROWS)
+    lit_pulses = pulses[_LIT] * table.accept_frac
+    accepted[_LIT] = lit_pulses * (table.slice_l + table.slice_r)
+    errors[_LIT] = lit_pulses * table.slice_r
+    single = pulses * table.exp_total * table.total * table.p1
+    counts = np.stack([pulses, heralds, errors, accepted, single], axis=1)
+    return SessionTally(float(n_pulses), counts)
+
+
 def expected_tallies(
     link: LinkModel,
     det: DetectorModel,
@@ -321,44 +387,14 @@ def expected_tallies(
     scaled by the total acceptance fraction. The slice scales harmonic k
     of the phase by sin(k w) / (k w) for the announced window of half
     width w and by exp(-k^2 sigma^2 / 2) for the jitter.
+
+    The work is split in two: _click_table reads only the channel, the
+    intensities and the jitter, and _mix_tallies weighs it by the row
+    pulses, so a caller that varies only the mixing probabilities can
+    build the table once.
     """
-    if n_pulses < 0:
-        raise ValueError("n_pulses must be >= 0")
-    _check_slice_half_width(slice_half_width_rad)
-    eta_a, eta_b = channel_transmittance(link, det)
-    nu = link.noise_per_pulse
-    sigma = src.jitter_sigma_rad
-    accept_frac = 2.0 * slice_half_width_rad / math.pi
-
-    keys = row_keys()
-    ia, ib = _row_intensities(src)
-    pulses = _row_pulses(src, n_pulses)
-
-    lone_l, lone_r, _ = click_probabilities(ia, ib, eta_a, eta_b, nu)
-    heralds = pulses * (lone_l + lone_r)
-    # a signal row's heralds are all bit errors when both or neither side sent
-    errors = np.where([k == SIGNAL and a == b for k, a, b in keys], heralds, 0.0)
-    accepted = np.zeros(len(keys))
-
-    lit = np.array([k == DECOY for k, _, _ in keys]) & (ia > 0.0) & (ib > 0.0)
-
-    def slice_gain(k):
-        # uniform announced phase on [-w, w] times Gaussian jitter
-        w = slice_half_width_rad
-        return np.sinc(k * (w / math.pi)) * np.exp(-0.5 * (k * sigma) ** 2)
-
-    slice_l, slice_r, _ = _lone_clicks(ia[lit] * eta_a, ib[lit] * eta_b, nu, slice_gain)
-    accepted[lit] = pulses[lit] * accept_frac * (slice_l + slice_r)
-    errors[lit] = pulses[lit] * accept_frac * slice_r
-
-    # P(exactly one detector fires | one photon emitted in total)
-    total = ia + ib  # a dark row has no single-photon term; 1 avoids 0 / 0
-    arrive = (ia * eta_a + ib * eta_b) / np.where(total > 0.0, total, 1.0)
-    p1 = arrive * (1.0 - nu) + (1.0 - arrive) * 2.0 * nu * (1.0 - nu)
-    single = pulses * np.exp(-total) * total * p1
-
-    counts = np.stack([pulses, heralds, errors, accepted, single], axis=1)
-    return SessionTally(float(n_pulses), counts)
+    table = _click_table(link, det, src, slice_half_width_rad)
+    return _mix_tallies(table, src, n_pulses)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:

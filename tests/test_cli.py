@@ -266,6 +266,11 @@ ERROR_CASES = {
     "negative-max-lag": (SENSE_CONFIG, sensing_ini(max_lag_s=-1), 2, "max_lag_s must be >= 0"),
     "negative-max-slack": (SENSE_CONFIG, sensing_ini(max_slack_s=-1), 2, "slack_s must be >= 0"),
     "two-samples": (SENSE_CONFIG, sensing_ini(duration_s=0.002), 2, "at least 3 samples"),
+    # the sample count overflowed to inf and crashed in int()
+    "sample-count-overflow": (
+        SENSE_CONFIG, sensing_ini(duration_s="1e200", sample_rate_hz="1e200"), 2,
+        "config error: [sensing] duration_s * sample_rate_hz = inf samples is not finite",
+    ),
     "photon-starved-frames": (
         SENSE_CONFIG, sensing_ini(photons_per_frame=1e-9), 3, "no photons",
     ),
@@ -492,6 +497,21 @@ def test_optimize_reads_the_session_length_of_run(tmp_path):
     code, out, _ = run_cli(*args, "--config", str(cfg))
     assert code == 0
     assert run_cli(*args, "--config", str(CONFIGS / "desk.ini"), "--n-pulses", "1e9")[1] == out
+
+
+@pytest.mark.parametrize("n_pulses, clamped", [(None, True), ("1e9", False)])
+def test_optimize_marks_a_negative_optimum(n_pulses, clamped):
+    # desk.ini's 2e6 pulses give no key even at the optimum
+    args = ["optimize", "--config", str(CONFIGS / "desk.ini"), "--budget", "150",
+            "--n-starts", "4", "--format", "json"]
+    if n_pulses is not None:
+        args += ["--n-pulses", n_pulses]
+    code, out, _ = run_cli(*args)
+    assert code == 0
+    p = json.loads(out)
+    assert p["clamped"] is clamped
+    assert (p["rate_per_pulse"] < 0.0) is clamped
+    assert p["rate_per_pulse_clamped"] == max(p["rate_per_pulse"], 0.0)
 
 
 def test_every_command_keys_the_658_km_link():

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import snslab.optimize
+import snslab.simulate
 from snslab.optimize import (
     INFEASIBLE_RATE,
     PARAM_NAMES,
@@ -191,3 +193,48 @@ def test_optimizer_reports_infeasible_when_nothing_works(desk):
 def test_desk_source_vector_matches_preset():
     src = desk_source()
     assert [getattr(src, n) for n in PARAM_NAMES] == list(DESK_VEC)
+
+
+def test_optimizer_result_is_pinned(desk):
+    # one exact search on the desk presets; a change that only speeds the
+    # objective up must reproduce it bit for bit
+    link, det, src, sec = desk
+    res = optimize_params(
+        link, det, sec, 1e9, seed=0, n_starts=4, budget=150, misalignment=src.misalignment,
+    )
+    assert res.params == {
+        "mu1": 0.06557325357581835,
+        "mu2": 0.48313857946020655,
+        "muz": 0.49048066852711164,
+        "p_signal_window": 0.7912474383397743,
+        "p_mu1": 0.5776716145657467,
+        "p_mu2": 0.03667057087749245,
+        "epsilon_send": 0.275850735980605,
+    }
+    assert res.rate == 0.00028144133416000783
+    assert res.evaluations == 150
+    assert res.start_index == 1
+
+
+def test_optimizer_builds_one_click_table_per_intensity_triple(desk, monkeypatch):
+    link, det, src, sec = desk
+    builds, scored = [], []
+    click_probabilities = snslab.simulate.click_probabilities
+    params_to_source = snslab.optimize.params_to_source
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return click_probabilities(*args, **kwargs)
+
+    def recorded(vec, misalignment=0.0):
+        point = params_to_source(vec, misalignment)
+        scored.append((point.mu1, point.mu2, point.muz))
+        return point
+
+    monkeypatch.setattr(snslab.simulate, "click_probabilities", counted)
+    monkeypatch.setattr(snslab.optimize, "params_to_source", recorded)
+    res = optimize_params(
+        link, det, sec, 1e9, seed=0, n_starts=4, budget=60, misalignment=src.misalignment,
+    )
+    assert len(scored) == res.evaluations
+    assert len(builds) == len(set(scored)) < res.evaluations

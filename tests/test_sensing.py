@@ -153,6 +153,13 @@ def test_simulation_validation():
     assert a.n_samples == 100
 
 
+def test_simulation_refuses_a_sample_count_that_overflows():
+    # each factor is finite, their product is not
+    geo = LinkGeometry(length_km=100.0)
+    with pytest.raises(ValueError, match="samples is not finite"):
+        simulate_phase_traces(geo, _burst(50.0), 1e200, 1e200, seed=0)
+
+
 # ------------------------------------------------------- reference channel
 
 def test_reference_counts_exact_means():

@@ -1,7 +1,7 @@
 import hashlib
 import itertools
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -20,10 +20,12 @@ from snslab import (
     z_bit_assignment,
 )
 from snslab.model import channel_transmittance
-from snslab.presets import desk_detector, desk_link, desk_source
+from snslab.presets import (
+    desk_detector, desk_link, desk_source, reference_detector, reference_link,
+)
 from snslab.simulate import (
-    DECOY, MC_CHUNK, MC_MAX_PULSES, MU1, MU2, MUZ, SIGNAL, VAC, _chunk_rng, _lone_clicks, _N_ROWS,
-    _sample_chunk, row_keys,
+    DECOY, MC_CHUNK, MC_MAX_PULSES, MU1, MU2, MUZ, SIGNAL, VAC, _chunk_rng, _click_table,
+    _lone_clicks, _mix_tallies, _N_ROWS, _sample_chunk, row_keys,
 )
 
 from conftest import balanced_source
@@ -371,6 +373,32 @@ def test_expected_tallies_match_the_row_by_row_evaluation(
     scalars = [click_probabilities(a, b, *args) for a, b in zip(ia, ib)]
     for got, want in zip(arrays, zip(*scalars)):
         assert got.tolist() == list(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=_sources(),
+    mix=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+    channel=st.sampled_from([(desk_link, desk_detector), (reference_link, reference_detector)]),
+    half_width=st.sampled_from([0.05, 0.3, 1.2]),
+    n_pulses=st.floats(0.0, 1e14),
+)
+def test_click_table_reads_only_the_intensities_and_misalignment(
+    a, mix, channel, half_width, n_pulses
+):
+    # B shares A's (mu1, mu2, muz, misalignment) and nothing else, so A's
+    # table mixed with B must be B's tally, byte for byte
+    p_signal_window, p_mu1, share, epsilon_send = mix
+    p_mu2 = share * (1.0 - p_mu1)
+    b = replace(
+        a, p_signal_window=p_signal_window, p_mu1=p_mu1, p_mu2=p_mu2,
+        p_vac=1.0 - p_mu1 - p_mu2, epsilon_send=epsilon_send,
+    )
+    link, det = (make() for make in channel)
+    mixed = _mix_tallies(_click_table(link, det, a, half_width), b, n_pulses)
+    direct = expected_tallies(link, det, b, n_pulses, half_width)
+    assert mixed.n_pulses == direct.n_pulses
+    assert mixed.counts.tobytes() == direct.counts.tobytes()
 
 
 # -------------------------------------------------------------- monte carlo
