@@ -42,10 +42,10 @@ from .security import (
 from .sensing import (
     DEFAULT_DRIFT_RATE_RAD2_PER_S,
     DEFAULT_NOISE_STD_RAD,
+    DEFAULT_PHOTONS_PER_FRAME,
     DegenerateTraceError,
     DelayOutOfRangeError,
     LinkGeometry,
-    PhaseTrace,
     VibrationSource,
     locate_traces,
     recover_phase_from_reference,
@@ -84,7 +84,7 @@ _SENSING_KEYS = {
     "noise_std_rad": DEFAULT_NOISE_STD_RAD,
     "max_lag_s": None,
     "max_slack_s": None,
-    "photons_per_frame": None,
+    "photons_per_frame": DEFAULT_PHOTONS_PER_FRAME,
 }
 # sections read straight into a model dataclass: its fields are the keys,
 # and the desk preset supplies every key the section leaves out
@@ -460,14 +460,12 @@ def _cmd_sense(args) -> int:
             drift_rate_rad2_per_s=opts["drift_rate_rad2_per_s"],
             noise_std_rad=opts["noise_std_rad"],
         )
-        if opts["photons_per_frame"] is None:
-            recovered = PhaseTrace(samples=trace_b.samples, sample_rate_hz=fs, origin="recovered")
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-            left, right = synthesize_reference_counts(
-                trace_b.samples, opts["photons_per_frame"], rng
-            )
-            recovered = _post_process(recover_phase_from_reference, left, right, fs)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+        # no name holds the counts, so they are freed before the correlation's peak
+        recovered = _post_process(
+            recover_phase_from_reference,
+            *synthesize_reference_counts(trace_b.samples, opts["photons_per_frame"], rng), fs,
+        )
         result = locate_traces(
             trace_a, trace_b, geometry,
             max_lag_s=opts["max_lag_s"], slack_s=opts["max_slack_s"],

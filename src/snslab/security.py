@@ -240,14 +240,6 @@ def aopp(bits_alice, bits_bob, seed) -> AoppResult:
     g = min(ones.size, zeros.size)
     ones = rng.permutation(ones)[:g]
     zeros = rng.permutation(zeros)[:g]
-    if g == 0:
-        empty_bits = np.zeros(0, dtype=np.uint8)
-        return AoppResult(
-            pairs=np.zeros((0, 2), dtype=np.int64),
-            kept=np.zeros(0, dtype=bool),
-            bits_alice=empty_bits,
-            bits_bob=empty_bits,
-        )
     pairs = np.stack([ones, zeros], axis=1).astype(np.int64)
     kept = a[pairs[:, 0]] != a[pairs[:, 1]]
     lead = pairs.min(axis=1)[kept]

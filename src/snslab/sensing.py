@@ -21,6 +21,7 @@ import numpy as np
 
 DEFAULT_DRIFT_RATE_RAD2_PER_S = 0.01
 DEFAULT_NOISE_STD_RAD = 0.02
+DEFAULT_PHOTONS_PER_FRAME = 1e4
 
 
 class DegenerateTraceError(RuntimeError):
@@ -107,10 +108,10 @@ class PhaseTrace:
         return self.n_samples / self.sample_rate_hz
 
 
-# samples per block of the Python-level loops (trace lines, tracker frames): the
-# per-block calls are amortized and no Python object spans the whole trace. At
-# 4096 a block's text (~160 kB) crossed malloc's mmap threshold, and the sense
-# bench's peak RSS then crept up by as much as 9 MB over repeated writes
+# samples per block of the trace-line loop: the per-block calls are amortized
+# and no Python object spans the whole trace. At 4096 a block's text (~160 kB)
+# crossed malloc's mmap threshold, and the sense bench's peak RSS then crept up
+# by as much as 9 MB over repeated writes
 _BLOCK = 512
 
 
@@ -229,15 +230,19 @@ def synthesize_reference_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame detector counts for a phase stream on the reference tone.
 
-    The two ports split the frame's photons as (1 +- cos(phase))/2. With
-    an rng the counts are Poisson draws; without one the exact means are
-    returned, which is handy for checking estimator bias in isolation.
+    Each frame's photons go half to an in-phase frame and half to a frame
+    offset by pi/2, so the counts have shape (2, frames): in row 0 the two
+    ports split as (1 +- cos(phase))/2, in row 1 as (1 +- sin(phase))/2.
+    With an rng the counts are Poisson draws, all of the left port before
+    the right; without one the exact means are returned, which is handy
+    for checking estimator bias in isolation.
     """
     phases = np.asarray(phases, dtype=float)
     if photons_per_frame <= 0.0:
         raise ValueError("photons_per_frame must be > 0")
-    mean_left = photons_per_frame * 0.5 * (1.0 + np.cos(phases))
-    mean_right = photons_per_frame * 0.5 * (1.0 - np.cos(phases))
+    quadratures = np.stack([np.cos(phases), np.sin(phases)])
+    mean_left = 0.25 * photons_per_frame * (1.0 + quadratures)
+    mean_right = 0.25 * photons_per_frame * (1.0 - quadratures)
     if rng is None:
         return mean_left, mean_right
     return rng.poisson(mean_left).astype(float), rng.poisson(mean_right).astype(float)
@@ -249,48 +254,29 @@ def recover_phase_from_reference(
     frame_rate_hz: float,
     origin: str = "recovered",
 ) -> PhaseTrace:
-    """Phase trace from per-frame port counts, tracked across folds.
+    """Phase trace from the port counts of the two quadrature frames.
 
-    The contrast (left-right)/(left+right) pins cos(phase); the sign and
-    winding are resolved by picking, per frame, the candidate
-    +-acos + 2*pi*k closest to a linear prediction from the two previous
-    frames. Predicting (rather than holding) is what carries the track
-    through the folds at 0 and pi, where the two candidate branches meet.
-    The first frame takes the principal value in [0, pi]. Frames with no
-    photons on either port carry no phase information and are rejected.
+    Each row's contrast (left-right)/(left+right) reads cos(phase) in row 0
+    and sin(phase) in row 1; arctan2 of the pair gives the phase mod 2*pi
+    and np.unwrap restores the winding, which holds while the phase moves
+    less than pi per frame. The first frame takes the principal value in
+    (-pi, pi]. A frame with no photons on either port of either row
+    carries no phase information and is rejected.
     """
     nl = np.asarray(counts_left, dtype=float)
     nr = np.asarray(counts_right, dtype=float)
-    if nl.shape != nr.shape or nl.ndim != 1:
-        raise ValueError("count arrays must be one-dimensional and equally long")
-    if nl.size == 0:
+    if nl.shape != nr.shape or nl.ndim != 2 or nl.shape[0] != 2:
+        raise ValueError("count arrays must both have shape (2, frames)")
+    if nl.shape[1] == 0:
         raise ValueError("need at least one frame")
     if frame_rate_hz <= 0.0:
         raise ValueError("frame_rate_hz must be > 0")
     total = nl + nr
     if np.any(total <= 0.0):
         raise ValueError("a frame recorded no photons on either port")
-    base = np.arccos(np.clip((nl - nr) / total, -1.0, 1.0))
-    # Python floats, a block at a time: numpy scalars or a store per frame cost several
-    # times more, and whole-trace lists of floats would hold 32 bytes per frame
-    out = np.empty_like(base)
-    rnd = round
-    prev = prev2 = float(base[0])
-    two_pi = 2.0 * np.pi
-    for start in range(0, base.size, _BLOCK):
-        block = []
-        append = block.append
-        for b in base[start : start + _BLOCK].tolist():
-            predicted = 2.0 * prev - prev2
-            k_plus = rnd((predicted - b) / two_pi)
-            c_plus = b + two_pi * k_plus
-            k_minus = rnd((predicted + b) / two_pi)
-            c_minus = -b + two_pi * k_minus
-            current = c_plus if abs(c_plus - predicted) <= abs(c_minus - predicted) else c_minus
-            append(current)
-            prev2, prev = prev, current
-        out[start : start + len(block)] = block
-    return PhaseTrace(samples=out, sample_rate_hz=frame_rate_hz, origin=origin)
+    contrast = (nl - nr) / total
+    samples = np.unwrap(np.arctan2(contrast[1], contrast[0]))
+    return PhaseTrace(samples=samples, sample_rate_hz=frame_rate_hz, origin=origin)
 
 
 def cross_correlate_delay(

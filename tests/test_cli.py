@@ -9,6 +9,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from snslab import (
     expected_tallies,
     key_rate,
     plob_bound,
+    read_trace,
     transmittance,
 )
 from snslab import cli
@@ -564,6 +566,23 @@ def test_sense_end_to_end(tmp_path):
     assert code2 == 0 and out2 == out
     for name, blob in first.items():
         assert (out_dir / name).read_bytes() == blob
+
+
+def test_sense_recovers_through_the_reference_channel_by_default(tmp_path):
+    # without photons_per_frame the library default is used, the sense_demo value
+    outputs = {}
+    for name, extra in [("default", {}), ("explicit", {"photons_per_frame": 10000})]:
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(sensing_ini(**extra))
+        out = tmp_path / name
+        assert run_cli("sense", "--config", str(cfg), "--out", str(out))[0] == 0
+        outputs[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert outputs["default"] == outputs["explicit"]
+    out = tmp_path / "default"
+    bob = read_trace(out / "trace_bob.txt").samples
+    recovered = read_trace(out / "recovered_phase.txt").samples
+    assert not np.array_equal(recovered, bob)
+    assert np.max(np.abs(recovered - bob)) < 0.2
 
 
 @pytest.mark.parametrize("blocker", ["trace_bob.txt", "localization.json"])

@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snslab import (
     SessionTally,
@@ -251,6 +253,29 @@ def test_aopp_agreeing_strings_survive_everywhere():
     res = aopp(b.copy(), b, seed=3)
     assert res.n_kept == res.n_pairs
     assert np.array_equal(res.bits_alice, res.bits_bob)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=40),
+    seed=st.integers(0, 2**32),
+)
+def test_aopp_pairing_rules(bits, seed):
+    a = np.array([x for x, _ in bits], dtype=np.uint8)
+    b = np.array([y for _, y in bits], dtype=np.uint8)
+    res = aopp(a, b, seed=seed)
+    one, zero = res.pairs.T
+    assert res.pairs.shape == (res.n_pairs, 2) and res.pairs.dtype == np.int64
+    assert np.all(b[one] == 1) and np.all(b[zero] == 0)
+    assert np.unique(res.pairs).size == res.pairs.size
+    assert res.n_pairs == min(int(b.sum()), b.size - int(b.sum()))
+    assert np.array_equal(res.kept, a[one] != a[zero])
+    lead = np.minimum(one, zero)[res.kept]
+    assert np.array_equal(res.bits_alice, a[lead])
+    assert np.array_equal(res.bits_bob, b[lead])
+    # a kept pair holds two errors or none, so pairing never adds a lone error
+    error = a != b
+    assert np.array_equal(error[one][res.kept], error[zero][res.kept])
 
 
 def test_aopp_degenerate_inputs():

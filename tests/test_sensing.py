@@ -163,19 +163,28 @@ def test_simulation_refuses_a_sample_count_that_overflows():
 # ------------------------------------------------------- reference channel
 
 def test_reference_counts_exact_means():
-    phases = np.array([0.0, np.pi / 3, np.pi / 2, np.pi])
+    phases = np.array([0.0, np.pi / 3, np.pi / 2, np.pi, -2.0])
     left, right = synthesize_reference_counts(phases, 1000.0)
-    assert np.allclose(left, 1000.0 * 0.5 * (1.0 + np.cos(phases)))
-    assert np.allclose(right, 1000.0 * 0.5 * (1.0 - np.cos(phases)))
-    assert np.allclose(left + right, 1000.0)
+    assert left.shape == right.shape == (2, phases.size)
+    assert np.allclose(left[0], 500.0 * 0.5 * (1.0 + np.cos(phases)))
+    assert np.allclose(right[0], 500.0 * 0.5 * (1.0 - np.cos(phases)))
+    assert np.allclose(left[1], 500.0 * 0.5 * (1.0 + np.sin(phases)))
+    assert np.allclose(right[1], 500.0 * 0.5 * (1.0 - np.sin(phases)))
+    # each quadrature frame gets half of the frame's photons
+    assert np.allclose(left + right, 500.0)
 
 
 def test_reference_counts_poisson_draws():
-    phases = np.full(2000, np.pi / 4)
+    phases = np.full(2000, np.pi / 3)
     l1, r1 = synthesize_reference_counts(phases, 500.0, np.random.default_rng(3))
     l2, r2 = synthesize_reference_counts(phases, 500.0, np.random.default_rng(3))
+    assert l1.shape == r1.shape == (2, phases.size)
     assert np.array_equal(l1, l2) and np.array_equal(r1, r2)
-    assert l1.mean() == pytest.approx(500.0 * 0.5 * (1 + math.cos(math.pi / 4)), rel=0.05)
+    assert np.array_equal(l1, np.round(l1)) and l1.min() >= 0.0
+    # pi/3 tells the rows apart: row 0 reads cos, row 1 reads sin
+    for row, quadrature in enumerate([math.cos(math.pi / 3), math.sin(math.pi / 3)]):
+        assert l1[row].mean() == pytest.approx(250.0 * 0.5 * (1 + quadrature), rel=0.05)
+        assert r1[row].mean() == pytest.approx(250.0 * 0.5 * (1 - quadrature), rel=0.05)
     with pytest.raises(ValueError):
         synthesize_reference_counts(phases, 0.0)
 
@@ -184,7 +193,7 @@ def test_reference_counts_poisson_draws():
 
 def test_recovery_inverts_exact_means_in_principal_range():
     fs = 1000.0
-    phases = np.linspace(0.05, np.pi - 0.05, 500)
+    phases = np.linspace(-np.pi + 0.05, np.pi - 0.05, 500)
     left, right = synthesize_reference_counts(phases, 1e4)
     rec = recover_phase_from_reference(left, right, fs)
     assert isinstance(rec, PhaseTrace)
@@ -194,7 +203,8 @@ def test_recovery_inverts_exact_means_in_principal_range():
 
 
 def test_recovery_tracks_through_folds():
-    # the drive sweeps past both branch points (0 and pi) every cycle
+    # the drive sweeps past both folds of cos (0 and pi) every cycle, and at
+    # pi arctan2 wraps
     fs = 3000.0
     t = np.arange(int(fs)) / fs
     phases = np.pi / 2 + 2.2 * np.sin(2 * np.pi * 3.0 * t)
@@ -203,82 +213,44 @@ def test_recovery_tracks_through_folds():
     assert np.max(np.abs(rec.samples - phases)) < 1e-6
 
 
-def _tracker_reference(counts_left, counts_right):
-    """The tracker as a loop over numpy scalars: the exact reference for the library's."""
-    base = np.arccos(np.clip((counts_left - counts_right) / (counts_left + counts_right), -1, 1))
-    out = np.empty_like(base)
-    prev = prev2 = base[0]
-    two_pi = 2.0 * np.pi
-    for i, b in enumerate(base):
-        predicted = 2.0 * prev - prev2
-        k_plus = round((predicted - b) / two_pi)
-        c_plus = b + two_pi * k_plus
-        k_minus = round((predicted + b) / two_pi)
-        c_minus = -b + two_pi * k_minus
-        current = c_plus if abs(c_plus - predicted) <= abs(c_minus - predicted) else c_minus
-        out[i] = current
-        prev2, prev = prev, current
-    return out
-
-
-def test_recovery_equals_per_frame_reference_exactly():
-    # Poisson counts on the drive of the fold test, so the track crosses both folds
-    fs = 3000.0
-    t = np.arange(int(fs)) / fs
-    phases = np.pi / 2 + 2.2 * np.sin(2 * np.pi * 3.0 * t)
-    left, right = synthesize_reference_counts(phases, 1e4, np.random.default_rng(9))
-    rec = recover_phase_from_reference(left, right, fs)
-    assert rec.samples.min() < 0.0 and rec.samples.max() > np.pi
-    assert np.array_equal(rec.samples, _tracker_reference(left, right))
-
-
-def _tracker_array_store_reference(counts_left, counts_right):
-    """The tracker as a loop that stores each frame into an array: the byte reference."""
-    total = counts_left + counts_right
-    base = np.arccos(np.clip((counts_left - counts_right) / total, -1.0, 1.0))
-    out = np.empty_like(base)
-    prev = prev2 = float(base[0])
-    two_pi = 2.0 * np.pi
-    for i, b in enumerate(map(float, base)):
-        predicted = 2.0 * prev - prev2
-        k_plus = round((predicted - b) / two_pi)
-        c_plus = b + two_pi * k_plus
-        k_minus = round((predicted + b) / two_pi)
-        c_minus = -b + two_pi * k_minus
-        current = c_plus if abs(c_plus - predicted) <= abs(c_minus - predicted) else c_minus
-        out[i] = current
-        prev2, prev = prev, current
-    return out
-
-
-def _sense_demo_counts():
-    # the sense_demo.ini link, source and photon budget over a shorter record
+def _sense_demo_traces(drift_rate_rad2_per_s):
+    # the sense_demo.ini link, source, seed and photon budget
     geo = LinkGeometry(length_km=200.0)
     source = VibrationSource(position_km=60.0, frequency_hz=800.0, amplitude_rad=0.8,
                              dc_offset_rad=1.2, start_s=0.05, duration_s=0.1)
-    _, bob = simulate_phase_traces(geo, source, 0.1, 200e3, seed=5)
+    alice, bob = simulate_phase_traces(geo, source, 0.25, 200e3, seed=5,
+                                       drift_rate_rad2_per_s=drift_rate_rad2_per_s)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(1,)))
-    return synthesize_reference_counts(bob.samples, 1e4, rng)
+    counts = synthesize_reference_counts(bob.samples, 1e4, rng)
+    return geo, alice, bob, recover_phase_from_reference(*counts, bob.sample_rate_hz)
+
+
+@pytest.mark.parametrize("drift", [0.01, 1e3, 1e4], ids=lambda d: f"D{d:g}")
+def test_recovery_follows_the_truth_on_sense_demo(drift):
+    geo, alice, bob, rec = _sense_demo_traces(drift)
+    assert rec.n_samples == bob.n_samples
+    assert np.max(np.abs(rec.samples - bob.samples)) < 0.2
+    if drift == 0.01:
+        result = locate_traces(alice, rec, geo)
+        assert result.position_from_alice_km == pytest.approx(60.0, abs=1.0)
+    else:
+        # the drift winds the phase through many turns, and unwrap keeps up
+        assert np.ptp(bob.samples) > 4.0 * np.pi
 
 
 def _winding_counts():
-    # a ramp through three full turns plus a wobble: the track crosses the
-    # folds at 0 and pi again and again and leaves the first branch for good
+    # a ramp through three full turns plus a wobble, with the exact port means
     t = np.arange(6000) / 3000.0
     phases = 0.4 + 3.0 * np.pi * t + 0.8 * np.sin(2 * np.pi * 5.0 * t)
-    return synthesize_reference_counts(phases, 1e6, np.random.default_rng(21))
+    return phases, synthesize_reference_counts(phases, 1e6)
 
 
-@pytest.mark.parametrize("counts, min_span", [(_sense_demo_counts, 2.0),
-                                              (_winding_counts, 5.0 * np.pi)],
-                         ids=["sense-demo", "winding"])
-def test_tracker_is_pinned_to_the_array_store_loop(counts, min_span):
-    left, right = counts()
+def test_recovery_unwinds_full_turns_exactly():
+    phases, (left, right) = _winding_counts()
+    assert np.ptp(phases) > 5.0 * np.pi
     rec = recover_phase_from_reference(left, right, 3000.0)
-    want = _tracker_array_store_reference(left, right)
-    assert np.ptp(want) > min_span
     assert rec.samples.dtype == np.float64
-    assert rec.samples.tobytes() == want.tobytes()
+    assert np.max(np.abs(rec.samples - phases)) < 1e-9
 
 
 def test_recovery_stays_on_track_with_photon_noise():
@@ -289,24 +261,37 @@ def test_recovery_stays_on_track_with_photon_noise():
     rec = recover_phase_from_reference(left, right, fs)
     err = rec.samples - phases
     assert np.sqrt(np.mean(err**2)) < 0.05
-    assert np.max(np.abs(err)) < 0.5  # no fold was lost
+    assert np.max(np.abs(err)) < 0.5  # no turn was lost
 
 
 def test_recovery_balanced_counts_read_quadrature():
-    rec = recover_phase_from_reference(np.full(50, 7.0), np.full(50, 7.0), 100.0)
+    # the in-phase row balanced, the pi/2 row all on the left port
+    left = np.stack([np.full(50, 7.0), np.full(50, 14.0)])
+    right = np.stack([np.full(50, 7.0), np.zeros(50)])
+    rec = recover_phase_from_reference(left, right, 100.0)
     assert np.allclose(rec.samples, np.pi / 2)
 
 
 def test_recovery_validation():
-    with pytest.raises(ValueError):
-        recover_phase_from_reference(np.zeros(0), np.zeros(0), 100.0)
-    with pytest.raises(ValueError):
-        recover_phase_from_reference(np.ones(3), np.ones(4), 100.0)
-    with pytest.raises(ValueError):
-        recover_phase_from_reference(np.ones(3), np.ones(3), 0.0)
-    with pytest.raises(ValueError):  # silent frame in the middle
-        recover_phase_from_reference(np.array([3.0, 0.0, 3.0]),
-                                     np.array([2.0, 0.0, 2.0]), 100.0)
+    ones = np.ones((2, 3))
+    with pytest.raises(ValueError, match="shape"):
+        recover_phase_from_reference(np.ones(3), np.ones(3), 100.0)
+    with pytest.raises(ValueError, match="shape"):
+        recover_phase_from_reference(np.ones((3, 3)), np.ones((3, 3)), 100.0)
+    with pytest.raises(ValueError, match="shape"):
+        recover_phase_from_reference(ones, np.ones((2, 4)), 100.0)
+    with pytest.raises(ValueError, match="at least one frame"):
+        recover_phase_from_reference(np.zeros((2, 0)), np.zeros((2, 0)), 100.0)
+    for rate in (0.0, -5.0):
+        with pytest.raises(ValueError, match="frame_rate_hz"):
+            recover_phase_from_reference(ones, ones, rate)
+    for row in (0, 1):  # a silent frame in the middle of either quadrature row
+        silent = np.full((2, 3), 3.0)
+        silent[row, 1] = 0.0
+        with pytest.raises(ValueError, match="no photons"):
+            recover_phase_from_reference(silent, silent.copy(), 100.0)
+    # one silent port alone still reads a phase
+    assert recover_phase_from_reference(ones, np.zeros((2, 3)), 100.0).n_samples == 3
 
 
 # ---------------------------------------------------------------- trace io
