@@ -28,7 +28,9 @@ import sys
 
 import numpy as np
 
-from .model import DetectorModel, LinkModel, SecurityParams, SourceParams, transmittance
+from .model import (
+    DetectorModel, LinkModel, SecurityParams, SourceParams, channel_transmittance, transmittance,
+)
 from .optimize import optimize_params
 from .presets import desk_detector, desk_link, desk_security, desk_source
 from .security import (
@@ -56,6 +58,8 @@ from .sensing import (
 from .simulate import (
     DEFAULT_SLICE_HALF_WIDTH_RAD,
     _check_slice_half_width,
+    _click_table,
+    _mix_tallies,
     expected_tallies,
     monte_carlo_session,
 )
@@ -360,10 +364,15 @@ def _parse_distances(text: str) -> list[float]:
         raise ConfigError("[curve] distances_km is empty")
     if any(d < 0 for d in values):
         raise ConfigError("[curve] distances_km must be >= 0")
-    return [_finite(d, "[curve] distances_km") for d in values]
+    # + 0.0 turns -0.0 into 0.0, which prints as 0.0
+    return [_finite(d, "[curve] distances_km") + 0.0 for d in values]
 
 
 _ETA_CEIL = 1.0 - 1e-12
+# the most distances one click table of the curve covers: a larger block
+# spreads the per-call cost of the table further, but its arrays grow with
+# it (about 1 MB of working set at 256)
+_CURVE_BLOCK = 256
 
 
 def _cmd_curve(args) -> int:
@@ -378,7 +387,23 @@ def _cmd_curve(args) -> int:
         raise ConfigError("[curve] is missing required key 'distances_km'")
 
     columns = ["distance_km", "loss_db", "simulated_rate", "plob_absolute", "plob_relative"]
-    rows = []
+    rows, block = [], []
+
+    def finish_block():
+        # one click table for the block's transmittances, then each distance's
+        # tally and post-processing in input order
+        if not block:
+            return
+        etas = np.array([eta for _, eta in block])
+        table = _click_table(etas[:, :1], etas[:, 1:], link.noise_per_pulse, src, half_width)
+        for i, (row, _) in enumerate(block):
+            tally = _mix_tallies(table.at(i), src, n_pulses)
+            analysis = _post_process(expected_post_processing, tally, src, sec, half_width)
+            # display floor: a session past its reach yields no key
+            row["simulated_rate"] = float(max(analysis.report.rate_per_pulse, 0.0))
+            rows.append(row)
+        block.clear()
+
     for d in distances:
         loss = link.atten_db_per_km * d
         try:
@@ -388,19 +413,20 @@ def _cmd_curve(args) -> int:
                 transmittance(loss + link.station_loss_db) * det.efficiency, _ETA_CEIL
             )
         except ValueError as exc:
+            # the distances before this one are evaluated first, so the
+            # first failure in input order is the one reported
+            finish_block()
             raise ConfigError(f"[curve] distance {d!r} km: {exc}") from None
-        tally = expected_tallies(scaled, det, src, n_pulses, half_width)
-        analysis = _post_process(expected_post_processing, tally, src, sec, half_width)
-        rows.append(
-            {
-                "distance_km": float(d),
-                "loss_db": float(loss),
-                # display floor: a session past its reach yields no key
-                "simulated_rate": float(max(analysis.report.rate_per_pulse, 0.0)),
-                "plob_absolute": float(plob_bound(eta_abs)),
-                "plob_relative": float(plob_bound(eta_rel)),
-            }
-        )
+        row = {
+            "distance_km": float(d),
+            "loss_db": float(loss),
+            "plob_absolute": float(plob_bound(eta_abs)),
+            "plob_relative": float(plob_bound(eta_rel)),
+        }
+        block.append((row, channel_transmittance(scaled, det)))
+        if len(block) == _CURVE_BLOCK:
+            finish_block()
+    finish_block()
     _emit(_render_table(columns, rows, args.format), args.out)
     return 0
 

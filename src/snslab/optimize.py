@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DetectorModel, LinkModel, SecurityParams, SourceParams
+from .model import (
+    DetectorModel, LinkModel, SecurityParams, SourceParams, channel_transmittance,
+)
 from .security import SessionAnalysis, expected_post_processing
 from .simulate import DEFAULT_SLICE_HALF_WIDTH_RAD, _click_table, _mix_tallies
 
@@ -123,7 +125,9 @@ def _analyze(
     key = (src.mu1, src.mu2, src.muz, src.misalignment)
     table = tables.get(key)
     if table is None:
-        table = tables[key] = _click_table(link, det, src, slice_half_width_rad)
+        table = tables[key] = _click_table(
+            *channel_transmittance(link, det), link.noise_per_pulse, src, slice_half_width_rad
+        )
     tally = _mix_tallies(table, src, n_pulses)
     return expected_post_processing(tally, src, sec, slice_half_width_rad)
 

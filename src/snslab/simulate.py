@@ -244,9 +244,10 @@ def _lone_clicks(x, y, noise, gain=None):
     # sum_k g_k rho_k = t_1 (g_1 + t_2 (g_2 + ...)), one backward pass for all rows
     t = np.zeros_like(r)
     sums = np.zeros((4,) + r.shape)
-    for j in range(k.size - 1, -1, -1):
-        t = r_k[j] / (2.0 * k[j] + r_k[j] * t)
-        sums = t * (gains[j] + sums)
+    for r_j, two_k, g_j in zip(r_k[::-1], (2.0 * k[::-1]).tolist(), gains[::-1]):
+        t = r_j / (two_k + r_j * t)
+        sums += g_j
+        sums *= t
 
     gap = root_x - root_y
     a_i0 = (1.0 - noise) * np.exp(-0.5 * gap * gap) / (1.0 + 2.0 * sums[0])
@@ -261,8 +262,8 @@ def _lone_clicks(x, y, noise, gain=None):
 def click_probabilities(
     intensity_a: float | np.ndarray,
     intensity_b: float | np.ndarray,
-    eta_a: float,
-    eta_b: float,
+    eta_a: float | np.ndarray,
+    eta_b: float | np.ndarray,
     noise: float = 0.0,
 ) -> tuple:
     """Single-side and coincidence click probabilities of the interferometer.
@@ -275,25 +276,25 @@ def click_probabilities(
     closed form (see _lone_clicks); phase jitter leaves that average as it
     is.
 
-    The intensities may be equally shaped arrays; the results then have
-    that shape, one entry per intensity pair.
+    The intensities and transmittances may be arrays that broadcast
+    together, such as a row of intensity pairs against a column of
+    transmittances; the results then have the broadcast shape, and each
+    entry is bit for bit the result of its own scalar call.
 
     Returns:
         (p_left_only, p_right_only, p_both): the two exclusive one-detector
         probabilities and the discarded coincidence probability.
     """
-    ia = np.asarray(intensity_a, dtype=float)
-    ib = np.asarray(intensity_b, dtype=float)
-    for name, v in (("intensity_a", ia), ("intensity_b", ib)):
-        if not np.all((v >= 0.0) & (v <= MAX_INTENSITY)):
-            raise ValueError(f"{name} must lie in [0, {MAX_INTENSITY:g}]")
-    for name, v in (("eta_a", eta_a), ("eta_b", eta_b)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1]")
+    ia, ib, ea, eb = (np.asarray(v, dtype=float)
+                      for v in (intensity_a, intensity_b, eta_a, eta_b))
+    for name, v, top in (("intensity_a", ia, MAX_INTENSITY), ("intensity_b", ib, MAX_INTENSITY),
+                         ("eta_a", ea, 1.0), ("eta_b", eb, 1.0)):
+        if not np.all((v >= 0.0) & (v <= top)):
+            raise ValueError(f"{name} must lie in [0, {top:g}]")
     if not 0.0 <= noise < 1.0:
         raise ValueError("noise must lie in [0, 1)")
 
-    probs = _lone_clicks(ia * eta_a, ib * eta_b, noise)
+    probs = _lone_clicks(ia * ea, ib * eb, noise)
     if probs[0].ndim == 0:
         return tuple(float(p) for p in probs)
     return probs
@@ -310,6 +311,9 @@ class _ClickTable(NamedTuple):
     One entry per tally row, in row_keys() order, except slice_l and slice_r,
     which hold the lit decoy rows only. It reads the channel, the three
     intensities, the jitter (from misalignment) and the slice half width.
+    Built from column arrays of transmittances, the fields that read the
+    channel (all but accept_frac, exp_total and total) hold one row per
+    transmittance pair; at(i) is the table of pair i.
     """
 
     lone_l: np.ndarray
@@ -321,14 +325,26 @@ class _ClickTable(NamedTuple):
     total: np.ndarray
     p1: np.ndarray
 
+    def at(self, i: int) -> "_ClickTable":
+        """The table of the i-th transmittance pair of a table built from columns."""
+        return _ClickTable(*(f[i] if np.ndim(f) == 2 else f for f in self))
+
 
 def _click_table(
-    link: LinkModel, det: DetectorModel, src: SourceParams, slice_half_width_rad: float
+    eta_a: float | np.ndarray,
+    eta_b: float | np.ndarray,
+    nu: float,
+    src: SourceParams,
+    slice_half_width_rad: float,
 ) -> _ClickTable:
-    """Click and single-photon factors of every row of expected_tallies."""
+    """Click and single-photon factors of every row of expected_tallies.
+
+    eta_a, eta_b are the arm transmittances of channel_transmittance and nu
+    the link's noise per pulse. Column arrays of transmittances give one
+    table row per pair in one pass, each bit for bit the table of its own
+    scalar pair: _lone_clicks works entry by entry.
+    """
     _check_slice_half_width(slice_half_width_rad)
-    eta_a, eta_b = channel_transmittance(link, det)
-    nu = link.noise_per_pulse
     sigma = src.jitter_sigma_rad
     ia, ib = _row_intensities(src)
     lone_l, lone_r, _ = click_probabilities(ia, ib, eta_a, eta_b, nu)
@@ -391,9 +407,11 @@ def expected_tallies(
     The work is split in two: _click_table reads only the channel, the
     intensities and the jitter, and _mix_tallies weighs it by the row
     pulses, so a caller that varies only the mixing probabilities can
-    build the table once.
+    build the table once, and a caller that varies only the transmittances
+    can build one table for many of them.
     """
-    table = _click_table(link, det, src, slice_half_width_rad)
+    table = _click_table(*channel_transmittance(link, det), link.noise_per_pulse, src,
+                         slice_half_width_rad)
     return _mix_tallies(table, src, n_pulses)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from snslab import SourceParams, expected_tallies, monte_carlo_session
 from snslab.presets import (
@@ -53,6 +54,22 @@ def balanced_source() -> SourceParams:
         p_vac=0.3,
         epsilon_send=0.2717,
         misalignment=0.028,
+    )
+
+
+@st.composite
+def sources(draw, top=1.5):
+    """Any SourceParams with intensities up to top: mu1 up to a third of it,
+    mu2 - mu1 up to two thirds, muz up to all of it."""
+    unit = st.floats(0.0, 1.0)
+    mu1 = draw(st.floats(1e-3, top / 3.0))
+    p_mu1 = draw(unit)
+    p_mu2 = draw(unit) * (1.0 - p_mu1)
+    return SourceParams(
+        mu1=mu1, mu2=min(mu1 + draw(st.floats(1e-3, top * 2.0 / 3.0)), top),
+        muz=draw(st.floats(0.0, top)),
+        p_signal_window=draw(unit), p_mu1=p_mu1, p_mu2=p_mu2, p_vac=1.0 - p_mu1 - p_mu2,
+        epsilon_send=draw(unit), misalignment=draw(st.floats(0.0, 0.45)),
     )
 
 

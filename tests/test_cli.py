@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import snslab.simulate
 from snslab import (
     LinkGeometry,
+    SessionTally,
     VibrationSource,
     expected_post_processing,
     expected_tallies,
@@ -26,6 +28,7 @@ from snslab import (
 )
 from snslab import cli
 from snslab.cli import entry
+from snslab.model import MAX_INTENSITY
 from snslab.presets import (
     desk_detector,
     desk_link,
@@ -36,6 +39,8 @@ from snslab.presets import (
     reference_security,
     reference_source,
 )
+
+from conftest import sources
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -177,6 +182,10 @@ WIDE_SLICE = "[run]\nslice_half_width_rad = 2\n"
 WIDE_SLICE_ERROR = "config error: [run] slice_half_width_rad must lie in (0, pi/2)\n"
 HUGE_ARM = "[link]\nlength_a_km = 1e308\natten_db_per_km = 10\n"
 HUGE_ARM_ERROR = "config error: [link] the loss of each arm must be finite\n"
+NO_MU2_OPAQUE = (
+    "[link]\nlength_a_km = 0\nlength_b_km = 0\natten_db_per_km = 1e308\n"
+    "[source]\np_mu2 = 0\np_vac = 0.4\n"
+)
 
 
 def sensing_ini(**keys):
@@ -302,6 +311,16 @@ ERROR_CASES = {
         ["curve", "--distances", "1.7e308", "--config", "{cfg}"],
         "[link]\natten_db_per_km = 1.5\n", 2,
         "config error: [curve] distance 1.7e+308 km: loss_db must be finite",
+    ),
+    # every distance fails, 0 km in post-processing and 10 km in the link:
+    # the first distance in input order decides
+    "curve-first-failure-infeasible": (
+        ["curve", "--distances", "0,10", "--config", "{cfg}"], NO_MU2_OPAQUE, 3,
+        "infeasible: tally lacks pulses for row (decoy, mu2, vac)",
+    ),
+    "curve-first-failure-config": (
+        ["curve", "--distances", "10,0", "--config", "{cfg}"], NO_MU2_OPAQUE, 2,
+        "config error: [curve] distance 10.0 km: the loss of each arm must be finite",
     ),
 }
 
@@ -451,6 +470,99 @@ def test_curve_rates_fall_with_distance_and_clear_the_bound():
     assert math.isclose(
         longest_keyed["plob_absolute"], plob_bound(transmittance(106.0)), rel_tol=1e-12
     )
+
+
+def test_curve_prints_minus_zero_as_zero():
+    code, out, _ = run_cli("curve", "--distances", "-0.0")
+    assert code == 0
+    assert out.splitlines()[1].startswith("0.0,0.0,")
+    assert out == run_cli("curve", "--distances", "0")[1]
+
+
+def test_curve_builds_one_click_table_per_block_of_distances(monkeypatch):
+    builds = []
+    click_probabilities = snslab.simulate.click_probabilities
+
+    def counted(*args, **kwargs):
+        builds.append(np.shape(args[2]))
+        return click_probabilities(*args, **kwargs)
+
+    monkeypatch.setattr(snslab.simulate, "click_probabilities", counted)
+    n = 2 * cli._CURVE_BLOCK + 1
+    distances = ",".join(str(i % 300) for i in range(n))
+    code, out, _ = run_cli("curve", "--distances", distances)
+    assert code == 0
+    assert len(out.splitlines()) == n + 1
+    assert builds == [(cli._CURVE_BLOCK, 1), (cli._CURVE_BLOCK, 1), (1, 1)]
+
+
+CURVE_LINK = "[link]\natten_db_per_km = 0.16\nstation_loss_db = 1.3\nnoise_per_pulse = 6e-9\n"
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    src=sources(top=MAX_INTENSITY),
+    half_width=st.sampled_from([0.05, 0.3, 1.2]),
+    drawn=st.lists(st.floats(0.0, 700.0), max_size=6),
+    n=st.sampled_from([1, 2, 255, 256, 257]),
+    n_pulses=st.sampled_from([1e6, 1e10, 1e13]),
+)
+def test_curve_equals_the_per_distance_chain(tmp_path_factory, src, half_width, drawn, n,
+                                             n_pulses):
+    # the list repeats 0 km and the drawn distances up to n entries, so it
+    # holds duplicates and crosses the block edges at 255, 256 and 257
+    distances = ([0.0, *drawn] * n)[:n]
+    cfg = tmp_path_factory.mktemp("curve") / "curve.ini"
+    cfg.write_text(
+        CURVE_LINK + "[source]\n"
+        + "".join(f"{f.name} = {getattr(src, f.name)!r}\n" for f in dataclasses.fields(src))
+        + f"[run]\nslice_half_width_rad = {half_width!r}\nn_pulses = {n_pulses!r}\n"
+    )
+    seen = []
+
+    def recorded(tally, *args):
+        seen.append(tally)
+        try:
+            analysis = expected_post_processing(tally, *args)
+        except ValueError as exc:
+            seen.append(exc)
+            raise
+        seen.append(analysis.report.rate_per_pulse)
+        return analysis
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "expected_post_processing", recorded)
+        code, out, err = run_cli("curve", "--config", str(cfg), "--format", "json",
+                                 "--distances", ",".join(map(repr, distances)))
+
+    cp = cli._read_config(str(cfg))
+    link, det = cli._build(cp, "link"), cli._build(cp, "detector")
+    sec = cli._build(cp, "security")
+    want = []
+    for d in distances:
+        scaled = dataclasses.replace(link, length_a_km=d / 2.0, length_b_km=d / 2.0)
+        tally = expected_tallies(scaled, det, src, n_pulses, half_width)
+        want.append(tally)
+        try:
+            analysis = expected_post_processing(tally, src, sec, half_width)
+            want.append(analysis.report.rate_per_pulse)
+        except ValueError as exc:
+            want.append(exc)
+            break
+    assert len(seen) == len(want)
+    for got, ref in zip(seen, want):
+        if isinstance(ref, SessionTally):
+            assert got.n_pulses == ref.n_pulses
+            assert got.counts.tobytes() == ref.counts.tobytes()
+        elif isinstance(ref, ValueError):
+            assert code == 3
+            assert str(got) == str(ref)
+            assert err == f"infeasible: {ref}\n"
+        else:
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+    if code == 0:
+        rates = [row["simulated_rate"] for row in json.loads(out)["rows"]]
+        assert rates == [max(rate, 0.0) for rate in want[1::2]]
 
 
 def test_curve_csv_columns():

@@ -19,7 +19,7 @@ from snslab import (
     monte_carlo_session,
     z_bit_assignment,
 )
-from snslab.model import channel_transmittance
+from snslab.model import MAX_INTENSITY, channel_transmittance
 from snslab.presets import (
     desk_detector, desk_link, desk_source, reference_detector, reference_link,
 )
@@ -28,7 +28,7 @@ from snslab.simulate import (
     _lone_clicks, _mix_tallies, _N_ROWS, _sample_chunk, row_keys,
 )
 
-from conftest import balanced_source
+from conftest import balanced_source, sources
 
 TALLY_FIELDS = ("pulses_sent", "one_detector_events", "error_events",
                 "accepted_events", "single_photon_events")
@@ -91,6 +91,33 @@ def test_click_probabilities_validation():
         click_probabilities(0.1, 0.4, 0.3, 0.2, 1.0)
     with pytest.raises(ValueError, match="intensity_b must lie in"):
         click_probabilities(0.1, 100.5, 0.3, 0.2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    src=sources(top=MAX_INTENSITY),
+    etas=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=40),
+    noise=st.one_of(st.just(0.0), st.floats(1e-10, 1e-2)),
+)
+def test_click_probabilities_take_columns_of_transmittances(src, etas, noise):
+    # a column of transmittance pairs against a row of intensity pairs gives
+    # each pair's scalar results bit for bit, whatever the other pairs are
+    levels = [0.0, src.mu1, src.mu2, src.muz]
+    ia, ib = np.repeat(levels, 4), np.tile(levels, 4)
+    eta_a, eta_b = (np.array(column)[:, None] for column in zip(*etas))
+    table = click_probabilities(ia, ib, eta_a, eta_b, noise)
+    for i, (ea, eb) in enumerate(etas):
+        for got, want in zip(table, click_probabilities(ia, ib, ea, eb, noise)):
+            assert got[i].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1e-9, 1.0 + 1e-9])
+@pytest.mark.parametrize("side", ["eta_a", "eta_b"])
+def test_click_probabilities_refuse_one_bad_transmittance_in_a_column(bad, side):
+    column = np.array([[0.5], [1.0], [bad], [0.0]])
+    etas = {"eta_a": np.full((4, 1), 0.3), "eta_b": np.full((4, 1), 0.3), side: column}
+    with pytest.raises(ValueError, match=f"{side} must lie in \\[0, 1\\]"):
+        click_probabilities(np.array([0.1, 0.4]), np.array([0.4, 0.0]), **etas)
 
 
 def test_click_probabilities_match_a_50_digit_reference():
@@ -312,20 +339,6 @@ def _reference_tallies(link, det, src, n_pulses, half_width):
     return rows
 
 
-@st.composite
-def _sources(draw, top=1.5):
-    # intensities up to top: mu1 up to a third of it, muz up to all of it
-    unit = st.floats(0.0, 1.0)
-    mu1 = draw(st.floats(1e-3, top / 3.0))
-    p_mu1 = draw(unit)
-    p_mu2 = draw(unit) * (1.0 - p_mu1)
-    return SourceParams(
-        mu1=mu1, mu2=mu1 + draw(st.floats(1e-3, top * 2.0 / 3.0)), muz=draw(st.floats(0.0, top)),
-        p_signal_window=draw(unit), p_mu1=p_mu1, p_mu2=p_mu2, p_vac=1.0 - p_mu1 - p_mu2,
-        epsilon_send=draw(unit), misalignment=draw(st.floats(0.0, 0.45)),
-    )
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     link=st.builds(
@@ -335,7 +348,7 @@ def _sources(draw, top=1.5):
         noise_per_pulse=st.one_of(st.just(0.0), st.floats(1e-10, 1e-2)),
     ),
     efficiency=st.floats(0.0, 1.0),
-    src=_sources(),
+    src=sources(),
     n_pulses=st.floats(0.0, 1e14),
     half_width=st.floats(0.01, 1.5),
 )
@@ -377,7 +390,7 @@ def test_expected_tallies_match_the_row_by_row_evaluation(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    a=_sources(),
+    a=sources(),
     mix=st.tuples(*[st.floats(0.0, 1.0)] * 4),
     channel=st.sampled_from([(desk_link, desk_detector), (reference_link, reference_detector)]),
     half_width=st.sampled_from([0.05, 0.3, 1.2]),
@@ -395,7 +408,8 @@ def test_click_table_reads_only_the_intensities_and_misalignment(
         p_vac=1.0 - p_mu1 - p_mu2, epsilon_send=epsilon_send,
     )
     link, det = (make() for make in channel)
-    mixed = _mix_tallies(_click_table(link, det, a, half_width), b, n_pulses)
+    table = _click_table(*channel_transmittance(link, det), link.noise_per_pulse, a, half_width)
+    mixed = _mix_tallies(table, b, n_pulses)
     direct = expected_tallies(link, det, b, n_pulses, half_width)
     assert mixed.n_pulses == direct.n_pulses
     assert mixed.counts.tobytes() == direct.counts.tobytes()
@@ -655,7 +669,7 @@ def test_chunk_sampler_agrees_in_law_with_the_two_step_reference(src, link, half
 @given(
     seed=st.integers(0, 2**32),
     n=st.one_of(st.sampled_from([1, MC_CHUNK]), st.integers(1, MC_CHUNK)),
-    src=_sources(top=45.0),
+    src=sources(top=45.0),
     link=st.builds(
         LinkModel,
         length_a_km=st.one_of(st.just(0.0), st.floats(0.0, 150.0)),
