@@ -513,8 +513,9 @@ def _cmd_sense(args) -> int:
     placed = []
     try:
         os.makedirs(out_dir, exist_ok=True)
-        for name, trace in traces.items():
-            write_trace(staged[paths[name]], trace)
+        # the three traces share one clock, so one pass writes them all
+        (first, trace), *rest = ((staged[paths[name]], tr) for name, tr in traces.items())
+        write_trace(first, trace, also=dict(rest))
         with open(staged[loc_path], "w", encoding="ascii") as fh:
             fh.write(_render(record, "json"))
         for path, tmp in staged.items():

@@ -12,6 +12,7 @@ key=value header so files round-trip byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import warnings
@@ -115,25 +116,42 @@ class PhaseTrace:
 _BLOCK = 512
 
 
-def write_trace(path, trace: PhaseTrace) -> None:
+def write_trace(path, trace: PhaseTrace, *, also=None) -> None:
     """Two-column text dump (time_s, phase_rad); repr keeps round trips exact.
 
     Line i holds repr(i / rate) and repr(samples[i]). Each block of lines
     is formatted by one %-operation from C; np.arange(n) / rate equals the
     per-line i / rate bit for bit below 2**53 samples.
+
+    also maps further paths to traces on the same clock (equal n_samples
+    and sample_rate_hz); one pass then writes every file and formats the
+    shared time column once per block. Every origin, the clock and the
+    paths are checked before any file is opened.
     """
-    if not trace.origin.isascii() or any(ch.isspace() for ch in trace.origin):
-        raise ValueError(f"origin {trace.origin!r} must be ASCII without whitespace")
-    n = trace.n_samples
-    block = np.empty((min(n, _BLOCK), 2))
+    files = [(path, trace), *(also or {}).items()]
+    for _, tr in files:
+        if not tr.origin.isascii() or any(ch.isspace() for ch in tr.origin):
+            raise ValueError(f"origin {tr.origin!r} must be ASCII without whitespace")
+        if tr.n_samples != trace.n_samples or tr.sample_rate_hz != trace.sample_rate_hz:
+            raise ValueError("traces written together must share n_samples and sample_rate_hz")
+    if len({os.path.abspath(os.fsdecode(p)) for p, _ in files}) != len(files):
+        raise ValueError("each trace needs a path of its own")
     # a tiny rate overflows i / rate to inf, written as "inf" like any other float
-    with open(path, "w", encoding="ascii") as fh, np.errstate(over="ignore"):
-        fh.write(f"# sample_rate_hz={trace.sample_rate_hz!r} origin={trace.origin}\n")
-        for start in range(0, n, _BLOCK):
-            rows = block[: min(n - start, _BLOCK)]
-            np.divide(np.arange(start, start + len(rows)), trace.sample_rate_hz, out=rows[:, 0])
-            rows[:, 1] = trace.samples[start : start + len(rows)]
-            fh.write("%r %r\n" * len(rows) % tuple(rows.ravel().tolist()))
+    with contextlib.ExitStack() as stack, np.errstate(over="ignore"):
+        handles = []
+        for p, tr in files:
+            fh = stack.enter_context(open(p, "w", encoding="ascii"))
+            fh.write(f"# sample_rate_hz={tr.sample_rate_hz!r} origin={tr.origin}\n")
+            handles.append((fh, tr.samples))
+        for start in range(0, trace.n_samples, _BLOCK):
+            times = np.arange(start, min(trace.n_samples, start + _BLOCK)) / trace.sample_rate_hz
+            # even slots hold the shared time strings, odd slots one trace's samples
+            line = [None] * (2 * len(times))
+            line[0::2] = map(repr, times.tolist())
+            fmt = "%s %r\n" * len(times)
+            for fh, samples in handles:
+                line[1::2] = samples[start : start + len(times)].tolist()
+                fh.write(fmt % tuple(line))
 
 
 def read_trace(path) -> PhaseTrace:
@@ -203,6 +221,8 @@ def simulate_phase_traces(
     if not math.isfinite(n_samples):
         raise ValueError(f"duration_s * sample_rate_hz = {n_samples} samples is not finite")
     n = int(round(n_samples))
+    if n == 0:
+        raise ValueError(f"duration_s * sample_rate_hz = {n_samples!r} rounds to no samples")
     t = np.arange(n) / sample_rate_hz
     v = geometry.light_speed_km_per_s
     alice = np.zeros(n)
@@ -300,6 +320,11 @@ def cross_correlate_delay(
     if n < 3:
         raise ValueError("traces must hold at least 3 samples")
     fs = trace_a.sample_rate_hz
+    cap = n - 1
+    if max_lag_s is not None:
+        if max_lag_s < 0.0:
+            raise ValueError("max_lag_s must be >= 0")
+        cap = min(cap, int(math.floor(max_lag_s * fs)))
 
     t = np.arange(n, dtype=float)
     a = trace_a.samples - np.polynomial.polynomial.polyval(
@@ -317,17 +342,8 @@ def cross_correlate_delay(
         size *= 2
     spectrum = np.conj(np.fft.rfft(a, size)) * np.fft.rfft(b, size)
     corr = np.fft.irfft(spectrum, size)
-    # corr[lag mod size] = sum_n a[n] b[n+lag]
-    lags = np.arange(-(n - 1), n)
-    values = np.concatenate([corr[size - (n - 1):], corr[:n]])
-
-    if max_lag_s is not None:
-        if max_lag_s < 0.0:
-            raise ValueError("max_lag_s must be >= 0")
-        cap = int(math.floor(max_lag_s * fs))
-        keep = np.abs(lags) <= cap
-        lags = lags[keep]
-        values = values[keep]
+    # corr[lag mod size] = sum_n a[n] b[n+lag]; values[i] holds lag i - cap
+    values = np.concatenate([corr[size - cap:], corr[: cap + 1]])
 
     peak = int(np.argmax(values))
     offset = 0.0
@@ -336,7 +352,7 @@ def cross_correlate_delay(
         denom = 2.0 * (2.0 * r0 - rp - rm)
         if denom > 0.0:
             offset = float(np.clip((rp - rm) / denom, -0.5, 0.5))
-    delay = (float(lags[peak]) + offset) / fs
+    delay = (float(peak - cap) + offset) / fs
     return delay, float(values[peak] / norm)
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import snslab.sensing
 import snslab.simulate
 from snslab import (
     LinkGeometry,
@@ -24,6 +25,9 @@ from snslab import (
     key_rate,
     plob_bound,
     read_trace,
+    recover_phase_from_reference,
+    simulate_phase_traces,
+    synthesize_reference_counts,
     transmittance,
 )
 from snslab import cli
@@ -39,8 +43,9 @@ from snslab.presets import (
     reference_security,
     reference_source,
 )
+from snslab.sensing import _BLOCK, DEFAULT_PHOTONS_PER_FRAME
 
-from conftest import sources
+from conftest import sources, write_trace_reference
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -277,6 +282,11 @@ ERROR_CASES = {
     "negative-max-lag": (SENSE_CONFIG, sensing_ini(max_lag_s=-1), 2, "max_lag_s must be >= 0"),
     "negative-max-slack": (SENSE_CONFIG, sensing_ini(max_slack_s=-1), 2, "slack_s must be >= 0"),
     "two-samples": (SENSE_CONFIG, sensing_ini(duration_s=0.002), 2, "at least 3 samples"),
+    # 0.4 samples round to none; it was refused as infeasible by the recovery
+    "zero-samples": (
+        SENSE_CONFIG, sensing_ini(duration_s=0.0004), 2,
+        "config error: [sensing] duration_s * sample_rate_hz = 0.4 rounds to no samples",
+    ),
     # the sample count overflowed to inf and crashed in int()
     "sample-count-overflow": (
         SENSE_CONFIG, sensing_ini(duration_s="1e200", sample_rate_hz="1e200"), 2,
@@ -714,23 +724,44 @@ def test_failed_sense_write_leaves_no_file(tmp_path, blocker):
 
 
 def test_sense_write_failure_on_the_second_trace_leaves_no_file(tmp_path, monkeypatch):
-    calls = []
+    # one write_trace call writes all three traces: fail it as it opens the second
+    opened = []
 
-    def failing_second_write(path, trace):
-        calls.append(path)
-        if len(calls) == 2:
+    def failing_second_open(path, *args, **kwargs):
+        opened.append(Path(path).name)
+        if len(opened) == 2:
             raise PermissionError(13, "Permission denied", path)
-        cli_write_trace(path, trace)
+        return open(path, *args, **kwargs)
 
-    cli_write_trace = cli.write_trace
-    monkeypatch.setattr(cli, "write_trace", failing_second_write)
+    monkeypatch.setattr(snslab.sensing, "open", failing_second_open, raising=False)
     cfg = tmp_path / "case.ini"
     cfg.write_text(sensing_ini())
     out = tmp_path / "out"
     code, _, err = run_cli("sense", "--config", str(cfg), "--out", str(out))
     assert code == 2 and "Permission denied" in err
-    assert len(calls) == 2
+    assert len(opened) == 2 and opened[1].startswith(".trace_bob.txt.")
     assert list(out.iterdir()) == []
+
+
+def test_sense_trace_files_equal_the_per_line_writer_on_the_library_traces(tmp_path):
+    # 1200 samples span three blocks, so a block written to the wrong file shows
+    cfg = tmp_path / "case.ini"
+    cfg.write_text(sensing_ini(duration_s=1.2))
+    out = tmp_path / "out"
+    assert run_cli("sense", "--config", str(cfg), "--out", str(out), "--seed", "9")[0] == 0
+    alice, bob = simulate_phase_traces(
+        LinkGeometry(length_km=100.0),
+        VibrationSource(position_km=10.0, frequency_hz=5.0, amplitude_rad=0.1),
+        1.2, 1000.0, 9,
+    )
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=9, spawn_key=(1,)))
+    recovered = recover_phase_from_reference(
+        *synthesize_reference_counts(bob.samples, DEFAULT_PHOTONS_PER_FRAME, rng), 1000.0
+    )
+    assert alice.n_samples == 1200 > 2 * _BLOCK
+    for name, trace in [("trace_alice", alice), ("trace_bob", bob), ("recovered_phase", recovered)]:
+        write_trace_reference(tmp_path / "ref.txt", trace)
+        assert (out / f"{name}.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes(), name
 
 
 def test_sense_missing_section_is_config_error(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from snslab.sensing import (
     synthesize_reference_counts,
     write_trace,
 )
+
+from conftest import write_trace_reference
 
 V = 2.0e5  # km/s, the default propagation speed
 
@@ -329,14 +332,6 @@ def test_trace_reader_rejects_malformed_files(tmp_path):
             read_trace(bad)
 
 
-def _write_trace_reference(path, trace):
-    """The per-line writer the block writer replaced: the byte reference for trace files."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# sample_rate_hz={trace.sample_rate_hz!r} origin={trace.origin}\n")
-        rate = trace.sample_rate_hz
-        fh.writelines(f"{i / rate!r} {v!r}\n" for i, v in enumerate(trace.samples.tolist()))
-
-
 def _assert_same_samples(got, want):
     """Bit for bit, except that any nan only has to read back as a nan."""
     nan = np.isnan(want)
@@ -344,15 +339,24 @@ def _assert_same_samples(got, want):
     assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
-def _check_writer(directory, samples, rate):
-    trace = PhaseTrace(samples=np.array(samples, dtype=float), sample_rate_hz=rate, origin="x")
-    ours, ref = directory / "ours.txt", directory / "ref.txt"
-    write_trace(ours, trace)
-    _write_trace_reference(ref, trace)
-    assert ours.read_bytes() == ref.read_bytes()
-    back = read_trace(ours)
-    assert back.sample_rate_hz == rate and back.origin == "x"
-    _assert_same_samples(back.samples, trace.samples)
+def _check_writer(directory, samples, rate, n_also=2):
+    """One write_trace call writes a trace and n_also more on its clock; each file must
+    equal the per-line writer's output for its own trace and read back exactly."""
+    samples = np.array(samples, dtype=float)
+    traces = [
+        PhaseTrace(samples=samples, sample_rate_hz=rate, origin="x"),
+        PhaseTrace(samples=samples[::-1], sample_rate_hz=rate, origin="y"),
+        PhaseTrace(samples=-samples, sample_rate_hz=rate, origin="z"),
+    ][: 1 + n_also]
+    paths = [directory / f"{tr.origin}.txt" for tr in traces]
+    write_trace(paths[0], traces[0], also=dict(zip(paths[1:], traces[1:])))
+    ref = directory / "ref.txt"
+    for path, trace in zip(paths, traces):
+        write_trace_reference(ref, trace)
+        assert path.read_bytes() == ref.read_bytes()
+        back = read_trace(path)
+        assert back.sample_rate_hz == rate and back.origin == trace.origin
+        _assert_same_samples(back.samples, trace.samples)
 
 
 SPECIAL_FLOATS = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e-5]
@@ -362,11 +366,12 @@ SPECIAL_FLOATS = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e-5]
 @given(
     samples=st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)), max_size=60),
     rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    n_also=st.integers(0, 2),
 )
-@example(samples=SPECIAL_FLOATS, rate=5e-324)
-@example(samples=SPECIAL_FLOATS, rate=1.7976931348623157e308)
-def test_block_writer_matches_the_per_line_writer(tmp_path_factory, samples, rate):
-    _check_writer(tmp_path_factory.mktemp("io"), samples, rate)
+@example(samples=SPECIAL_FLOATS, rate=5e-324, n_also=2)
+@example(samples=SPECIAL_FLOATS, rate=1.7976931348623157e308, n_also=2)
+def test_block_writer_matches_the_per_line_writer(tmp_path_factory, samples, rate, n_also):
+    _check_writer(tmp_path_factory.mktemp("io"), samples, rate, n_also)
 
 
 @pytest.mark.parametrize(
@@ -384,6 +389,23 @@ def test_writer_refuses_an_origin_the_reader_cannot_split(tmp_path):
         with pytest.raises(ValueError, match="origin"):
             write_trace(path, PhaseTrace(samples=np.zeros(3), sample_rate_hz=1.0, origin=origin))
         assert not path.exists()
+
+
+@pytest.mark.parametrize("case", ["n_samples", "rate", "repeated-path", "origin"])
+def test_writer_refuses_traces_that_cannot_share_one_pass(tmp_path, case):
+    good = PhaseTrace(samples=np.zeros(3), sample_rate_hz=1.0, origin="a")
+    bad, message = {
+        "n_samples": (replace(good, samples=np.zeros(4)), "n_samples"),
+        "rate": (replace(good, sample_rate_hz=2.0), "sample_rate_hz"),
+        "repeated-path": (good, "path of its own"),
+        "origin": (replace(good, origin="my trace"), "origin"),
+    }[case]
+    # the repeat names a.txt by another spelling
+    bad_path = tmp_path / ("sub/../a.txt" if case == "repeated-path" else "c.txt")
+    also = {tmp_path / "b.txt": good, bad_path: bad}
+    with pytest.raises(ValueError, match=message):
+        write_trace(tmp_path / "a.txt", good, also=also)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_trace_reader_skips_blank_lines(tmp_path):
@@ -448,6 +470,50 @@ def test_correlation_respects_lag_cap():
     assert abs(delay) <= 0.1
     with pytest.raises(ValueError):
         cross_correlate_delay(a, b, max_lag_s=-0.01)
+    # refused before the traces are looked at: a flat pair would be degenerate
+    flat = PhaseTrace(samples=np.zeros(100), sample_rate_hz=10.0, origin="x")
+    with pytest.raises(ValueError, match="max_lag_s must be >= 0"):
+        cross_correlate_delay(flat, flat, max_lag_s=-0.01)
+
+
+def _cross_correlate_reference(trace_a, trace_b, max_lag_s):
+    """The masked full-window correlation: all 2n-1 lags, then |lag| <= cap kept."""
+    n, fs = trace_a.n_samples, trace_a.sample_rate_hz
+    t = np.arange(n, dtype=float)
+    a = trace_a.samples - np.polynomial.polynomial.polyval(
+        t, np.polynomial.polynomial.polyfit(t, trace_a.samples, 1)
+    )
+    b = trace_b.samples - np.polynomial.polynomial.polyval(
+        t, np.polynomial.polynomial.polyfit(t, trace_b.samples, 1)
+    )
+    norm = math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
+    size = 1
+    while size < 2 * n - 1:
+        size *= 2
+    corr = np.fft.irfft(np.conj(np.fft.rfft(a, size)) * np.fft.rfft(b, size), size)
+    lags = np.arange(-(n - 1), n)
+    values = np.concatenate([corr[size - (n - 1):], corr[:n]])
+    if max_lag_s is not None:
+        keep = np.abs(lags) <= int(math.floor(max_lag_s * fs))
+        lags, values = lags[keep], values[keep]
+    peak = int(np.argmax(values))
+    offset = 0.0
+    if 0 < peak < len(values) - 1:
+        r0, rp, rm = values[peak], values[peak + 1], values[peak - 1]
+        denom = 2.0 * (2.0 * r0 - rp - rm)
+        if denom > 0.0:
+            offset = float(np.clip((rp - rm) / denom, -0.5, 0.5))
+    return (float(lags[peak]) + offset) / fs, float(values[peak] / norm)
+
+
+# cap = 0, a cap that cuts the true 150-sample lag off, one that holds it,
+# and caps at and past n - 1 = 3999 samples
+@pytest.mark.parametrize("max_lag_s", [0.0, 0.05, 0.2, 3.999, 4.0, 100.0, None])
+def test_lag_window_slices_equal_the_masked_full_window(max_lag_s):
+    noise = np.random.default_rng(3).standard_normal((2, 4000)) * 0.05
+    a = replace(_wavelet_trace(0), samples=_wavelet_trace(0).samples + noise[0])
+    b = replace(_wavelet_trace(150), samples=_wavelet_trace(150).samples + noise[1])
+    assert cross_correlate_delay(a, b, max_lag_s) == _cross_correlate_reference(a, b, max_lag_s)
 
 
 def test_correlation_degenerate_and_mismatched_inputs():
