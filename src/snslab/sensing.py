@@ -307,10 +307,11 @@ def cross_correlate_delay(
     """Differential delay of trace_b behind trace_a, in seconds.
 
     Both traces are linearly detrended, cross-correlated over all lags
-    (or only |lag| <= max_lag_s when given), and the integer peak is
-    refined by a parabolic fit through its neighbors. A positive delay
-    means trace_b lags. The second return value is the peak correlation
-    after global normalization, in [-1, 1].
+    (or only |lag| <= max_lag_s when given; math.inf caps nothing), and
+    the integer peak is refined by a parabolic fit through its neighbors.
+    A NaN max_lag_s is refused. A positive delay means trace_b lags. The
+    second return value is the peak correlation after global
+    normalization, in [-1, 1].
     """
     if trace_a.sample_rate_hz != trace_b.sample_rate_hz:
         raise ValueError("traces must share one sample rate")
@@ -322,9 +323,10 @@ def cross_correlate_delay(
     fs = trace_a.sample_rate_hz
     cap = n - 1
     if max_lag_s is not None:
-        if max_lag_s < 0.0:
-            raise ValueError("max_lag_s must be >= 0")
-        cap = min(cap, int(math.floor(max_lag_s * fs)))
+        if not max_lag_s >= 0.0:  # NaN included
+            raise ValueError(f"max_lag_s must be >= 0, not {max_lag_s!r}")
+        if max_lag_s * fs < cap:  # an infinite cap leaves every lag
+            cap = math.floor(max_lag_s * fs)
 
     t = np.arange(n, dtype=float)
     a = trace_a.samples - np.polynomial.polynomial.polyval(

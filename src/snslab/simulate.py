@@ -13,24 +13,35 @@ Two views of a session are provided with identical bookkeeping:
 * monte_carlo_session: sampled counts, reproducible and partitionable.
 
 The sampler's draw order is part of its contract, because it fixes the
-seeded stream. Each chunk draws, in this order:
+seeded stream. A slot can click only where a photon reaches the station or
+a detector fires dark; such a slot is readable, and the sampler draws
+nothing for the others. Each chunk draws, in this order (see _sample_chunk
+for the formulas):
 
-1. one uniform per slot, mapped to the slot's row code (13 tally rows plus
-   discarded) by thresholds on the row probabilities of _row_pulses;
-2. for Alice, then for Bob: the photon number, only where the side's
-   intensity is > 0, then its channel survival, only where it emitted;
-3. the dark clicks of each detector: a binomial(n, noise) count, then that
-   many slot positions without replacement;
-4. one uniform phase per slot where a click can be read (a photon arrived
-   or a detector clicked dark), read as the announced phase in decoy
-   windows and as the relative phase in signal windows, then the jitter
-   of each slot a photon reached;
-5. the port split of the arrived photons.
+1. the pulses of each row code (13 tally rows plus discarded), one
+   multinomial over the row probabilities of _row_pulses;
+2. the readable slots of each tally row, one binomial each;
+3. one uniform per readable slot, picking its first active event (an
+   arrival at A or at B, a dark click left or right), then one uniform for
+   the first photon's arrival time where that event is an arrival;
+4. the photons arriving after that time, and at B after a first arrival
+   at A, then the dark clicks after the first active event;
+5. one uniform phase per readable slot, read as the announced phase in
+   decoy windows and as the relative phase in signal windows, then the
+   jitter of each slot a photon reached;
+6. the port split of the arrived photons;
+7. the lost photons of each herald, for the single-photon column;
+8. one uniform permutation of the signal heralds, for the key-bit order.
 
-The row code carries the roles, decoy picks and send decisions, so the
-tallies and the slot-ordered key bits have the law that independent
-per-slot draws of each of them would give. The sampler reads no click
-probability: every click comes from photons or from the dark-count draw.
+The tallies have the law that independent per-slot draws of roles, decoy
+picks, send decisions, photons and dark clicks would give: a slot that is
+not readable cannot click, and a readable slot's arrivals and dark clicks
+get their joint law given that one of them happened. The slots of a chunk
+are iid, so the slot order of its signal heralds is a uniform order, and a
+permutation gives the key bits the law of slot-ordered bits. The sampler
+reads no click probability: a row's readable share only says that some
+photon arrived or some detector fired dark, and every click comes from
+photons or from the dark clicks.
 """
 
 from __future__ import annotations
@@ -101,9 +112,6 @@ def _row_pulses(src: SourceParams, n_pulses: float) -> np.ndarray:
     )
 
 
-# the send decisions of Alice and Bob that each row code stands for
-_SENDS = np.array([(a == MUZ, b == MUZ) for _, a, b in row_keys()]).T
-
 # a signal row's heralds are all bit errors when both or neither side sent
 _ALL_ERRORS = np.array([k == SIGNAL and a == b for k, a, b in row_keys()])
 # decoy rows with light on both sides; mu1 and mu2 are > 0 in every SourceParams
@@ -130,6 +138,13 @@ def z_bit_assignment(alice_sent, bob_sent):
     return bit_a, bit_b, err
 
 
+# the key bits of Alice and Bob that each row code stands for, from the
+# send decisions of its signal combo
+_BITS_A, _BITS_B, _ = z_bit_assignment(
+    *np.array([(a == MUZ, b == MUZ) for _, a, b in row_keys()]).T
+)
+
+
 @dataclass
 class TallyRow:
     """Counters for one (window kind, intensity pair) cell.
@@ -152,7 +167,9 @@ class SessionTally:
     """Aggregated session statistics plus the ordered signal-window bits.
 
     counts has one row per row_keys() entry and one column per TallyRow
-    field, in declaration order.
+    field, in declaration order. A sampled session holds its bits chunk by
+    chunk, in chunk order; within a chunk they come in a uniformly random
+    order, which is the law of slot order for iid slots (see _sample_chunk).
     """
 
     n_pulses: float
@@ -432,87 +449,99 @@ def _sample_chunk(
 ) -> SessionTally:
     """Sample one block of n time slots and tally it.
 
-    The draws, in this order, fix the seeded stream (see the module
-    docstring): the row code of every slot, from one uniform each; for each
-    side in turn, the photon number where its intensity is > 0, then the
-    channel survival where it emitted; each detector's dark clicks, a
-    binomial(n, nu) count placed on that many distinct slots; one phase per
-    slot where a click can be read, then the jitter of each slot a photon
-    reached; the port split of the arrived photons. Everything after the
-    photon draws works on the readable slots only, in slot order.
+    A slot is readable when a photon reaches the station or a detector
+    fires dark; no other slot can click, so only the readable slots of the
+    tallied rows are drawn. With x = ia eta_a and y = ib eta_b the arriving
+    intensities of a row, a = 1 - exp(-x) and b = 1 - exp(-y), the draws,
+    in this order, fix the seeded stream (see the module docstring):
+
+    1. the row counts, one multinomial(n, row probabilities + discarded);
+    2. the readable slots of each row, binomial(n_r, q_r) with
+       q_r = 1 - (1 - nu)^2 exp(-(x_r + y_r)); the slots are then grouped by
+       row, in row order;
+    3. one uniform per readable slot, picking its first active event among
+       an arrival at A, an arrival at B, a dark click left and a dark click
+       right, of weights a, (1 - a) b, (1 - a)(1 - b) nu and
+       (1 - a)(1 - b)(1 - nu) nu;
+    4. one uniform U per slot whose first event is an arrival, giving its
+       first photon's time T = -log1p(-U a) / x (b and y at B);
+    5. the arrivals at A, then at B, of every readable slot: 1 +
+       Poisson(x (1 - T)) at the first active side, Poisson(y) at B after
+       an arrival at A, none before the first active event;
+    6. one uniform per readable slot for the dark click left, then one for
+       the right, read only after the first active event;
+    7. one uniform phase per readable slot, the jitter of each slot a
+       photon reached, and the port split of its arrived photons;
+    8. the lost photons of each herald, Poisson(ia (1 - eta_a) +
+       ib (1 - eta_b)), for the single-photon column;
+    9. one uniform permutation of the signal heralds, which gives the key
+       bits their order.
     """
-    thresholds = np.cumsum(_row_pulses(src, 1.0))
-    # where no window is discarded the last threshold becomes exactly 1
-    thresholds /= thresholds[-1] + 2.0 * src.p_signal_window * src.p_decoy_window
-    # row codes: decoy pairs 0..8, signal combos 9..12, discarded 13; the
-    # number of slots at or past each threshold gives the pulse column
-    u = rng.random(n)
-    row = np.zeros(n, dtype=np.uint8)
-    past = [n]
-    for threshold in thresholds:
-        beyond = u >= threshold
-        row += beyond
-        past.append(np.count_nonzero(beyond))
-    pulses = -np.diff(past)
-    ia, ib = (np.append(levels, 0.0) for levels in _row_intensities(src))
+    # row codes: decoy pairs 0..8, signal combos 9..12; the discarded mixed
+    # windows take the remainder and are never read
+    discarded = 2.0 * src.p_signal_window * src.p_decoy_window
+    pulses = rng.multinomial(n, np.append(_row_pulses(src, 1.0), discarded))[:_N_ROWS]
+    ia, ib = _row_intensities(src)
+    intensity = np.stack([ia * eta_a, ib * eta_b])  # x and y
+    arrive, stay = -np.expm1(-intensity), np.exp(-intensity)  # a and b, 1 - a and 1 - b
+    silent = stay[0] * stay[1]
+    weights = np.stack([arrive[0], stay[0] * arrive[1], silent * nu, silent * (1.0 - nu) * nu])
+    # q_r summed without cancellation; a trailing zero weight gives an edge
+    # of exactly 1, which no uniform reaches
+    cum = np.cumsum(weights, axis=0)
+    q = cum[3]
+    readable = rng.binomial(pulses, np.minimum(q, 1.0))  # q may round past 1
+    r = np.repeat(np.arange(_N_ROWS), readable)
+    edges = np.repeat(cum[:3] / np.where(q > 0.0, q, 1.0), readable, axis=1)
+    # 0 arrival at A, 1 arrival at B, 2 dark left, 3 dark right
+    first = (rng.random(r.size) >= edges).sum(axis=0)
 
-    emitted = np.zeros(n, dtype=np.int64)  # both sides' photons, for the single-photon column
-    reached = []
-    for levels, eta in ((ia, eta_a), (ib, eta_b)):
-        slots = np.flatnonzero((levels > 0.0).take(row))
-        photons = rng.poisson(levels.take(row.take(slots)))
-        fired = photons > 0
-        slots, photons = slots[fired], photons[fired]
-        emitted[slots] += photons
-        arrivals = rng.binomial(photons, eta)
-        reached.append((slots[arrivals > 0], arrivals[arrivals > 0]))
+    # the mean arrivals of every readable slot, none before its first event
+    lam = np.repeat(intensity, readable, axis=1) * (first <= [[0], [1]])
+    lead = np.flatnonzero(first < 2)
+    side = first[lead]
+    # x (1 - T): what is left of the first side's intensity after its first photon
+    lam[side, lead] += np.log1p(-rng.random(lead.size) * arrive[side, r[lead]])
+    arrived = rng.poisson(np.maximum(lam, 0.0))
+    arrived[side, lead] += 1
+    dark = (rng.random((2, r.size)) < nu) & (first < [[2], [3]])
+    dark |= first == [[2], [3]]
 
-    dark = [rng.choice(n, rng.binomial(n, nu), replace=False, shuffle=False) for _ in range(2)]
-    # from here on, one entry per slot where a click can be read, in slot order
-    slot = np.sort(np.concatenate([slots for slots, _ in reached] + dark))
-    slot = slot[np.diff(slot, prepend=-1) > 0]  # np.unique costs ten times more here
-    arrived = np.zeros(slot.size, dtype=np.int64)
-    for slots, arrivals in reached:
-        arrived[np.searchsorted(slot, slots)] += arrivals
-    r = row[slot]
     # in turns: the announced phase of a decoy window, the phase of a signal window
-    turn = rng.random(slot.size)
-    hit = np.flatnonzero(arrived)
-    n_hit = arrived[hit]
+    turn = rng.random(r.size)
+    n_arrived = arrived.sum(axis=0)
+    hit = np.flatnonzero(n_arrived)
+    n_hit = n_arrived[hit]
     # a uniform phase plus jitter is still uniform, so signal windows take
     # the jitter as well without changing their law
     theta = turn[hit] * (2.0 * np.pi) + rng.standard_normal(hit.size) * src.jitter_sigma_rad
-    x = ia.take(r[hit]) * eta_a
-    y = ib.take(r[hit]) * eta_b
+    x, y = intensity[:, r[hit]]
     p_left_port = 0.5 + np.sqrt(x * y) * np.cos(theta) / (x + y)  # x + y > 0 where photons arrive
     n_left = rng.binomial(n_hit, np.clip(p_left_port, 0.0, 1.0))
-    click_l = np.zeros(slot.size, dtype=bool)
-    click_r = np.zeros(slot.size, dtype=bool)
-    click_l[hit] = n_left > 0
-    click_r[hit] = n_left < n_hit
-    for click, positions in zip((click_l, click_r), dark):
-        click[np.searchsorted(slot, positions)] = True
+    click_l, click_r = dark
+    click_l[hit] |= n_left > 0
+    click_r[hit] |= n_left < n_hit
 
-    # classify the lone heralds of tallied windows
-    herald = np.flatnonzero((click_l ^ click_r) & (r < _N_ROWS))
+    # classify the lone heralds
+    herald = np.flatnonzero(click_l ^ click_r)
     r = r[herald]
-    phase = turn[herald] * (2.0 * np.pi)
-    in0 = np.abs((phase + np.pi) % (2.0 * np.pi) - np.pi) <= half_width
+    lost = rng.poisson((ia * (1.0 - eta_a) + ib * (1.0 - eta_b))[r])
+    single = n_arrived[herald] + lost == 1
+    phase = turn[herald] * (2.0 * np.pi)  # in [0, 2 pi)
+    in0 = np.minimum(phase, 2.0 * np.pi - phase) <= half_width
     inpi = np.abs(phase - np.pi) <= half_width
-    lit = (ia > 0.0) & (ib > 0.0)
-    lit[_N_DECOY_ROWS:] = False  # the slice applies to decoy rows only
-    accepted = lit[r] & (in0 | inpi)
-    error = accepted & np.where(click_l[herald], inpi, in0)
-    z = r >= _N_DECOY_ROWS
-    bits_a, bits_b, z_error = z_bit_assignment(*_SENDS[:, r[z]])
+    accepted = _LIT[r] & (in0 | inpi)
     # wrong-port errors occur only in decoy rows and key-bit errors only in
     # signal rows, so one error column serves both row kinds
-    error[z] = z_error
-    single = emitted[slot[herald]] == 1
+    error = (accepted & np.where(click_l[herald], inpi, in0)) | _ALL_ERRORS[r]
+    # iid slots come in a uniformly random row order, so one permutation of
+    # the signal heralds stands for their slot order
+    order = rng.permutation(r[r >= _N_DECOY_ROWS])
 
     columns = [pulses, np.bincount(r, minlength=_N_ROWS)]
     columns += [np.bincount(r[mask], minlength=_N_ROWS) for mask in (error, accepted, single)]
-    return SessionTally(float(n), np.stack(columns, axis=1, dtype=float), bits_a, bits_b)
+    return SessionTally(float(n), np.stack(columns, axis=1, dtype=float),
+                        _BITS_A[order], _BITS_B[order])
 
 
 def monte_carlo_session(

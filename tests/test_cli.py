@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -48,6 +49,7 @@ from snslab.sensing import _BLOCK, DEFAULT_PHOTONS_PER_FRAME
 from conftest import sources, write_trace_reference
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+README = CONFIGS.parent / "README.md"
 
 
 def run_cli(*argv):
@@ -611,6 +613,27 @@ def test_optimize_cli_infeasible_link_exits_3(tmp_path):
     code, _, err = run_cli("optimize", "--config", str(cfg), "--seed", "1")
     assert code == 3
     assert "infeasible" in err
+
+
+def test_the_quoted_desk_rates_are_what_the_commands_print():
+    # configs/desk.ini and README quote the sampled and the expected rate
+    # per pulse of desk.ini's session, so a change to the sampler's stream
+    # or to the analytic chain must carry both quotes along
+    number = r"(-?\d\.\d\de-?\d+)"
+    quotes = [
+        re.search(rf"\({number} sampled,\s+{number} expected\)",
+                  (CONFIGS / "desk.ini").read_text()),
+        re.search(rf"\({number} and\s+{number} per pulse\)", README.read_text()),
+    ]
+    desk = str(CONFIGS / "desk.ini")
+    rates = []
+    for argv in (("simulate", "--config", desk, "--seed", "7"), ("keyrate", "--config", desk)):
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        rates.append(float(f"{float(csv_payload(out)['rate.rate_per_pulse']):.2e}"))
+    for quote in quotes:
+        assert quote is not None
+        assert [float(v) for v in quote.groups()] == rates
 
 
 def test_optimize_reads_the_session_length_of_run(tmp_path):

@@ -516,6 +516,17 @@ def test_lag_window_slices_equal_the_masked_full_window(max_lag_s):
     assert cross_correlate_delay(a, b, max_lag_s) == _cross_correlate_reference(a, b, max_lag_s)
 
 
+def test_an_infinite_lag_cap_caps_nothing_and_a_nan_cap_is_refused():
+    a, b = _wavelet_trace(0), _wavelet_trace(150)
+    assert cross_correlate_delay(a, b, math.inf) == cross_correlate_delay(a, b)
+    # 4 s holds every lag of the 4000 samples at 1 kHz; the 0.15 s delay
+    # needs a link of at least 30 000 km
+    geo = LinkGeometry(length_km=40_000.0)
+    assert locate_traces(a, b, geo, max_lag_s=math.inf) == locate_traces(a, b, geo, max_lag_s=4.0)
+    with pytest.raises(ValueError, match="max_lag_s must be >= 0, not nan"):
+        cross_correlate_delay(a, b, math.nan)
+
+
 def test_correlation_degenerate_and_mismatched_inputs():
     flat = PhaseTrace(samples=np.zeros(100), sample_rate_hz=10.0, origin="x")
     wavy = PhaseTrace(samples=np.sin(np.arange(100.0)), sample_rate_hz=10.0, origin="x")

@@ -482,36 +482,38 @@ def test_session_tally_merge_is_additive():
 
 
 def test_seeded_monte_carlo_stream_is_frozen():
-    # 300 000 pulses span three chunks. Re-frozen at the commit "Draw only
-    # what a click can read: a sparse chunk sampler, equal in law": the
-    # sampler stopped taking eleven full-length draws per chunk and now
-    # draws one row code per slot, the dark clicks as a count and positions,
-    # and the phases only where a click can be read. That moved the stream
-    # but not its law, which the agreement test against the two-step
-    # reference below checks. The values were first frozen from the
-    # row-dict tally at commit 331f1c0; they must not move without a stated
-    # reason.
+    # 300 000 pulses span three chunks. Re-frozen at the commit "Sample only
+    # the slots a click can read": each chunk now draws its row counts as
+    # one multinomial, its readable slots as one binomial per row, then
+    # only those slots' first active events, arrivals, dark clicks and
+    # phases, the lost photons at heralds and one permutation for the key
+    # bits, so that its cost follows the readable slots, not the pulses.
+    # That moved the stream but not its law, which the agreement test
+    # against the two-step reference below checks. It was re-frozen before
+    # at the commit "Draw only what a click can read: a sparse chunk
+    # sampler, equal in law", and first frozen from the row-dict tally at
+    # commit 331f1c0; the values must not move without a stated reason.
     tally = monte_carlo_session(desk_link(), desk_detector(), desk_source(), 300_000, seed=4)
     assert tally.n_pulses == 300_000.0
     assert [astuple(tally.rows[key]) for key in row_keys()] == [
-        (3310.0, 2.0, 0.0, 0.0, 0.0),
-        (5780.0, 45.0, 0.0, 0.0, 38.0),
-        (488.0, 12.0, 0.0, 0.0, 6.0),
-        (5682.0, 48.0, 0.0, 0.0, 41.0),
-        (9680.0, 192.0, 1.0, 36.0, 156.0),
-        (832.0, 26.0, 0.0, 3.0, 14.0),
-        (479.0, 12.0, 0.0, 0.0, 7.0),
-        (827.0, 34.0, 1.0, 8.0, 18.0),
-        (81.0, 5.0, 0.0, 0.0, 3.0),
-        (28832.0, 1105.0, 0.0, 0.0, 715.0),
-        (29320.0, 1161.0, 0.0, 0.0, 769.0),
-        (11011.0, 885.0, 885.0, 0.0, 380.0),
-        (77971.0, 20.0, 20.0, 0.0, 0.0),
+        (3407.0, 1.0, 0.0, 0.0, 0.0),
+        (5729.0, 57.0, 0.0, 0.0, 54.0),
+        (462.0, 22.0, 0.0, 0.0, 16.0),
+        (5746.0, 57.0, 0.0, 0.0, 56.0),
+        (9775.0, 166.0, 1.0, 25.0, 133.0),
+        (767.0, 31.0, 0.0, 5.0, 18.0),
+        (458.0, 15.0, 0.0, 0.0, 11.0),
+        (806.0, 38.0, 1.0, 5.0, 24.0),
+        (48.0, 3.0, 0.0, 1.0, 1.0),
+        (28958.0, 1109.0, 0.0, 0.0, 722.0),
+        (28826.0, 1161.0, 0.0, 0.0, 741.0),
+        (10709.0, 820.0, 820.0, 0.0, 350.0),
+        (78161.0, 19.0, 19.0, 0.0, 0.0),
     ]
     bits = tally.z_bits_alice.tobytes() + tally.z_bits_bob.tobytes()
-    assert tally.z_bits_alice.size == 3171
+    assert tally.z_bits_alice.size == 3109
     assert hashlib.sha256(bits).hexdigest() == (
-        "0d52bb0b2124164016c3e3fe26c56cd27d63c1d02fb3801b0acee0958e55a0f4"
+        "729306cd8632dddf54b9e0931e507eb81ce539a27fe0a7d1006116bba337f875"
     )
 
 
@@ -632,6 +634,10 @@ _BRIGHT_SOURCE = SourceParams(
 )
 _BRIGHT_LINK = LinkModel(length_a_km=0.0, length_b_km=60.0, atten_db_per_km=0.2,
                          station_loss_db=0.0, noise_per_pulse=0.3)
+# 60 dB of fiber and almost no noise: a row's readable share q_r is about
+# 1e-6 to 1e-3, so nearly every slot is thinned away
+_SPARSE_LINK = LinkModel(length_a_km=150.0, length_b_km=150.0, atten_db_per_km=0.2,
+                         station_loss_db=0.0, noise_per_pulse=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -640,8 +646,9 @@ _BRIGHT_LINK = LinkModel(length_a_km=0.0, length_b_km=60.0, atten_db_per_km=0.2,
         (desk_source(), desk_link(), 0.3),
         (balanced_source(), desk_link(), 0.3),
         (_BRIGHT_SOURCE, _BRIGHT_LINK, 1.5),
+        (balanced_source(), _SPARSE_LINK, 0.3),
     ],
-    ids=["desk", "balanced", "bright"],
+    ids=["desk", "balanced", "bright", "sparse"],
 )
 def test_chunk_sampler_agrees_in_law_with_the_two_step_reference(src, link, half_width):
     # 16 chunks a side, each side on its own seeds; every cell is a sum of
@@ -706,7 +713,7 @@ def test_chunk_sampler_keeps_the_exact_invariants_in_every_draw(seed, n, src, li
         assert row.single_photon_events <= row.one_detector_events, key
 
 
-@pytest.mark.parametrize("nu", [1e-4, 0.3])
+@pytest.mark.parametrize("nu", [0.0, 1e-4, 0.3])
 def test_dark_clicks_of_a_silent_source_herald_at_two_nu_one_minus_nu(nu):
     # only the dark-count draw can click; a lone click has probability
     # 2 nu (1 - nu) in every slot, whatever its row
