@@ -55,14 +55,7 @@ from .sensing import (
     synthesize_reference_counts,
     write_trace,
 )
-from .simulate import (
-    DEFAULT_SLICE_HALF_WIDTH_RAD,
-    _check_slice_half_width,
-    _click_table,
-    _mix_tallies,
-    expected_tallies,
-    monte_carlo_session,
-)
+from .simulate import _click_table, _mix_tallies, expected_tallies, monte_carlo_session
 
 
 class ConfigError(Exception):
@@ -101,7 +94,7 @@ _MODEL_SECTIONS = {
 _SECTION_KEYS = {
     **{section: _field_names(cls) for section, (cls, _) in _MODEL_SECTIONS.items()},
     "keyrate": set(_KEYRATE_KEYS),
-    "run": {"n_pulses", "seed", "slice_half_width_rad", "n_jobs"},
+    "run": {"n_pulses", "seed", "n_jobs"},
     "curve": {"distances_km"},
     "optimize": {"n_starts", "budget"},
     "sensing": _field_names(LinkGeometry) | set(_SENSING_KEYS),
@@ -191,16 +184,6 @@ def _seed(cp, args) -> int:
     if seed < 0:
         raise ConfigError("[run] seed must be >= 0")
     return seed
-
-
-def _half_width(cp) -> float:
-    """[run] slice_half_width_rad, refused by the library's own check."""
-    half_width = _getfloat(cp, "run", "slice_half_width_rad", DEFAULT_SLICE_HALF_WIDTH_RAD)
-    try:
-        _check_slice_half_width(half_width)
-    except ValueError as exc:
-        raise ConfigError(f"[run] {exc}") from None
-    return half_width
 
 
 def _n_pulses(cp, args, default_pulses: float) -> float:
@@ -326,9 +309,8 @@ def _cmd_keyrate(args) -> int:
         _emit(_render(payload, args.format), args.out)
         return 0
     link, src = _build(cp, "link"), _build(cp, "source")
-    n_pulses, half_width = _n_pulses(cp, args, default_pulses=1e10), _half_width(cp)
-    tally = expected_tallies(link, det, src, n_pulses, half_width)
-    analysis = _post_process(expected_post_processing, tally, src, sec, half_width)
+    tally = expected_tallies(link, det, src, _n_pulses(cp, args, default_pulses=1e10))
+    analysis = _post_process(expected_post_processing, tally, src, sec)
     _emit(_render(_analysis_payload(analysis, det, "expected"), args.format), args.out)
     return 0
 
@@ -338,12 +320,10 @@ def _cmd_simulate(args) -> int:
     link, det, src, sec = (_build(cp, section) for section in _MODEL_SECTIONS)
     n_pulses, seed = _n_pulses(cp, args, default_pulses=1e6), _seed(cp, args)
     n_jobs = _setting(cp, args, "run", "n_jobs", 1)
-    half_width = _half_width(cp)
     if n_jobs < 1:
         raise ConfigError("[run] n_jobs must be >= 1")
-    tally = _post_process(monte_carlo_session, link, det, src, int(n_pulses), seed, n_jobs,
-                          half_width)
-    analysis = _post_process(mc_post_processing, tally, src, sec, seed, half_width)
+    tally = _post_process(monte_carlo_session, link, det, src, int(n_pulses), seed, n_jobs)
+    analysis = _post_process(mc_post_processing, tally, src, sec, seed)
     payload = _analysis_payload(analysis, det, "monte_carlo")
     payload["seed"] = seed
     payload["tally"] = {
@@ -378,7 +358,7 @@ _CURVE_BLOCK = 256
 def _cmd_curve(args) -> int:
     cp = _read_config(args.config)
     link, det, src, sec = (_build(cp, section) for section in _MODEL_SECTIONS)
-    n_pulses, half_width = _n_pulses(cp, args, default_pulses=1e10), _half_width(cp)
+    n_pulses = _n_pulses(cp, args, default_pulses=1e10)
     if args.distances is not None:
         distances = _parse_distances(args.distances)
     elif cp.has_option("curve", "distances_km"):
@@ -395,10 +375,10 @@ def _cmd_curve(args) -> int:
         if not block:
             return
         etas = np.array([eta for _, eta in block])
-        table = _click_table(etas[:, :1], etas[:, 1:], link.noise_per_pulse, src, half_width)
+        table = _click_table(etas[:, :1], etas[:, 1:], link.noise_per_pulse, src)
         for i, (row, _) in enumerate(block):
             tally = _mix_tallies(table.at(i), src, n_pulses)
-            analysis = _post_process(expected_post_processing, tally, src, sec, half_width)
+            analysis = _post_process(expected_post_processing, tally, src, sec)
             # display floor: a session past its reach yields no key
             row["simulated_rate"] = float(max(analysis.report.rate_per_pulse, 0.0))
             rows.append(row)
@@ -437,12 +417,11 @@ def _cmd_optimize(args) -> int:
     n_pulses, seed = _n_pulses(cp, args, default_pulses=1e10), _seed(cp, args)
     n_starts = _setting(cp, args, "optimize", "n_starts", 12)
     budget = _setting(cp, args, "optimize", "budget", 20000)
-    half_width = _half_width(cp)
     try:
         result = optimize_params(
             link, det, sec, n_pulses, seed,
             n_starts=n_starts, budget=budget,
-            misalignment=src.misalignment, slice_half_width_rad=half_width,
+            misalignment=src.misalignment, slice_half_width_rad=src.slice_half_width_rad,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

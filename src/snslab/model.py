@@ -17,6 +17,7 @@ from dataclasses import dataclass
 # It keeps exp(mu) finite in the decoy analysis and bounds the number of
 # harmonics the closed-form click probabilities sum.
 MAX_INTENSITY = 100.0
+DEFAULT_SLICE_HALF_WIDTH_RAD = 0.3
 
 
 def transmittance(loss_db: float) -> float:
@@ -76,10 +77,6 @@ class LinkModel:
     def total_length_km(self) -> float:
         return self.length_a_km + self.length_b_km
 
-    @property
-    def total_fiber_loss_db(self) -> float:
-        return self.atten_db_per_km * self.total_length_km
-
     def arm_loss_db(self, side: str) -> float:
         """Loss from one source to the station input, station optics included."""
         if side == "a":
@@ -124,6 +121,9 @@ class SourceParams:
     epsilon_send and nothing otherwise. misalignment is the baseline
     wrong-port fraction contributed by residual phase jitter; it fixes the
     standard deviation of the Gaussian jitter model via jitter_sigma_rad.
+    The decoy analysis keeps the lit decoy windows whose announced phase
+    difference lies within slice_half_width_rad of 0 or of pi, so the
+    sampled tallies and their analysis read the one slice of this program.
     """
 
     mu1: float
@@ -135,6 +135,7 @@ class SourceParams:
     p_vac: float
     epsilon_send: float
     misalignment: float = 0.0
+    slice_half_width_rad: float = DEFAULT_SLICE_HALF_WIDTH_RAD
 
     def __post_init__(self) -> None:
         if not 0.0 < self.mu1 < self.mu2:
@@ -155,6 +156,8 @@ class SourceParams:
             raise ValueError("epsilon_send must lie in [0, 1]")
         if not 0.0 <= self.misalignment < 0.5:
             raise ValueError("misalignment must lie in [0, 0.5)")
+        if not 0.0 < self.slice_half_width_rad < math.pi / 2.0:
+            raise ValueError("slice_half_width_rad must lie in (0, pi/2)")
 
     @property
     def p_decoy_window(self) -> float:

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    DetectorModel, LinkModel, SecurityParams, SourceParams, channel_transmittance,
+    DEFAULT_SLICE_HALF_WIDTH_RAD, DetectorModel, LinkModel, SecurityParams, SourceParams,
+    channel_transmittance,
 )
 from .security import SessionAnalysis, expected_post_processing
-from .simulate import DEFAULT_SLICE_HALF_WIDTH_RAD, _click_table, _mix_tallies
+from .simulate import _click_table, _mix_tallies
 
 PARAM_NAMES = (
     "mu1",
@@ -92,8 +93,12 @@ def repair(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def params_to_source(vec, misalignment: float = 0.0) -> SourceParams:
-    """Build SourceParams from a vector in PARAM_NAMES order."""
+def params_to_source(
+    vec,
+    misalignment: float = 0.0,
+    slice_half_width_rad: float = DEFAULT_SLICE_HALF_WIDTH_RAD,
+) -> SourceParams:
+    """Build SourceParams from a vector in PARAM_NAMES order and the two fixed fields."""
     v = np.asarray(vec, dtype=float)
     if v.shape != (len(PARAM_NAMES),):
         raise ValueError(f"expected {len(PARAM_NAMES)} values in PARAM_NAMES order")
@@ -108,6 +113,7 @@ def params_to_source(vec, misalignment: float = 0.0) -> SourceParams:
         p_vac=1.0 - p_mu1 - p_mu2,
         epsilon_send=eps,
         misalignment=misalignment,
+        slice_half_width_rad=slice_half_width_rad,
     )
 
 
@@ -117,19 +123,17 @@ def _analyze(
     det: DetectorModel,
     sec: SecurityParams,
     n_pulses: float,
-    slice_half_width_rad: float,
     tables: dict,
 ) -> SessionAnalysis:
     """The full chain at one point. tables holds the click tables built so far
-    at this link and half width, keyed by the only fields of src they read."""
-    key = (src.mu1, src.mu2, src.muz, src.misalignment)
+    at this link, keyed by the only fields of src they read."""
+    key = (src.mu1, src.mu2, src.muz, src.misalignment, src.slice_half_width_rad)
     table = tables.get(key)
     if table is None:
-        table = tables[key] = _click_table(
-            *channel_transmittance(link, det), link.noise_per_pulse, src, slice_half_width_rad
-        )
+        table = tables[key] = _click_table(*channel_transmittance(link, det),
+                                           link.noise_per_pulse, src)
     tally = _mix_tallies(table, src, n_pulses)
-    return expected_post_processing(tally, src, sec, slice_half_width_rad)
+    return expected_post_processing(tally, src, sec)
 
 
 def evaluate(
@@ -143,17 +147,17 @@ def evaluate(
 ) -> float:
     """Expected key rate of one parameter point.
 
-    params is either a ready SourceParams (whose own misalignment wins)
-    or a vector in PARAM_NAMES order. Returns the (possibly negative)
-    rate per pulse, or INFEASIBLE_RATE when the decoy statistics cannot
-    certify any single-photon events at all. Malformed vectors raise
-    ValueError.
+    params is either a ready SourceParams (whose own misalignment and
+    slice half width win) or a vector in PARAM_NAMES order. Returns the
+    (possibly negative) rate per pulse, or INFEASIBLE_RATE when the decoy
+    statistics cannot certify any single-photon events at all. Malformed
+    vectors raise ValueError.
     """
     if isinstance(params, SourceParams):
         src = params
     else:
-        src = params_to_source(np.asarray(params, dtype=float), misalignment)
-    analysis = _analyze(src, link, det, sec, n_pulses, slice_half_width_rad, tables={})
+        src = params_to_source(params, misalignment, slice_half_width_rad)
+    analysis = _analyze(src, link, det, sec, n_pulses, tables={})
     if not analysis.feasible:
         return INFEASIBLE_RATE
     return analysis.report.rate_per_pulse
@@ -218,8 +222,8 @@ def optimize_params(
     # scores compare as (feasible, rate) tuples: any feasible point beats
     # every infeasible one, then the higher rate wins
     def score(vec: np.ndarray) -> tuple[bool, float]:
-        src = params_to_source(vec, misalignment)
-        analysis = _analyze(src, link, det, sec, n_pulses, slice_half_width_rad, tables)
+        src = params_to_source(vec, misalignment, slice_half_width_rad)
+        analysis = _analyze(src, link, det, sec, n_pulses, tables)
         return analysis.feasible, analysis.report.rate_per_pulse
 
     evals = 0

@@ -25,7 +25,6 @@ import numpy as np
 from .model import SecurityParams, SourceParams, binary_entropy
 from .simulate import (
     DECOY,
-    DEFAULT_SLICE_HALF_WIDTH_RAD,
     MU1,
     MU2,
     MUZ,
@@ -127,7 +126,6 @@ def decoy_bounds(
     tally: SessionTally,
     src: SourceParams,
     sec: SecurityParams,
-    slice_half_width_rad: float = DEFAULT_SLICE_HALF_WIDTH_RAD,
 ) -> DecoyBounds:
     """Bound the single-photon contribution of a session from below.
 
@@ -168,7 +166,7 @@ def decoy_bounds(
     y1_bob = y1_lower(gain_bounds(VAC, MU1)[0], gain_bounds(VAC, MU2)[1])
 
     matched_pulses, _, matched_errors = row(DECOY, MU1, MU1)[:3]
-    sifted_windows = matched_pulses * (2.0 * slice_half_width_rad / math.pi)
+    sifted_windows = matched_pulses * (2.0 * src.slice_half_width_rad / math.pi)
 
     if y1_alice <= 0.0 or y1_bob <= 0.0 or sifted_windows <= 0.0:
         return DecoyBounds(y0_low, y0_up, y1_alice, y1_bob, 0.0, 0.0, 0.0, 0.5, False)
@@ -390,7 +388,6 @@ def expected_post_processing(
     tally: SessionTally,
     src: SourceParams,
     sec: SecurityParams,
-    slice_half_width_rad: float = DEFAULT_SLICE_HALF_WIDTH_RAD,
 ) -> SessionAnalysis:
     """Run the full chain on expected tallies without sampling a key.
 
@@ -398,7 +395,7 @@ def expected_post_processing(
     distilled error rate follow from the per-group error fractions, and
     the untagged pair count from the per-group untagged fractions.
     """
-    bounds = decoy_bounds(tally, src, sec, slice_half_width_rad)
+    bounds = decoy_bounds(tally, src, sec)
     group1, err1, group0, err0 = _signal_groups(tally)
     if group1 <= 0.0 or group0 <= 0.0:
         report = key_rate(0.0, 0.5, 0.0, 0.0, tally.n_pulses, sec)
@@ -416,14 +413,13 @@ def mc_post_processing(
     src: SourceParams,
     sec: SecurityParams,
     seed: int,
-    slice_half_width_rad: float = DEFAULT_SLICE_HALF_WIDTH_RAD,
 ) -> SessionAnalysis:
     """Run the full chain on a sampled tally with a realized pairing pass.
 
     The pairing permutations are driven by their own seed so the same
     session can be re-paired independently of how it was sampled.
     """
-    bounds = decoy_bounds(tally, src, sec, slice_half_width_rad)
+    bounds = decoy_bounds(tally, src, sec)
     group1, _, group0, _ = _signal_groups(tally)
     paired = aopp(tally.z_bits_alice, tally.z_bits_bob, seed)
     n_sifted = float(paired.n_kept)

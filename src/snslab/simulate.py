@@ -58,7 +58,6 @@ from .model import (
     MAX_INTENSITY, DetectorModel, LinkModel, SourceParams, channel_transmittance,
 )
 
-DEFAULT_SLICE_HALF_WIDTH_RAD = 0.3
 MC_CHUNK = 1 << 17
 # the largest session monte_carlo_session accepts; README derives it from
 # the sampler's measured cost per pulse
@@ -317,11 +316,6 @@ def click_probabilities(
     return probs
 
 
-def _check_slice_half_width(half_width: float) -> None:
-    if not 0.0 < half_width < math.pi / 2.0:
-        raise ValueError("slice_half_width_rad must lie in (0, pi/2)")
-
-
 class _ClickTable(NamedTuple):
     """The part of expected_tallies that no mixing probability reaches.
 
@@ -352,7 +346,6 @@ def _click_table(
     eta_b: float | np.ndarray,
     nu: float,
     src: SourceParams,
-    slice_half_width_rad: float,
 ) -> _ClickTable:
     """Click and single-photon factors of every row of expected_tallies.
 
@@ -361,14 +354,12 @@ def _click_table(
     table row per pair in one pass, each bit for bit the table of its own
     scalar pair: _lone_clicks works entry by entry.
     """
-    _check_slice_half_width(slice_half_width_rad)
-    sigma = src.jitter_sigma_rad
+    sigma, w = src.jitter_sigma_rad, src.slice_half_width_rad
     ia, ib = _row_intensities(src)
     lone_l, lone_r, _ = click_probabilities(ia, ib, eta_a, eta_b, nu)
 
     def slice_gain(k):
         # uniform announced phase on [-w, w] times Gaussian jitter
-        w = slice_half_width_rad
         return np.sinc(k * (w / math.pi)) * np.exp(-0.5 * (k * sigma) ** 2)
 
     slice_l, slice_r, _ = _lone_clicks(ia[_LIT] * eta_a, ib[_LIT] * eta_b, nu, slice_gain)
@@ -377,7 +368,7 @@ def _click_table(
     total = ia + ib  # a dark row has no single-photon term; 1 avoids 0 / 0
     arrive = (ia * eta_a + ib * eta_b) / np.where(total > 0.0, total, 1.0)
     p1 = arrive * (1.0 - nu) + (1.0 - arrive) * 2.0 * nu * (1.0 - nu)
-    accept_frac = 2.0 * slice_half_width_rad / math.pi
+    accept_frac = 2.0 * w / math.pi
     return _ClickTable(lone_l, lone_r, slice_l, slice_r, accept_frac, np.exp(-total), total, p1)
 
 
@@ -402,7 +393,6 @@ def expected_tallies(
     det: DetectorModel,
     src: SourceParams,
     n_pulses: float,
-    slice_half_width_rad: float = DEFAULT_SLICE_HALF_WIDTH_RAD,
 ) -> SessionTally:
     """Exact expected counters for every tally row.
 
@@ -422,13 +412,12 @@ def expected_tallies(
     width w and by exp(-k^2 sigma^2 / 2) for the jitter.
 
     The work is split in two: _click_table reads only the channel, the
-    intensities and the jitter, and _mix_tallies weighs it by the row
+    intensities, the jitter and the slice, and _mix_tallies weighs it by the row
     pulses, so a caller that varies only the mixing probabilities can
     build the table once, and a caller that varies only the transmittances
     can build one table for many of them.
     """
-    table = _click_table(*channel_transmittance(link, det), link.noise_per_pulse, src,
-                         slice_half_width_rad)
+    table = _click_table(*channel_transmittance(link, det), link.noise_per_pulse, src)
     return _mix_tallies(table, src, n_pulses)
 
 
@@ -445,7 +434,6 @@ def _sample_chunk(
     eta_a: float,
     eta_b: float,
     nu: float,
-    half_width: float,
 ) -> SessionTally:
     """Sample one block of n time slots and tally it.
 
@@ -528,8 +516,8 @@ def _sample_chunk(
     lost = rng.poisson((ia * (1.0 - eta_a) + ib * (1.0 - eta_b))[r])
     single = n_arrived[herald] + lost == 1
     phase = turn[herald] * (2.0 * np.pi)  # in [0, 2 pi)
-    in0 = np.minimum(phase, 2.0 * np.pi - phase) <= half_width
-    inpi = np.abs(phase - np.pi) <= half_width
+    in0 = np.minimum(phase, 2.0 * np.pi - phase) <= src.slice_half_width_rad
+    inpi = np.abs(phase - np.pi) <= src.slice_half_width_rad
     accepted = _LIT[r] & (in0 | inpi)
     # wrong-port errors occur only in decoy rows and key-bit errors only in
     # signal rows, so one error column serves both row kinds
@@ -551,7 +539,6 @@ def monte_carlo_session(
     n_pulses: int,
     seed: int,
     n_jobs: int = 1,
-    slice_half_width_rad: float = DEFAULT_SLICE_HALF_WIDTH_RAD,
 ) -> SessionTally:
     """Sample a full session of n_pulses time slots.
 
@@ -571,7 +558,6 @@ def monte_carlo_session(
         )
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
-    _check_slice_half_width(slice_half_width_rad)
     eta_a, eta_b = channel_transmittance(link, det)
     nu = link.noise_per_pulse
     n_pulses = int(n_pulses)
@@ -581,7 +567,7 @@ def monte_carlo_session(
     def run(idx: int) -> SessionTally:
         size = min(MC_CHUNK, n_pulses - idx * MC_CHUNK)
         rng = _chunk_rng(seed, idx)
-        return _sample_chunk(rng, size, src, eta_a, eta_b, nu, slice_half_width_rad)
+        return _sample_chunk(rng, size, src, eta_a, eta_b, nu)
 
     tally = SessionTally(n_pulses=0.0)
     threaded = n_jobs > 1 and len(chunks) > 1

@@ -185,8 +185,8 @@ KEYRATE = (
 )
 KEYRATE_CONFIG = ["keyrate", "--config", "{cfg}"]
 SENSE_CONFIG = ["sense", "--config", "{cfg}", "--out", "{out}"]
-WIDE_SLICE = "[run]\nslice_half_width_rad = 2\n"
-WIDE_SLICE_ERROR = "config error: [run] slice_half_width_rad must lie in (0, pi/2)\n"
+WIDE_SLICE = "[source]\nslice_half_width_rad = 2\n"
+WIDE_SLICE_ERROR = "config error: [source] slice_half_width_rad must lie in (0, pi/2)\n"
 HUGE_ARM = "[link]\nlength_a_km = 1e308\natten_db_per_km = 10\n"
 HUGE_ARM_ERROR = "config error: [link] the loss of each arm must be finite\n"
 NO_MU2_OPAQUE = (
@@ -226,7 +226,16 @@ ERROR_CASES = {
         "[source] intensities must be <= 100 photons per pulse",
     ),
     "security-nan": (KEYRATE_CONFIG, "[security]\nf_ec = nan\n", 2, "f_ec must be finite"),
-    "run-nan": (KEYRATE_CONFIG, "[run]\nslice_half_width_rad = nan\n", 2, "must be finite"),
+    "run-nan": (KEYRATE_CONFIG, "[run]\nn_pulses = nan\n", 2, "[run] n_pulses must be finite"),
+    "half-width-nan": (
+        KEYRATE_CONFIG, "[source]\nslice_half_width_rad = nan\n", 2,
+        "[source] slice_half_width_rad must be finite",
+    ),
+    # the half width is a field of the source program; [run] no longer takes it
+    "half-width-run-key": (
+        KEYRATE_CONFIG, "[run]\nslice_half_width_rad = 0.3\n", 2,
+        "unknown key 'slice_half_width_rad' in [run]",
+    ),
     # every command that reads the half width refuses it with the same message
     "half-width-keyrate": (KEYRATE_CONFIG, WIDE_SLICE, 2, WIDE_SLICE_ERROR),
     "half-width-simulate": (["simulate", "--config", "{cfg}"], WIDE_SLICE, 2, WIDE_SLICE_ERROR),
@@ -524,11 +533,12 @@ def test_curve_equals_the_per_distance_chain(tmp_path_factory, src, half_width, 
     # the list repeats 0 km and the drawn distances up to n entries, so it
     # holds duplicates and crosses the block edges at 255, 256 and 257
     distances = ([0.0, *drawn] * n)[:n]
+    src = dataclasses.replace(src, slice_half_width_rad=half_width)
     cfg = tmp_path_factory.mktemp("curve") / "curve.ini"
     cfg.write_text(
         CURVE_LINK + "[source]\n"
         + "".join(f"{f.name} = {getattr(src, f.name)!r}\n" for f in dataclasses.fields(src))
-        + f"[run]\nslice_half_width_rad = {half_width!r}\nn_pulses = {n_pulses!r}\n"
+        + f"[run]\nn_pulses = {n_pulses!r}\n"
     )
     seen = []
 
@@ -553,10 +563,10 @@ def test_curve_equals_the_per_distance_chain(tmp_path_factory, src, half_width, 
     want = []
     for d in distances:
         scaled = dataclasses.replace(link, length_a_km=d / 2.0, length_b_km=d / 2.0)
-        tally = expected_tallies(scaled, det, src, n_pulses, half_width)
+        tally = expected_tallies(scaled, det, src, n_pulses)
         want.append(tally)
         try:
-            analysis = expected_post_processing(tally, src, sec, half_width)
+            analysis = expected_post_processing(tally, src, sec)
             want.append(analysis.report.rate_per_pulse)
         except ValueError as exc:
             want.append(exc)

@@ -9,7 +9,8 @@ confirmed it yet. `sense` fits its delay peak through np.polyfit, which is
 LAPACK, and numpy's SIMD exp and log may round differently on another CPU,
 so a mismatch there on new hardware says which build differs, not that the
 code changed. A change that moves a hash on purpose regenerates the table
-with `python3 tests/test_golden.py` and states why in CHANGES.md.
+(`PYTHONPATH=src python3 tests/test_golden.py`) and states why in
+CHANGES.md.
 """
 
 import hashlib

@@ -49,7 +49,7 @@ def test_link_totals():
     link = LinkModel(length_a_km=329.3, length_b_km=329.4,
                      atten_db_per_km=106.0 / 658.7, station_loss_db=1.3)
     assert link.total_length_km == pytest.approx(658.7)
-    assert link.total_fiber_loss_db == pytest.approx(106.0, rel=1e-12)
+    assert link.atten_db_per_km * link.total_length_km == pytest.approx(106.0, rel=1e-12)
     # station optics charged once per arm, on the station side
     assert link.arm_loss_db("a") == pytest.approx(329.3 * 106.0 / 658.7 + 1.3)
     assert link.arm_loss_db("b") == pytest.approx(329.4 * 106.0 / 658.7 + 1.3)
@@ -114,6 +114,12 @@ def test_source_validation():
     _source(p_signal_window=0.0)
     _source(p_signal_window=1.0)
     _source(p_mu1=0.0, p_mu2=0.0, p_vac=1.0)
+
+
+@pytest.mark.parametrize("half_width", [0.0, math.pi / 2, 2.0])
+def test_source_refuses_a_bad_slice_half_width(half_width):
+    with pytest.raises(ValueError, match=r"slice_half_width_rad must lie in \(0, pi/2\)"):
+        _source(slice_half_width_rad=half_width)
 
 
 def test_jitter_sigma_matches_misalignment():

@@ -5,6 +5,7 @@ import pytest
 
 import snslab.optimize
 import snslab.simulate
+from snslab import expected_post_processing, expected_tallies
 from snslab.optimize import (
     INFEASIBLE_RATE,
     PARAM_NAMES,
@@ -29,6 +30,21 @@ def test_evaluate_accepts_both_parameter_forms(desk):
     assert r_src > 0.0
     # the ready-made object carries its own misalignment
     assert evaluate(src, link, det, sec, 1e9, misalignment=0.2) == r_src
+
+
+@pytest.mark.parametrize("half_width", [0.05, 1.2])
+def test_evaluate_reads_the_slice_of_its_source(desk, half_width):
+    link, det, src, sec = desk
+    src = dataclasses.replace(src, slice_half_width_rad=half_width)
+    tally = expected_tallies(link, det, src, 1e9)
+    rate = expected_post_processing(tally, src, sec).report.rate_per_pulse
+    assert evaluate(src, link, det, sec, 1e9) == rate
+    # a vector takes the slice from the keyword, as it takes the misalignment
+    vec = [getattr(src, name) for name in PARAM_NAMES]
+    point = dataclasses.replace(src, p_vac=1.0 - src.p_mu1 - src.p_mu2)
+    assert evaluate(vec, link, det, sec, 1e9, misalignment=src.misalignment,
+                    slice_half_width_rad=half_width) == evaluate(point, link, det, sec, 1e9)
+    assert params_to_source(vec, src.misalignment, half_width) == point
 
 
 def test_evaluate_rejects_malformed_vectors(desk):
@@ -226,8 +242,8 @@ def test_optimizer_builds_one_click_table_per_intensity_triple(desk, monkeypatch
         builds.append(args)
         return click_probabilities(*args, **kwargs)
 
-    def recorded(vec, misalignment=0.0):
-        point = params_to_source(vec, misalignment)
+    def recorded(vec, *fixed):
+        point = params_to_source(vec, *fixed)
         scored.append((point.mu1, point.mu2, point.muz))
         return point
 
@@ -238,3 +254,20 @@ def test_optimizer_builds_one_click_table_per_intensity_triple(desk, monkeypatch
     )
     assert len(scored) == res.evaluations
     assert len(builds) == len(set(scored)) < res.evaluations
+
+
+def test_one_tables_dict_keeps_a_table_per_slice_half_width(desk):
+    # two points that share the intensity triple and the misalignment but
+    # not the slice must not share a click table
+    link, det, src, sec = desk
+    narrow = dataclasses.replace(src, slice_half_width_rad=0.05)
+    wide = dataclasses.replace(src, slice_half_width_rad=1.2)
+    tables = {}
+    for point in (narrow, wide):
+        got = snslab.optimize._analyze(point, link, det, sec, 1e9, tables)
+        want = expected_post_processing(expected_tallies(link, det, point, 1e9), point, sec)
+        assert got == want
+    assert len(tables) == 2
+    first, second = tables.values()
+    assert first.accept_frac != second.accept_frac
+    assert not np.array_equal(first.slice_l, second.slice_l)
