@@ -17,6 +17,7 @@ from dataclasses import dataclass
 # It keeps exp(mu) finite in the decoy analysis and bounds the number of
 # harmonics the closed-form click probabilities sum.
 MAX_INTENSITY = 100.0
+# half width of the announced-phase slice that post-selects decoy windows
 DEFAULT_SLICE_HALF_WIDTH_RAD = 0.3
 
 
