@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -806,10 +807,13 @@ def test_sense_missing_section_is_config_error(tmp_path):
 # -------------------------------------------------------------- subprocess
 
 def test_module_invocation_smoke():
+    # the child imports the package this process imported, installed or not
+    src = str(Path(snslab.sensing.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "snslab.cli", "plob", "--loss-db", "106",
          "--format", "json"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
