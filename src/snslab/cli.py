@@ -103,7 +103,13 @@ _VIBRATION_KEYS = _field_names(VibrationSource)
 
 
 def _read_config(path: str | None) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """Parse the config file and refuse what no command may read.
+
+    Every section and key must be known, and a value that parses as a
+    number must be finite, in every section, whether or not the command
+    reads it. Values are taken as written: '%' is not an interpolation.
+    """
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     if path is None:
         return cp
     if not os.path.exists(path):
@@ -119,9 +125,14 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
             allowed = _VIBRATION_KEYS
         else:
             raise ConfigError(f"unknown section [{section}]")
-        for key in cp[section]:
+        for key, value in cp[section].items():
             if key not in allowed:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
+            try:
+                number = float(value)
+            except ValueError:
+                continue  # not a number: the command that reads the key says so
+            _finite(number, f"[{section}] {key}")
     return cp
 
 

@@ -15,7 +15,7 @@ Two views of a session are provided with identical bookkeeping:
 The sampler's draw order is part of its contract, because it fixes the
 seeded stream. A slot can click only where a photon reaches the station or
 a detector fires dark; such a slot is readable, and the sampler draws
-nothing for the others. Each chunk draws, in this order (see _sample_chunk
+nothing for the others. Each chunk draws, in this order (see _sample_run
 for the formulas):
 
 1. the pulses of each row code (13 tally rows plus discarded), one
@@ -168,7 +168,7 @@ class SessionTally:
     counts has one row per row_keys() entry and one column per TallyRow
     field, in declaration order. A sampled session holds its bits chunk by
     chunk, in chunk order; within a chunk they come in a uniformly random
-    order, which is the law of slot order for iid slots (see _sample_chunk).
+    order, which is the law of slot order for iid slots (see _sample_run).
     """
 
     n_pulses: float
@@ -427,21 +427,70 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     )
 
 
-def _sample_chunk(
-    rng: np.random.Generator,
-    n: int,
+def _first_event_weights(
+    src: SourceParams, eta_a: float, eta_b: float, nu: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row: the arriving intensities x and y, a = 1 - exp(-x) and
+    b = 1 - exp(-y), and the running sums of the four first-event weights
+    of _sample_run, the last of which is the readable share q_r.
+
+    q_r is summed without cancellation; a trailing zero weight gives a
+    normalized edge of exactly 1, which no uniform reaches.
+    """
+    ia, ib = _row_intensities(src)
+    intensity = np.stack([ia * eta_a, ib * eta_b])  # x and y
+    arrive, stay = -np.expm1(-intensity), np.exp(-intensity)  # a and b, 1 - a and 1 - b
+    silent = stay[0] * stay[1]
+    weights = np.stack([arrive[0], stay[0] * arrive[1], silent * nu, silent * (1.0 - nu) * nu])
+    return intensity, arrive, np.cumsum(weights, axis=0)
+
+
+# a run of chunks holds about this many expected readable slots, and at
+# most _RUN_MAX_CHUNKS chunks, because each chunk's generator costs ~1.6 kB
+_RUN_READABLE = 8192
+_RUN_MAX_CHUNKS = 1024
+
+
+def _chunk_runs(
+    n_chunks: int, n_jobs: int, src: SourceParams, eta_a: float, eta_b: float, nu: float,
+) -> list[range]:
+    """Cut chunks 0 .. n_chunks - 1 into runs of consecutive chunks.
+
+    A run holds as many chunks as keep its expected readable slots at most
+    _RUN_READABLE, and at least one; it holds at most _RUN_MAX_CHUNKS
+    chunks, and at most its share of n_chunks over n_jobs workers, so that
+    every worker gets a run.
+    """
+    q = _first_event_weights(src, eta_a, eta_b, nu)[2][3]
+    per_chunk = MC_CHUNK * float(_row_pulses(src, 1.0) @ q)
+    size = max(1, int(min(_RUN_READABLE // max(per_chunk, 1.0), -(-n_chunks // n_jobs),
+                          _RUN_MAX_CHUNKS)))
+    return [range(lo, min(lo + size, n_chunks)) for lo in range(0, n_chunks, size)]
+
+
+def _sample_run(
+    rngs: list[np.random.Generator],
+    sizes: list[int],
     src: SourceParams,
     eta_a: float,
     eta_b: float,
     nu: float,
 ) -> SessionTally:
-    """Sample one block of n time slots and tally it.
+    """Sample a run of consecutive chunks of sizes[i] time slots and tally them.
+
+    The chunks of a run draw in step, chunk i from its own generator
+    rngs[i]: each chunk makes the draw calls that it would make alone, in
+    the same order and with the same parameters, so its stream does not
+    depend on the run that holds it. The arithmetic between the draws runs
+    once over the run's slots, which lie chunk after chunk, so the bits
+    come in chunk order.
 
     A slot is readable when a photon reaches the station or a detector
     fires dark; no other slot can click, so only the readable slots of the
     tallied rows are drawn. With x = ia eta_a and y = ib eta_b the arriving
-    intensities of a row, a = 1 - exp(-x) and b = 1 - exp(-y), the draws,
-    in this order, fix the seeded stream (see the module docstring):
+    intensities of a row, a = 1 - exp(-x) and b = 1 - exp(-y), the draws
+    of each chunk, in this order, fix the seeded stream (see the module
+    docstring):
 
     1. the row counts, one multinomial(n, row probabilities + discarded);
     2. the readable slots of each row, binomial(n_r, q_r) with
@@ -468,67 +517,108 @@ def _sample_chunk(
     # row codes: decoy pairs 0..8, signal combos 9..12; the discarded mixed
     # windows take the remainder and are never read
     discarded = 2.0 * src.p_signal_window * src.p_decoy_window
-    pulses = rng.multinomial(n, np.append(_row_pulses(src, 1.0), discarded))[:_N_ROWS]
-    ia, ib = _row_intensities(src)
-    intensity = np.stack([ia * eta_a, ib * eta_b])  # x and y
-    arrive, stay = -np.expm1(-intensity), np.exp(-intensity)  # a and b, 1 - a and 1 - b
-    silent = stay[0] * stay[1]
-    weights = np.stack([arrive[0], stay[0] * arrive[1], silent * nu, silent * (1.0 - nu) * nu])
-    # q_r summed without cancellation; a trailing zero weight gives an edge
-    # of exactly 1, which no uniform reaches
-    cum = np.cumsum(weights, axis=0)
+    p_rows = np.append(_row_pulses(src, 1.0), discarded)
+    intensity, arrive, cum = _first_event_weights(src, eta_a, eta_b, nu)
     q = cum[3]
-    readable = rng.binomial(pulses, np.minimum(q, 1.0))  # q may round past 1
-    r = np.repeat(np.arange(_N_ROWS), readable)
-    edges = np.repeat(cum[:3] / np.where(q > 0.0, q, 1.0), readable, axis=1)
+    q_draw = np.minimum(q, 1.0)  # q may round past 1
+    norm = cum[:3] / np.where(q > 0.0, q, 1.0)
+    pulses = np.empty((len(rngs), _N_ROWS), dtype=np.int64)
+    readable = np.empty_like(pulses)
+    for i, (rng, n) in enumerate(zip(rngs, sizes)):
+        pulses[i] = rng.multinomial(n, p_rows)[:_N_ROWS]
+        readable[i] = rng.binomial(pulses[i], q_draw)
+    # chunk i holds the slots bounds[i]:bounds[i + 1], grouped by row
+    bounds = np.concatenate(([0], np.cumsum(readable.sum(axis=1))))
+    r = np.repeat(np.tile(np.arange(_N_ROWS), len(rngs)), readable.ravel())
+
+    def per_chunk(draw, index=None):
+        """draw(rng, lo, hi) of every chunk, joined in chunk order, where
+        lo:hi are the entries of the sorted slot list index (all slots by
+        default) that fall in the chunk."""
+        cuts = (bounds if index is None else np.searchsorted(index, bounds)).tolist()
+        parts = [draw(rng, lo, hi) for rng, lo, hi in zip(rngs, cuts, cuts[1:])]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
     # 0 arrival at A, 1 arrival at B, 2 dark left, 3 dark right
-    first = (rng.random(r.size) >= edges).sum(axis=0)
+    u = per_chunk(lambda rng, lo, hi: rng.random(hi - lo))
+    first = (u >= norm[0][r]).astype(np.int8)
+    first += u >= norm[1][r]
+    first += u >= norm[2][r]
+    del u
 
     # the mean arrivals of every readable slot, none before its first event
-    lam = np.repeat(intensity, readable, axis=1) * (first <= [[0], [1]])
+    lam = np.take(intensity, r, axis=1)
+    lam *= first <= np.array([[0], [1]], dtype=np.int8)
     lead = np.flatnonzero(first < 2)
-    side = first[lead]
+    side = first[lead].astype(np.intp)
+    cell = side * _N_ROWS + r[lead]  # (side, row) of the first photon, in intensity
+    at = side * r.size + lead  # (side, slot) of the first photon, in lam and arrived
+    del side
     # x (1 - T): what is left of the first side's intensity after its first photon
-    lam[side, lead] += np.log1p(-rng.random(lead.size) * arrive[side, r[lead]])
-    arrived = rng.poisson(np.maximum(lam, 0.0))
-    arrived[side, lead] += 1
-    dark = (rng.random((2, r.size)) < nu) & (first < [[2], [3]])
-    dark |= first == [[2], [3]]
+    t = per_chunk(lambda rng, lo, hi: rng.random(hi - lo), lead)
+    lam.reshape(-1)[at] = intensity.reshape(-1)[cell] + np.log1p(-t * arrive.reshape(-1)[cell])
+    del t, cell, lead
+    np.maximum(lam, 0.0, out=lam)
+    arrived = per_chunk(lambda rng, lo, hi: rng.poisson(lam[:, lo:hi]))
+    del lam
+    arrived.reshape(-1)[at] += 1
+    del at
+    dark = per_chunk(lambda rng, lo, hi: rng.random((2, hi - lo)) < nu)
+    ends = np.array([[2], [3]], dtype=np.int8)
+    dark &= first < ends
+    dark |= first == ends
+    del first
 
     # in turns: the announced phase of a decoy window, the phase of a signal window
-    turn = rng.random(r.size)
+    turn = per_chunk(lambda rng, lo, hi: rng.random(hi - lo))
     n_arrived = arrived.sum(axis=0)
+    del arrived
     hit = np.flatnonzero(n_arrived)
     n_hit = n_arrived[hit]
     # a uniform phase plus jitter is still uniform, so signal windows take
     # the jitter as well without changing their law
-    theta = turn[hit] * (2.0 * np.pi) + rng.standard_normal(hit.size) * src.jitter_sigma_rad
-    x, y = intensity[:, r[hit]]
-    p_left_port = 0.5 + np.sqrt(x * y) * np.cos(theta) / (x + y)  # x + y > 0 where photons arrive
-    n_left = rng.binomial(n_hit, np.clip(p_left_port, 0.0, 1.0))
+    jitter = per_chunk(lambda rng, lo, hi: rng.standard_normal(hi - lo), hit)
+    theta = turn[hit] * (2.0 * np.pi) + jitter * src.jitter_sigma_rad
+    del jitter
+    x, y = intensity
+    r_hit = r[hit]
+    # x + y > 0 where photons arrive
+    p_left_port = 0.5 + np.sqrt(x * y)[r_hit] * np.cos(theta) / (x + y)[r_hit]
+    del r_hit, theta
+    np.clip(p_left_port, 0.0, 1.0, out=p_left_port)
+    n_left = per_chunk(lambda rng, lo, hi: rng.binomial(n_hit[lo:hi], p_left_port[lo:hi]), hit)
     click_l, click_r = dark
     click_l[hit] |= n_left > 0
     click_r[hit] |= n_left < n_hit
+    del n_left, n_hit, p_left_port, hit
 
     # classify the lone heralds
     herald = np.flatnonzero(click_l ^ click_r)
+    left = click_l[herald]
+    del dark, click_l, click_r
     r = r[herald]
-    lost = rng.poisson((ia * (1.0 - eta_a) + ib * (1.0 - eta_b))[r])
+    ia, ib = _row_intensities(src)
+    mean_lost = (ia * (1.0 - eta_a) + ib * (1.0 - eta_b))[r]
+    lost = per_chunk(lambda rng, lo, hi: rng.poisson(mean_lost[lo:hi]), herald)
     single = n_arrived[herald] + lost == 1
     phase = turn[herald] * (2.0 * np.pi)  # in [0, 2 pi)
+    del n_arrived, turn, mean_lost, lost
     in0 = np.minimum(phase, 2.0 * np.pi - phase) <= src.slice_half_width_rad
     inpi = np.abs(phase - np.pi) <= src.slice_half_width_rad
     accepted = _LIT[r] & (in0 | inpi)
     # wrong-port errors occur only in decoy rows and key-bit errors only in
     # signal rows, so one error column serves both row kinds
-    error = (accepted & np.where(click_l[herald], inpi, in0)) | _ALL_ERRORS[r]
+    error = (accepted & np.where(left, inpi, in0)) | _ALL_ERRORS[r]
     # iid slots come in a uniformly random row order, so one permutation of
-    # the signal heralds stands for their slot order
-    order = rng.permutation(r[r >= _N_DECOY_ROWS])
+    # each chunk's signal heralds stands for their slot order
+    order = per_chunk(
+        lambda rng, lo, hi: rng.permutation(r[lo:hi][r[lo:hi] >= _N_DECOY_ROWS]), herald
+    )
 
-    columns = [pulses, np.bincount(r, minlength=_N_ROWS)]
-    columns += [np.bincount(r[mask], minlength=_N_ROWS) for mask in (error, accepted, single)]
-    return SessionTally(float(n), np.stack(columns, axis=1, dtype=float),
+    # 0/1 weights sum exactly in float64
+    columns = [pulses.sum(axis=0)]
+    columns += [np.bincount(r, w, _N_ROWS) for w in (None, error, accepted, single)]
+    return SessionTally(float(sum(sizes)), np.stack(columns, axis=1, dtype=float),
                         _BITS_A[order], _BITS_B[order])
 
 
@@ -545,9 +635,12 @@ def monte_carlo_session(
     The pulse range is cut into fixed-size chunks, each driven by a
     substream derived from (seed, chunk index), so the result is
     bit-identical for any n_jobs and any partitioning of chunks over
-    workers. Ground-truth photon numbers are recorded per row so the decoy
-    analysis can be audited against the simulator. A session longer than
-    MC_MAX_PULSES is refused before the first chunk.
+    workers. Workers take runs of consecutive chunks (_chunk_runs); the
+    chunks of a run draw in step, each from its own generator, so the
+    per-chunk draw order is unchanged. Ground-truth photon numbers are
+    recorded per row so the decoy analysis can be audited against the
+    simulator. A session longer than MC_MAX_PULSES is refused before the
+    first chunk.
     """
     if n_pulses < 0:
         raise ValueError("n_pulses must be >= 0")
@@ -561,19 +654,18 @@ def monte_carlo_session(
     eta_a, eta_b = channel_transmittance(link, det)
     nu = link.noise_per_pulse
     n_pulses = int(n_pulses)
-    # the chunk partition is fixed by n_pulses alone, never by the job count
-    chunks = range(-(-n_pulses // MC_CHUNK))
+    # the chunks are fixed by n_pulses alone; the job count only groups them into runs
+    runs = _chunk_runs(-(-n_pulses // MC_CHUNK), n_jobs, src, eta_a, eta_b, nu)
 
-    def run(idx: int) -> SessionTally:
-        size = min(MC_CHUNK, n_pulses - idx * MC_CHUNK)
-        rng = _chunk_rng(seed, idx)
-        return _sample_chunk(rng, size, src, eta_a, eta_b, nu)
+    def run(chunks: range) -> SessionTally:
+        rngs = [_chunk_rng(seed, idx) for idx in chunks]
+        sizes = [min(MC_CHUNK, n_pulses - idx * MC_CHUNK) for idx in chunks]
+        return _sample_run(rngs, sizes, src, eta_a, eta_b, nu)
 
     tally = SessionTally(n_pulses=0.0)
-    threaded = n_jobs > 1 and len(chunks) > 1
+    threaded = n_jobs > 1 and len(runs) > 1
     with ThreadPoolExecutor(max_workers=n_jobs) if threaded else nullcontext() as pool:
-        for part in (pool.map if threaded else map)(run, chunks):
-            tally.merge(part)  # in chunk order, to keep the bit streams stable
+        for part in (pool.map if threaded else map)(run, runs):
+            tally.merge(part)  # in run order, to keep the bit streams stable
     tally.validate()
     return tally
-

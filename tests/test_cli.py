@@ -247,6 +247,20 @@ ERROR_CASES = {
         ["optimize", "--budget", "1", "--n-starts", "1", "--config", "{cfg}"], WIDE_SLICE, 2,
         WIDE_SLICE_ERROR,
     ),
+    # a non-finite value is refused in every section, also one the command never builds
+    "unread-source-nan": (
+        SENSE_CONFIG, (CONFIGS / "sense_demo.ini").read_text() + "[source]\nmu1 = nan\n", 2,
+        "config error: [source] mu1 must be finite",
+    ),
+    "unread-sensing-nan": (
+        KEYRATE_CONFIG, (CONFIGS / "desk.ini").read_text() + "[sensing]\nlength_km = nan\n", 2,
+        "config error: [sensing] length_km must be finite",
+    ),
+    # '%' is not an interpolation; it crashed in configparser
+    "percent-sign": (
+        KEYRATE_CONFIG, "[link]\nlength_a_km = 5%\n", 2,
+        "config error: [link] length_a_km must be a number",
+    ),
     "keyrate-nan": (KEYRATE_CONFIG, KEYRATE + "n_untagged = nan\n", 2, "n_untagged"),
     "distance-nan": (["curve", "--distances", "10,nan"], None, 2, "distances_km"),
     # [run] n_pulses is the one session-length key

@@ -24,8 +24,8 @@ from snslab.presets import (
     desk_detector, desk_link, desk_source, reference_detector, reference_link,
 )
 from snslab.simulate import (
-    DECOY, MC_CHUNK, MC_MAX_PULSES, MU1, MU2, MUZ, SIGNAL, VAC, _chunk_rng, _click_table,
-    _lone_clicks, _mix_tallies, _N_ROWS, _sample_chunk, row_keys,
+    DECOY, MC_CHUNK, MC_MAX_PULSES, MU1, MU2, MUZ, SIGNAL, VAC, _chunk_rng, _chunk_runs,
+    _click_table, _lone_clicks, _mix_tallies, _N_ROWS, _sample_run, row_keys,
 )
 
 from conftest import balanced_source, sources
@@ -510,7 +510,7 @@ def test_seeded_monte_carlo_stream_is_frozen():
     )
 
 
-# The two-step chunk sampler that _sample_chunk replaced, kept as an
+# The two-step chunk sampler that _sample_run replaced, kept as an
 # independent reference: it draws every slot's roles, decoy picks, send
 # decisions, phases and dark clicks at full length, one draw each, and it
 # builds the row codes from them rather than from _row_pulses.
@@ -654,7 +654,7 @@ def test_chunk_sampler_agrees_in_law_with_the_two_step_reference(src, link, half
     for idx in range(16):
         data = _simulate_chunk(_chunk_rng(1000, idx), MC_CHUNK, *args, half_width)
         old.merge(_tally_chunk(data, MC_CHUNK))
-        new.merge(_sample_chunk(_chunk_rng(2000, idx), MC_CHUNK, *args))
+        new.merge(_sample_run([_chunk_rng(2000, idx)], [MC_CHUNK], *args))
     assert new.n_pulses == old.n_pulses == 16.0 * MC_CHUNK
     zero = expected_tallies(link, det, src, old.n_pulses).counts == 0.0
     assert not old.counts[zero].any() and not new.counts[zero].any()
@@ -686,7 +686,7 @@ def test_chunk_sampler_agrees_in_law_with_the_two_step_reference(src, link, half
 def test_chunk_sampler_keeps_the_exact_invariants_in_every_draw(seed, n, src, link, half_width):
     eta_a, eta_b = channel_transmittance(link, desk_detector())
     src = replace(src, slice_half_width_rad=half_width)
-    tally = _sample_chunk(_chunk_rng(seed, 0), n, src, eta_a, eta_b, link.noise_per_pulse)
+    tally = _sample_run([_chunk_rng(seed, 0)], [n], src, eta_a, eta_b, link.noise_per_pulse)
     tally.validate()
     assert tally.n_pulses == float(n)
     bits_a, bits_b = tally.z_bits_alice, tally.z_bits_bob
@@ -735,7 +735,7 @@ def test_session_tally_is_the_chunk_order_sum_of_its_chunks(n_pulses):
     seed = 11
     sizes = [min(MC_CHUNK, n_pulses - start) for start in range(0, n_pulses, MC_CHUNK)]
     parts = [
-        _sample_chunk(_chunk_rng(seed, idx), size, src, eta_a, eta_b, link.noise_per_pulse)
+        _sample_run([_chunk_rng(seed, idx)], [size], src, eta_a, eta_b, link.noise_per_pulse)
         for idx, size in enumerate(sizes)
     ]
     serial = monte_carlo_session(link, det, src, n_pulses, seed, n_jobs=1)
@@ -746,3 +746,76 @@ def test_session_tally_is_the_chunk_order_sum_of_its_chunks(n_pulses):
         for side in ("z_bits_alice", "z_bits_bob"):
             want = np.concatenate([getattr(part, side) for part in parts])
             assert getattr(tally, side).tobytes() == want.tobytes()
+
+
+# (link, detector, source): the desk link holds about 1560 readable slots a
+# chunk, so several chunks share a run; the bright link makes every slot
+# readable, so each run is one chunk; the 658.7 km link holds almost none,
+# so a run holds as many chunks as the job count allows
+_RUN_LINKS = {
+    "desk": (desk_link(), desk_detector(), desk_source()),
+    "bright": (_BRIGHT_LINK, desk_detector(), _BRIGHT_SOURCE),
+    "658.7km": (reference_link(), reference_detector(), desk_source()),
+}
+
+
+def _one_chunk_runs(link, det, src, n_pulses, seed):
+    eta_a, eta_b = channel_transmittance(link, det)
+    return [
+        _sample_run([_chunk_rng(seed, idx)], [min(MC_CHUNK, n_pulses - start)], src, eta_a, eta_b,
+                    link.noise_per_pulse)
+        for idx, start in enumerate(range(0, n_pulses, MC_CHUNK))
+    ]
+
+
+@pytest.mark.parametrize("n_pulses", [1, MC_CHUNK - 1, MC_CHUNK + 1, 9 * MC_CHUNK + 7])
+@pytest.mark.parametrize("name", list(_RUN_LINKS))
+def test_sessions_are_byte_identical_for_every_job_count(name, n_pulses):
+    link, det, src = _RUN_LINKS[name]
+    parts = _one_chunk_runs(link, det, src, n_pulses, seed=23)
+    counts = sum(part.counts for part in parts)
+    bits = [np.concatenate([getattr(part, side) for part in parts]).tobytes()
+            for side in ("z_bits_alice", "z_bits_bob")]
+    for n_jobs in (1, 2, 3, 8):
+        tally = monte_carlo_session(link, det, src, n_pulses, seed=23, n_jobs=n_jobs)
+        assert tally.n_pulses == float(n_pulses)
+        assert tally.counts.tobytes() == counts.tobytes(), n_jobs
+        assert [tally.z_bits_alice.tobytes(), tally.z_bits_bob.tobytes()] == bits, n_jobs
+
+
+def _readable_per_chunk(link, det, src):
+    """Expected readable slots of a full chunk: a slot is readable unless no
+    photon arrives and neither detector fires dark."""
+    eta_a, eta_b = channel_transmittance(link, det)
+    level = {VAC: 0.0, MU1: src.mu1, MU2: src.mu2, MUZ: src.muz}
+    silent = [
+        (1.0 - link.noise_per_pulse) ** 2 * math.exp(-(level[a] * eta_a + level[b] * eta_b))
+        for _, a, b in row_keys()
+    ]
+    pulses = expected_tallies(link, det, src, MC_CHUNK).counts[:, 0]
+    return float(pulses @ (1.0 - np.array(silent)))
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2, 3, 8])
+@pytest.mark.parametrize("n_chunks", [0, 1, 2, 7, 31, 7630])
+@pytest.mark.parametrize("name", [*_RUN_LINKS, "silent"])
+def test_runs_cover_each_chunk_once_within_their_bounds(name, n_chunks, n_jobs):
+    if name == "silent":
+        # no light and no dark clicks: no slot is readable
+        link, det = replace(desk_link(), noise_per_pulse=0.0), desk_detector()
+        src = replace(desk_source(), p_mu1=0.0, p_mu2=0.0, p_vac=1.0, epsilon_send=0.0)
+    else:
+        link, det, src = _RUN_LINKS[name]
+    eta_a, eta_b = channel_transmittance(link, det)
+    runs = _chunk_runs(n_chunks, n_jobs, src, eta_a, eta_b, link.noise_per_pulse)
+    assert [idx for run in runs for idx in run] == list(range(n_chunks))
+    assert all(run.step == 1 and len(run) >= 1 for run in runs)
+    readable = _readable_per_chunk(link, det, src)
+    for run in runs:
+        assert len(run) <= min(-(-n_chunks // n_jobs), 1024)
+        if len(run) > 1:
+            assert len(run) * readable <= 8192.0 * (1.0 + 1e-12), (len(run), readable)
+    # the first run is as long as all three bounds allow
+    by_slots = max(1.0, 8192.0 // readable) if readable > 0.0 else math.inf
+    if runs:
+        assert len(runs[0]) == min(by_slots, -(-n_chunks // n_jobs), 1024)
