@@ -430,9 +430,7 @@ def _cmd_optimize(args) -> int:
     budget = _setting(cp, args, "optimize", "budget", 20000)
     try:
         result = optimize_params(
-            link, det, sec, n_pulses, seed,
-            n_starts=n_starts, budget=budget,
-            misalignment=src.misalignment, slice_half_width_rad=src.slice_half_width_rad,
+            link, det, sec, n_pulses, seed, base=src, n_starts=n_starts, budget=budget,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -562,7 +560,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sampled session with realized pairing")
     _add_common(p, seed=True, n_pulses=True)
-    p.add_argument("--n-jobs", type=int, help="worker threads; result is identical")
+    p.add_argument("--n-jobs", type=int,
+                   help="worker threads, capped at the usable CPUs; result is identical")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("curve", help="key rate and repeaterless bounds vs distance")

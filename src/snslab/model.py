@@ -165,6 +165,12 @@ class SourceParams:
         return 1.0 - self.p_signal_window
 
     @property
+    def slice_acceptance(self) -> float:
+        """Share of lit decoy windows whose announced phase difference falls
+        in the slice around 0 or pi: 2 w / pi for half width w."""
+        return 2.0 * self.slice_half_width_rad / math.pi
+
+    @property
     def jitter_sigma_rad(self) -> float:
         """Gaussian phase-jitter width reproducing the baseline misalignment.
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    DEFAULT_SLICE_HALF_WIDTH_RAD, DetectorModel, LinkModel, SecurityParams, SourceParams,
-    channel_transmittance,
+    DetectorModel, LinkModel, SecurityParams, SourceParams, channel_transmittance,
 )
 from .security import SessionAnalysis, expected_post_processing
 from .simulate import _click_table, _mix_tallies
@@ -93,12 +92,12 @@ def repair(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def params_to_source(
-    vec,
-    misalignment: float = 0.0,
-    slice_half_width_rad: float = DEFAULT_SLICE_HALF_WIDTH_RAD,
-) -> SourceParams:
-    """Build SourceParams from a vector in PARAM_NAMES order and the two fixed fields."""
+def params_to_source(vec, base: SourceParams) -> SourceParams:
+    """Build SourceParams from a vector in PARAM_NAMES order.
+
+    p_vac is the complement of the two decoy send probabilities; every
+    other field the search does not tune comes from base.
+    """
     v = np.asarray(vec, dtype=float)
     if v.shape != (len(PARAM_NAMES),):
         raise ValueError(f"expected {len(PARAM_NAMES)} values in PARAM_NAMES order")
@@ -112,8 +111,8 @@ def params_to_source(
         p_mu2=p_mu2,
         p_vac=1.0 - p_mu1 - p_mu2,
         epsilon_send=eps,
-        misalignment=misalignment,
-        slice_half_width_rad=slice_half_width_rad,
+        misalignment=base.misalignment,
+        slice_half_width_rad=base.slice_half_width_rad,
     )
 
 
@@ -126,8 +125,9 @@ def _analyze(
     tables: dict,
 ) -> SessionAnalysis:
     """The full chain at one point. tables holds the click tables built so far
-    at this link, keyed by the only fields of src they read."""
-    key = (src.mu1, src.mu2, src.muz, src.misalignment, src.slice_half_width_rad)
+    at this link for points of one base, keyed by the intensity triple: the
+    other fields a table reads are the base's."""
+    key = (src.mu1, src.mu2, src.muz)
     table = tables.get(key)
     if table is None:
         table = tables[key] = _click_table(*channel_transmittance(link, det),
@@ -137,26 +137,22 @@ def _analyze(
 
 
 def evaluate(
-    params,
+    src: SourceParams,
     link: LinkModel,
     det: DetectorModel,
     sec: SecurityParams,
     n_pulses: float,
-    misalignment: float = 0.0,
-    slice_half_width_rad: float = DEFAULT_SLICE_HALF_WIDTH_RAD,
 ) -> float:
-    """Expected key rate of one parameter point.
+    """Expected key rate of the source program src.
 
-    params is either a ready SourceParams (whose own misalignment and
-    slice half width win) or a vector in PARAM_NAMES order. Returns the
-    (possibly negative) rate per pulse, or INFEASIBLE_RATE when the decoy
-    statistics cannot certify any single-photon events at all. Malformed
-    vectors raise ValueError.
+    A vector in PARAM_NAMES order is first turned into a SourceParams by
+    params_to_source. Returns the (possibly negative) rate per pulse, or
+    INFEASIBLE_RATE when the decoy statistics cannot certify any
+    single-photon events at all.
     """
-    if isinstance(params, SourceParams):
-        src = params
-    else:
-        src = params_to_source(params, misalignment, slice_half_width_rad)
+    if not isinstance(src, SourceParams):
+        raise TypeError("evaluate takes a SourceParams; build one from a vector "
+                        "with params_to_source")
     analysis = _analyze(src, link, det, sec, n_pulses, tables={})
     if not analysis.feasible:
         return INFEASIBLE_RATE
@@ -178,18 +174,21 @@ def optimize_params(
     sec: SecurityParams,
     n_pulses: float,
     seed: int,
+    base: SourceParams,
     n_starts: int = 12,
     budget: int = 20000,
     space: SearchSpace | None = None,
     initial=None,
-    misalignment: float = 0.0,
-    slice_half_width_rad: float = DEFAULT_SLICE_HALF_WIDTH_RAD,
 ) -> OptimizeResult:
     """Search the source parameters maximizing the expected key rate.
 
-    Starts from a seeded Latin hypercube (plus the optional initial
-    vector at index 0), then refines only the best start by coordinate
-    descent with a step that halves after each sweep without improvement.
+    The search tunes the PARAM_NAMES fields. Every point takes the fields
+    it does not tune (the misalignment and the slice half width) from base,
+    through params_to_source; base's own PARAM_NAMES fields and p_vac are
+    not read. Starts from a seeded Latin hypercube (plus the optional
+    initial vector at index 0), then refines only the best start by
+    coordinate descent with a step that halves after each sweep without
+    improvement.
     budget caps the total number of objective evaluations; a budget of 1
     returns the single evaluated start. If no evaluation is feasible the
     result carries rate -inf.
@@ -215,14 +214,15 @@ def optimize_params(
             initial = [initial[n] for n in PARAM_NAMES]
         starts.insert(0, repair(space.clip(np.asarray(initial, dtype=float))))
 
-    # the click tables of this search only: the coordinate descent moves one
-    # coordinate at a time, and 4 of the 7 never change the table
+    # the click tables of this search only, one per intensity triple: the
+    # coordinate descent moves one coordinate at a time, and 4 of the 7
+    # never change the table
     tables = {}
 
     # scores compare as (feasible, rate) tuples: any feasible point beats
     # every infeasible one, then the higher rate wins
     def score(vec: np.ndarray) -> tuple[bool, float]:
-        src = params_to_source(vec, misalignment, slice_half_width_rad)
+        src = params_to_source(vec, base)
         analysis = _analyze(src, link, det, sec, n_pulses, tables)
         return analysis.feasible, analysis.report.rate_per_pulse
 

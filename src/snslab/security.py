@@ -166,7 +166,7 @@ def decoy_bounds(
     y1_bob = y1_lower(gain_bounds(VAC, MU1)[0], gain_bounds(VAC, MU2)[1])
 
     matched_pulses, _, matched_errors = row(DECOY, MU1, MU1)[:3]
-    sifted_windows = matched_pulses * (2.0 * src.slice_half_width_rad / math.pi)
+    sifted_windows = matched_pulses * src.slice_acceptance
 
     if y1_alice <= 0.0 or y1_bob <= 0.0 or sifted_windows <= 0.0:
         return DecoyBounds(y0_low, y0_up, y1_alice, y1_bob, 0.0, 0.0, 0.0, 0.5, False)
@@ -240,7 +240,7 @@ def aopp(bits_alice, bits_bob, seed) -> AoppResult:
     zeros = rng.permutation(zeros)[:g]
     pairs = np.stack([ones, zeros], axis=1).astype(np.int64)
     kept = a[pairs[:, 0]] != a[pairs[:, 1]]
-    lead = pairs.min(axis=1)[kept]
+    lead = np.minimum(pairs[:, 0], pairs[:, 1])[kept]
     return AoppResult(pairs=pairs, kept=kept, bits_alice=a[lead], bits_bob=b[lead])
 
 

@@ -47,6 +47,7 @@ photons or from the dark clicks.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -323,15 +324,14 @@ class _ClickTable(NamedTuple):
     which hold the lit decoy rows only. It reads the channel, the three
     intensities, the jitter (from misalignment) and the slice half width.
     Built from column arrays of transmittances, the fields that read the
-    channel (all but accept_frac, exp_total and total) hold one row per
-    transmittance pair; at(i) is the table of pair i.
+    channel (all but exp_total and total) hold one row per transmittance
+    pair; at(i) is the table of pair i.
     """
 
     lone_l: np.ndarray
     lone_r: np.ndarray
     slice_l: np.ndarray
     slice_r: np.ndarray
-    accept_frac: float
     exp_total: np.ndarray
     total: np.ndarray
     p1: np.ndarray
@@ -368,19 +368,19 @@ def _click_table(
     total = ia + ib  # a dark row has no single-photon term; 1 avoids 0 / 0
     arrive = (ia * eta_a + ib * eta_b) / np.where(total > 0.0, total, 1.0)
     p1 = arrive * (1.0 - nu) + (1.0 - arrive) * 2.0 * nu * (1.0 - nu)
-    accept_frac = 2.0 * w / math.pi
-    return _ClickTable(lone_l, lone_r, slice_l, slice_r, accept_frac, np.exp(-total), total, p1)
+    return _ClickTable(lone_l, lone_r, slice_l, slice_r, np.exp(-total), total, p1)
 
 
 def _mix_tallies(table: _ClickTable, src: SourceParams, n_pulses: float) -> SessionTally:
-    """Weigh a click table by the row pulses of src's mixing probabilities."""
+    """Weigh a click table by the row pulses of src's mixing probabilities,
+    and its slice rows also by src's slice acceptance."""
     if n_pulses < 0:
         raise ValueError("n_pulses must be >= 0")
     pulses = _row_pulses(src, n_pulses)
     heralds = pulses * (table.lone_l + table.lone_r)
     errors = np.where(_ALL_ERRORS, heralds, 0.0)
     accepted = np.zeros(_N_ROWS)
-    lit_pulses = pulses[_LIT] * table.accept_frac
+    lit_pulses = pulses[_LIT] * src.slice_acceptance
     accepted[_LIT] = lit_pulses * (table.slice_l + table.slice_r)
     errors[_LIT] = lit_pulses * table.slice_r
     single = pulses * table.exp_total * table.total * table.p1
@@ -449,6 +449,13 @@ def _first_event_weights(
 # most _RUN_MAX_CHUNKS chunks, because each chunk's generator costs ~1.6 kB
 _RUN_READABLE = 8192
 _RUN_MAX_CHUNKS = 1024
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _chunk_runs(
@@ -635,7 +642,8 @@ def monte_carlo_session(
     The pulse range is cut into fixed-size chunks, each driven by a
     substream derived from (seed, chunk index), so the result is
     bit-identical for any n_jobs and any partitioning of chunks over
-    workers. Workers take runs of consecutive chunks (_chunk_runs); the
+    workers. Up to n_jobs threads sample, capped at the CPUs this process
+    may run on. Workers take runs of consecutive chunks (_chunk_runs); the
     chunks of a run draw in step, each from its own generator, so the
     per-chunk draw order is unchanged. Ground-truth photon numbers are
     recorded per row so the decoy analysis can be audited against the
@@ -654,8 +662,10 @@ def monte_carlo_session(
     eta_a, eta_b = channel_transmittance(link, det)
     nu = link.noise_per_pulse
     n_pulses = int(n_pulses)
-    # the chunks are fixed by n_pulses alone; the job count only groups them into runs
-    runs = _chunk_runs(-(-n_pulses // MC_CHUNK), n_jobs, src, eta_a, eta_b, nu)
+    # more threads than usable CPUs would only wait for one another
+    workers = min(n_jobs, _usable_cpus())
+    # the chunks are fixed by n_pulses alone; the worker count only groups them into runs
+    runs = _chunk_runs(-(-n_pulses // MC_CHUNK), workers, src, eta_a, eta_b, nu)
 
     def run(chunks: range) -> SessionTally:
         rngs = [_chunk_rng(seed, idx) for idx in chunks]
@@ -663,8 +673,8 @@ def monte_carlo_session(
         return _sample_run(rngs, sizes, src, eta_a, eta_b, nu)
 
     tally = SessionTally(n_pulses=0.0)
-    threaded = n_jobs > 1 and len(runs) > 1
-    with ThreadPoolExecutor(max_workers=n_jobs) if threaded else nullcontext() as pool:
+    threaded = workers > 1 and len(runs) > 1
+    with ThreadPoolExecutor(max_workers=workers) if threaded else nullcontext() as pool:
         for part in (pool.map if threaded else map)(run, runs):
             tally.merge(part)  # in run order, to keep the bit streams stable
     tally.validate()

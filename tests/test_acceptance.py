@@ -19,7 +19,7 @@ from snslab import (
     monte_carlo_session,
     plob_bound,
 )
-from snslab.optimize import evaluate, optimize_params
+from snslab.optimize import evaluate, optimize_params, params_to_source
 from snslab.presets import (
     desk_detector,
     desk_link,
@@ -368,7 +368,8 @@ def test_optimizer_recovers_from_perturbed_starts():
     link, det, sec = desk_link(), desk_detector(), desk_security()
     n_pulses = 1e10
     base = np.array([0.1, 0.4, 0.45, 0.7, 0.6, 0.05, 0.2717])
-    r0 = evaluate(base, link, det, sec, n_pulses, misalignment=0.028)
+    src = desk_source()  # misalignment 0.028, the default slice
+    r0 = evaluate(params_to_source(base, src), link, det, sec, n_pulses)
     rng = np.random.default_rng(2024)
     starts = [
         base * 1.2,
@@ -382,7 +383,7 @@ def test_optimizer_recovers_from_perturbed_starts():
     for start in starts:
         res = optimize_params(
             link, det, sec, n_pulses, seed=7, n_starts=4, budget=150,
-            initial=start, misalignment=0.028,
+            initial=start, base=src,
         )
         results.append(res)
         ratios.append(res.rate / r0)
@@ -390,7 +391,7 @@ def test_optimizer_recovers_from_perturbed_starts():
 
     repeat = optimize_params(
         link, det, sec, n_pulses, seed=7, n_starts=4, budget=150,
-        initial=starts[0], misalignment=0.028,
+        initial=starts[0], base=src,
     )
     deterministic = (
         repeat.params == results[0].params and repeat.rate == results[0].rate

@@ -5,7 +5,7 @@ import pytest
 
 import snslab.optimize
 import snslab.simulate
-from snslab import expected_post_processing, expected_tallies
+from snslab import SourceParams, expected_post_processing, expected_tallies
 from snslab.optimize import (
     INFEASIBLE_RATE,
     PARAM_NAMES,
@@ -20,16 +20,14 @@ from snslab.presets import desk_link, desk_source
 DESK_VEC = np.array([0.1, 0.4, 0.45, 0.7, 0.6, 0.05, 0.2717])
 
 
-def test_evaluate_accepts_both_parameter_forms(desk):
+def test_evaluate_of_a_vector_is_evaluate_of_its_source(desk):
     link, det, src, sec = desk
     # params_to_source derives p_vac = 1 - p_mu1 - p_mu2, which is not the preset's 0.35
     src = dataclasses.replace(src, p_vac=1.0 - 0.6 - 0.05)
     r_src = evaluate(src, link, det, sec, 1e9)
-    r_vec = evaluate(DESK_VEC, link, det, sec, 1e9, misalignment=src.misalignment)
+    r_vec = evaluate(params_to_source(DESK_VEC, src), link, det, sec, 1e9)
     assert r_src == r_vec
     assert r_src > 0.0
-    # the ready-made object carries its own misalignment
-    assert evaluate(src, link, det, sec, 1e9, misalignment=0.2) == r_src
 
 
 @pytest.mark.parametrize("half_width", [0.05, 1.2])
@@ -39,18 +37,21 @@ def test_evaluate_reads_the_slice_of_its_source(desk, half_width):
     tally = expected_tallies(link, det, src, 1e9)
     rate = expected_post_processing(tally, src, sec).report.rate_per_pulse
     assert evaluate(src, link, det, sec, 1e9) == rate
-    # a vector takes the slice from the keyword, as it takes the misalignment
+    # a vector takes the slice from its base, as it takes the misalignment
     vec = [getattr(src, name) for name in PARAM_NAMES]
     point = dataclasses.replace(src, p_vac=1.0 - src.p_mu1 - src.p_mu2)
-    assert evaluate(vec, link, det, sec, 1e9, misalignment=src.misalignment,
-                    slice_half_width_rad=half_width) == evaluate(point, link, det, sec, 1e9)
-    assert params_to_source(vec, src.misalignment, half_width) == point
+    assert evaluate(params_to_source(vec, src), link, det, sec, 1e9) == \
+        evaluate(point, link, det, sec, 1e9)
+    assert params_to_source(vec, src) == point
 
 
 def test_evaluate_rejects_malformed_vectors(desk):
-    link, det, _, sec = desk
+    link, det, src, sec = desk
     with pytest.raises(ValueError):
-        evaluate(DESK_VEC[:5], link, det, sec, 1e9)
+        evaluate(params_to_source(DESK_VEC[:5], src), link, det, sec, 1e9)
+    # a vector, even a well-formed one, goes through params_to_source first
+    with pytest.raises(TypeError, match="params_to_source"):
+        evaluate(DESK_VEC, link, det, sec, 1e9)
 
 
 def test_evaluate_infeasible_sentinel(desk):
@@ -61,10 +62,10 @@ def test_evaluate_infeasible_sentinel(desk):
 
 
 def test_evaluate_negative_but_feasible_for_weak_signal(desk):
-    link, det, _, sec = desk
+    link, det, src, sec = desk
     vec = DESK_VEC.copy()
     vec[2] = 0.05  # signal windows barely emit; decoy statistics still fine
-    rate = evaluate(vec, link, det, sec, 1e9, misalignment=0.028)
+    rate = evaluate(params_to_source(vec, src), link, det, sec, 1e9)
     assert rate < 0.0
     assert rate > INFEASIBLE_RATE
 
@@ -93,12 +94,25 @@ def test_repair_rescales_greedy_decoy_mix():
 
 
 def test_params_to_source_fills_vacuum_complement():
-    src = params_to_source(DESK_VEC, misalignment=0.01)
+    src = params_to_source(DESK_VEC, dataclasses.replace(desk_source(), misalignment=0.01))
     assert src.p_vac == pytest.approx(1.0 - 0.6 - 0.05)
     assert src.misalignment == 0.01
     assert src.mu1 == 0.1 and src.muz == 0.45
     with pytest.raises(ValueError):
-        params_to_source(np.zeros(6))
+        params_to_source(np.zeros(6), desk_source())
+
+
+def test_params_to_source_takes_every_untuned_field_from_base():
+    # driven by the dataclass fields, so a fixed field added later is covered
+    base = dataclasses.replace(desk_source(), misalignment=0.1, slice_half_width_rad=1.1)
+    point = params_to_source(DESK_VEC, base)
+    fixed = [f for f in dataclasses.fields(SourceParams)
+             if f.name not in PARAM_NAMES and f.name != "p_vac"]
+    assert {f.name for f in fixed} >= {"misalignment", "slice_half_width_rad"}
+    for f in fixed:
+        # a base value off the default, or a field left at it would pass
+        assert getattr(base, f.name) != f.default, f.name
+        assert getattr(point, f.name) == getattr(base, f.name), f.name
 
 
 def test_search_space_validation():
@@ -127,19 +141,19 @@ def test_optimizer_finds_the_one_dimensional_optimum(desk):
     # all parameters but the signal intensity are pinned to a hairline
     # interval, so the search is effectively one-dimensional and can be
     # checked against a dense grid of the same objective
-    link, det, _, sec = desk
+    link, det, src, sec = desk
     grid = np.linspace(0.05, 1.0, 300)
     vecs = np.tile(DESK_VEC, (grid.size, 1))
     vecs[:, 2] = grid
     rates = np.array(
-        [evaluate(v, link, det, sec, 1e9, misalignment=0.028) for v in vecs]
+        [evaluate(params_to_source(v, src), link, det, sec, 1e9) for v in vecs]
     )
     k = int(np.argmax(rates))
     assert 0 < k < grid.size - 1  # interior optimum, the test is meaningful
 
     res = optimize_params(
         link, det, sec, 1e9, seed=3, n_starts=6, budget=300,
-        space=_pinned_space(), misalignment=0.028,
+        space=_pinned_space(), base=src,
     )
     assert res.feasible
     spacing = grid[1] - grid[0]
@@ -148,28 +162,28 @@ def test_optimizer_finds_the_one_dimensional_optimum(desk):
 
 
 def test_optimizer_budget_one_returns_the_initial_point(desk):
-    link, det, _, sec = desk
+    link, det, src, sec = desk
     res = optimize_params(
         link, det, sec, 1e9, seed=0, n_starts=4, budget=1,
-        initial=DESK_VEC, misalignment=0.028,
+        initial=DESK_VEC, base=src,
     )
     assert res.evaluations == 1
     assert res.start_index == 0
     assert np.allclose([res.params[n] for n in PARAM_NAMES], DESK_VEC)
-    assert res.rate == evaluate(DESK_VEC, link, det, sec, 1e9, misalignment=0.028)
+    assert res.rate == evaluate(params_to_source(DESK_VEC, src), link, det, sec, 1e9)
 
 
 def test_optimizer_validation(desk):
-    link, det, _, sec = desk
+    link, det, src, sec = desk
     with pytest.raises(ValueError):
-        optimize_params(link, det, sec, 1e9, seed=0, budget=0)
+        optimize_params(link, det, sec, 1e9, seed=0, base=src, budget=0)
     with pytest.raises(ValueError):
-        optimize_params(link, det, sec, 1e9, seed=0, n_starts=0)
+        optimize_params(link, det, sec, 1e9, seed=0, base=src, n_starts=0)
 
 
 def test_optimizer_is_deterministic(desk):
-    link, det, _, sec = desk
-    kwargs = dict(seed=11, n_starts=4, budget=60, misalignment=0.028)
+    link, det, src, sec = desk
+    kwargs = dict(seed=11, n_starts=4, budget=60, base=src)
     a = optimize_params(link, det, sec, 1e9, **kwargs)
     b = optimize_params(link, det, sec, 1e9, **kwargs)
     assert a.params == b.params
@@ -178,30 +192,31 @@ def test_optimizer_is_deterministic(desk):
 
 
 def test_optimizer_never_loses_to_its_initial_point(desk):
-    link, det, _, sec = desk
-    start_rate = evaluate(DESK_VEC, link, det, sec, 1e9, misalignment=0.028)
+    link, det, src, sec = desk
+    start_rate = evaluate(params_to_source(DESK_VEC, src), link, det, sec, 1e9)
     res = optimize_params(
         link, det, sec, 1e9, seed=5, n_starts=3, budget=80,
-        initial=DESK_VEC, misalignment=0.028,
+        initial=DESK_VEC, base=src,
     )
     assert res.feasible
     assert res.rate >= start_rate
 
 
 def test_optimizer_accepts_dict_initial(desk):
-    link, det, _, sec = desk
+    link, det, src, sec = desk
     initial = dict(zip(PARAM_NAMES, DESK_VEC))
     res = optimize_params(
         link, det, sec, 1e9, seed=2, n_starts=2, budget=2,
-        initial=initial, misalignment=0.028,
+        initial=initial, base=src,
     )
     assert res.evaluations == 2
 
 
 def test_optimizer_reports_infeasible_when_nothing_works(desk):
-    _, det, _, sec = desk
+    _, det, src, sec = desk
     dead_link = desk_link(total_db=400.0)
-    res = optimize_params(dead_link, det, sec, 1e5, seed=1, n_starts=3, budget=10)
+    base = dataclasses.replace(src, misalignment=0.0)
+    res = optimize_params(dead_link, det, sec, 1e5, seed=1, base=base, n_starts=3, budget=10)
     assert not res.feasible
     assert res.rate == -np.inf
 
@@ -216,7 +231,7 @@ def test_optimizer_result_is_pinned(desk):
     # objective up must reproduce it bit for bit
     link, det, src, sec = desk
     res = optimize_params(
-        link, det, sec, 1e9, seed=0, n_starts=4, budget=150, misalignment=src.misalignment,
+        link, det, sec, 1e9, seed=0, base=src, n_starts=4, budget=150,
     )
     assert res.params == {
         "mu1": 0.06557325357581835,
@@ -242,32 +257,32 @@ def test_optimizer_builds_one_click_table_per_intensity_triple(desk, monkeypatch
         builds.append(args)
         return click_probabilities(*args, **kwargs)
 
-    def recorded(vec, *fixed):
-        point = params_to_source(vec, *fixed)
+    def recorded(vec, base):
+        point = params_to_source(vec, base)
         scored.append((point.mu1, point.mu2, point.muz))
         return point
 
     monkeypatch.setattr(snslab.simulate, "click_probabilities", counted)
     monkeypatch.setattr(snslab.optimize, "params_to_source", recorded)
     res = optimize_params(
-        link, det, sec, 1e9, seed=0, n_starts=4, budget=60, misalignment=src.misalignment,
+        link, det, sec, 1e9, seed=0, base=src, n_starts=4, budget=60,
     )
     assert len(scored) == res.evaluations
     assert len(builds) == len(set(scored)) < res.evaluations
 
 
-def test_one_tables_dict_keeps_a_table_per_slice_half_width(desk):
-    # two points that share the intensity triple and the misalignment but
-    # not the slice must not share a click table
+def test_each_search_reads_the_slice_of_its_base(desk):
+    # a search keys its click tables by the intensity triple alone, so the
+    # rest of every table must come from the base of that search
     link, det, src, sec = desk
-    narrow = dataclasses.replace(src, slice_half_width_rad=0.05)
-    wide = dataclasses.replace(src, slice_half_width_rad=1.2)
-    tables = {}
-    for point in (narrow, wide):
-        got = snslab.optimize._analyze(point, link, det, sec, 1e9, tables)
-        want = expected_post_processing(expected_tallies(link, det, point, 1e9), point, sec)
-        assert got == want
-    assert len(tables) == 2
-    first, second = tables.values()
-    assert first.accept_frac != second.accept_frac
-    assert not np.array_equal(first.slice_l, second.slice_l)
+    rates = []
+    for half_width in (0.05, 1.2):
+        base = dataclasses.replace(src, slice_half_width_rad=half_width)
+        res = optimize_params(
+            link, det, sec, 1e9, seed=0, base=base, n_starts=4, budget=60,
+        )
+        best = params_to_source([res.params[n] for n in PARAM_NAMES], base)
+        want = expected_post_processing(expected_tallies(link, det, best, 1e9), best, sec)
+        assert res.rate == want.report.rate_per_pulse
+        rates.append(res.rate)
+    assert rates[0] != rates[1]

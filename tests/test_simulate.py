@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import snslab.simulate
 from snslab import (
     DetectorModel,
     LinkModel,
@@ -781,6 +782,38 @@ def test_sessions_are_byte_identical_for_every_job_count(name, n_pulses):
         assert tally.n_pulses == float(n_pulses)
         assert tally.counts.tobytes() == counts.tobytes(), n_jobs
         assert [tally.z_bits_alice.tobytes(), tally.z_bits_bob.tobytes()] == bits, n_jobs
+
+
+@pytest.mark.parametrize("name", list(_RUN_LINKS))
+def test_sampler_threads_are_capped_at_the_usable_cpus(name, monkeypatch):
+    # the fake pool starts no thread: it records its size and maps in order
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(snslab.simulate, "_usable_cpus", lambda: 8, raising=False)
+    monkeypatch.setattr(snslab.simulate, "ThreadPoolExecutor", SerialPool)
+    link, det, src = _RUN_LINKS[name]
+    n_pulses = 9 * MC_CHUNK + 7
+    want = monte_carlo_session(link, det, src, n_pulses, seed=29, n_jobs=1)
+    for n_jobs in (3, 8, 10_000):
+        got = monte_carlo_session(link, det, src, n_pulses, seed=29, n_jobs=n_jobs)
+        assert got.n_pulses == want.n_pulses
+        assert got.counts.tobytes() == want.counts.tobytes(), n_jobs
+        assert got.z_bits_alice.tobytes() == want.z_bits_alice.tobytes(), n_jobs
+        assert got.z_bits_bob.tobytes() == want.z_bits_bob.tobytes(), n_jobs
+    assert sizes == [3, 8, 8]
 
 
 def _readable_per_chunk(link, det, src):
