@@ -31,7 +31,7 @@ import numpy as np
 from .model import (
     DetectorModel, LinkModel, SecurityParams, SourceParams, channel_transmittance, transmittance,
 )
-from .optimize import optimize_params
+from .optimize import MAX_STARTS, optimize_params
 from .presets import desk_detector, desk_link, desk_security, desk_source
 from .security import (
     KeyRateReport,
@@ -285,8 +285,8 @@ def _analysis_payload(analysis: SessionAnalysis, det: DetectorModel, mode: str) 
 
 
 def _post_process(chain, *args):
-    """Run one step; its ValueError (a session past the sampler's cap, no pulses in a row,
-    no photons in a frame) is infeasible."""
+    """Run one step; its ValueError (a session past the sampler's cap, more starts than the
+    optimizer's cap, no pulses in a row, no photons in a frame) is infeasible."""
     try:
         return chain(*args)
     except ValueError as exc:
@@ -428,12 +428,10 @@ def _cmd_optimize(args) -> int:
     n_pulses, seed = _n_pulses(cp, args, default_pulses=1e10), _seed(cp, args)
     n_starts = _setting(cp, args, "optimize", "n_starts", 12)
     budget = _setting(cp, args, "optimize", "budget", 20000)
-    try:
-        result = optimize_params(
-            link, det, sec, n_pulses, seed, base=src, n_starts=n_starts, budget=budget,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    for key, value in (("n_starts", n_starts), ("budget", budget)):
+        if value < 1:
+            raise ConfigError(f"[optimize] {key} must be >= 1")
+    result = _post_process(optimize_params, link, det, sec, n_pulses, seed, src, n_starts, budget)
     if not result.feasible:
         raise RuntimeInfeasible("no parameter vector produced usable decoy statistics")
     payload = {
@@ -571,7 +569,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="tune source parameters for a link")
     _add_common(p, seed=True, n_pulses=True)
-    p.add_argument("--n-starts", type=int)
+    p.add_argument("--n-starts", type=int,
+                   help=f"Latin hypercube starts, at most {MAX_STARTS} (MAX_STARTS); more exit 3")
     p.add_argument("--budget", type=int)
     p.set_defaults(func=_cmd_optimize)
 

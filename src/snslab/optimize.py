@@ -35,6 +35,10 @@ INFEASIBLE_RATE = -1.0e6
 
 _MAX_DECOY_SEND_PROB = 0.98
 
+# the most Latin hypercube starts optimize_params draws; README derives it
+# from the measured cost of drawing and repairing one start
+MAX_STARTS = 100_000
+
 
 @dataclass(frozen=True)
 class SearchSpace:
@@ -191,10 +195,15 @@ def optimize_params(
     improvement.
     budget caps the total number of objective evaluations; a budget of 1
     returns the single evaluated start. If no evaluation is feasible the
-    result carries rate -inf.
+    result carries rate -inf. Every start is drawn before the first
+    evaluation, so more than MAX_STARTS starts are refused before any is.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
+    if n_starts > MAX_STARTS:
+        raise ValueError(
+            f"n_starts {n_starts} is past the optimizer's cap of {MAX_STARTS} starts (MAX_STARTS)"
+        )
     if budget < 1:
         raise ValueError("budget must allow at least one evaluation")
     space = space or SearchSpace.default()

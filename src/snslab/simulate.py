@@ -220,9 +220,11 @@ def _lone_clicks(x, y, noise, gain=None):
     x, y are equally shaped arrays of arriving intensities. At relative
     phase theta the left port alone fires with probability
     A exp(r cos theta) - A^2, where A = (1 - noise) exp(-(x + y) / 2) and
-    r = sqrt(x y); the right port alone fires so at theta + pi. gain maps an
-    array of harmonic numbers k >= 1 to the mean of cos k theta under the
-    phase measure; None is the uniform circle, where every gain is 0.
+    r = sqrt(x y); the right port alone fires so at theta + pi. gain maps a
+    column of harmonic numbers k >= 1, of shape (K, 1, ..., 1) with one
+    axis per axis of x, to the mean of cos k theta under the phase measure;
+    its result broadcasts against (K,) + x.shape, so each entry may have
+    its own measure. None is the uniform circle, where every gain is 0.
 
     By Jacobi-Anger (Abramowitz & Stegun 9.6.34), a measure with gains g_k
     averages exp(r cos theta) to I_0 (1 + 2 sum_k g_k rho_k), where
@@ -251,13 +253,16 @@ def _lone_clicks(x, y, noise, gain=None):
     # so no entry's result depends on another's.
     n_harmonics = np.floor(12.0 + 12.0 * np.sqrt(r))
     k = np.arange(1, int(np.max(n_harmonics, initial=0.0)) + 1)
-    axes = (1,) * r.ndim
-    r_k = np.where(k.reshape(-1, *axes) <= n_harmonics, r, 0.0)
+    k_col = k.reshape(-1, *(1,) * r.ndim)
+    r_k = np.where(k_col <= n_harmonics, r, 0.0)
     # gains of the point measures at theta = 0 and pi / 2, then of the
     # caller's measure and of its shift by pi
-    g = np.zeros(k.size) if gain is None else gain(k)
-    rows = (np.ones(k.size), np.array([1.0, 0.0, -1.0, 0.0])[k % 4], g, np.where(k % 2, -g, g))
-    gains = np.stack(rows, axis=1).reshape(k.size, 4, *axes)
+    g = 0.0 if gain is None else gain(k_col)
+    gains = np.empty((k.size, 4) + np.broadcast_shapes(k_col.shape, np.shape(g))[1:])
+    gains[:, 0] = 1.0
+    gains[:, 1] = np.array([1.0, 0.0, -1.0, 0.0])[k_col % 4]
+    gains[:, 2] = g
+    gains[:, 3] = np.where(k_col % 2, -g, g)
     # sum_k g_k rho_k = t_1 (g_1 + t_2 (g_2 + ...)), one backward pass for all rows
     t = np.zeros_like(r)
     sums = np.zeros((4,) + r.shape)
@@ -282,6 +287,8 @@ def click_probabilities(
     eta_a: float | np.ndarray,
     eta_b: float | np.ndarray,
     noise: float = 0.0,
+    *,
+    phase_gain=None,
 ) -> tuple:
     """Single-side and coincidence click probabilities of the interferometer.
 
@@ -289,14 +296,22 @@ def click_probabilities(
     eta_b and relative phase theta, the two output ports see mean photon
     numbers (x + y +- 2 sqrt(x y) cos theta) / 2, and each threshold
     detector fires with probability 1 - (1 - noise) exp(-port intensity).
-    The return values are averaged over theta uniform on [0, 2 pi), in
-    closed form (see _lone_clicks); phase jitter leaves that average as it
-    is.
+    The return values are averaged over the phase measure, in closed form
+    (see _lone_clicks). By default (phase_gain None) theta is uniform on
+    [0, 2 pi), and phase jitter leaves that average as it is.
+
+    phase_gain gives another measure by its harmonics: it maps a column of
+    harmonic numbers k >= 1, of shape (K, 1, ..., 1) with one axis per axis
+    of the broadcast entries, to the mean of cos k theta. Its result
+    broadcasts against (K,) + the entries' shape, so it may hold one gain
+    per harmonic and entry; an entry whose gains are all 0 gets the uniform
+    circle.
 
     The intensities and transmittances may be arrays that broadcast
     together, such as a row of intensity pairs against a column of
     transmittances; the results then have the broadcast shape, and each
-    entry is bit for bit the result of its own scalar call.
+    entry is bit for bit the result of its own scalar call under its own
+    gains.
 
     Returns:
         (p_left_only, p_right_only, p_both): the two exclusive one-detector
@@ -311,7 +326,7 @@ def click_probabilities(
     if not 0.0 <= noise < 1.0:
         raise ValueError("noise must lie in [0, 1)")
 
-    probs = _lone_clicks(ia * ea, ib * eb, noise)
+    probs = _lone_clicks(ia * ea, ib * eb, noise, phase_gain)
     if probs[0].ndim == 0:
         return tuple(float(p) for p in probs)
     return probs
@@ -353,16 +368,25 @@ def _click_table(
     the link's noise per pulse. Column arrays of transmittances give one
     table row per pair in one pass, each bit for bit the table of its own
     scalar pair: _lone_clicks works entry by entry.
+
+    One click_probabilities call covers every row under the uniform phase
+    and then the lit decoy rows again under the announced-phase slice.
     """
     sigma, w = src.jitter_sigma_rad, src.slice_half_width_rad
     ia, ib = _row_intensities(src)
-    lone_l, lone_r, _ = click_probabilities(ia, ib, eta_a, eta_b, nu)
+    sliced = np.arange(_N_ROWS + np.count_nonzero(_LIT)) >= _N_ROWS
 
-    def slice_gain(k):
-        # uniform announced phase on [-w, w] times Gaussian jitter
-        return np.sinc(k * (w / math.pi)) * np.exp(-0.5 * (k * sigma) ** 2)
+    def phase_gain(k):
+        # uniform announced phase on [-w, w] times Gaussian jitter on the
+        # slice entries, the uniform circle on the others
+        return np.where(sliced, np.sinc(k * (w / math.pi)) * np.exp(-0.5 * (k * sigma) ** 2), 0.0)
 
-    slice_l, slice_r, _ = _lone_clicks(ia[_LIT] * eta_a, ib[_LIT] * eta_b, nu, slice_gain)
+    left, right, _ = click_probabilities(
+        np.concatenate([ia, ia[_LIT]]), np.concatenate([ib, ib[_LIT]]), eta_a, eta_b, nu,
+        phase_gain=phase_gain,
+    )
+    lone_l, slice_l = left[..., :_N_ROWS], left[..., _N_ROWS:]
+    lone_r, slice_r = right[..., :_N_ROWS], right[..., _N_ROWS:]
 
     # P(exactly one detector fires | one photon emitted in total)
     total = ia + ib  # a dark row has no single-photon term; 1 avoids 0 / 0

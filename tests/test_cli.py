@@ -328,6 +328,19 @@ ERROR_CASES = {
         ["simulate", "--n-pulses", "1e300"], None, 3,
         "infeasible: n_pulses 1e+300 is past the sampler's cap of 1e+09 pulses (MC_MAX_PULSES)",
     ),
+    # refused before any start is drawn, so the case builds none
+    "starts-past-cap": (
+        ["optimize", "--n-starts", "100000000", "--budget", "1"], None, 3,
+        "infeasible: n_starts 100000000 is past the optimizer's cap of 100000 starts (MAX_STARTS)",
+    ),
+    "zero-starts": (
+        ["optimize", "--n-starts", "0", "--budget", "1"], None, 2,
+        "[optimize] n_starts must be >= 1",
+    ),
+    "zero-budget": (
+        ["optimize", "--n-starts", "1", "--budget", "0"], None, 2,
+        "[optimize] budget must be >= 1",
+    ),
     "no-mu2-pulses": (
         KEYRATE_CONFIG, "[source]\np_mu2 = 0\np_mu1 = 0.65\n", 3, "tally lacks pulses",
     ),

@@ -8,6 +8,7 @@ import snslab.simulate
 from snslab import SourceParams, expected_post_processing, expected_tallies
 from snslab.optimize import (
     INFEASIBLE_RATE,
+    MAX_STARTS,
     PARAM_NAMES,
     SearchSpace,
     evaluate,
@@ -179,6 +180,8 @@ def test_optimizer_validation(desk):
         optimize_params(link, det, sec, 1e9, seed=0, base=src, budget=0)
     with pytest.raises(ValueError):
         optimize_params(link, det, sec, 1e9, seed=0, base=src, n_starts=0)
+    with pytest.raises(ValueError, match="cap of 100000 starts"):
+        optimize_params(link, det, sec, 1e9, seed=0, base=src, n_starts=MAX_STARTS + 1)
 
 
 def test_optimizer_is_deterministic(desk):
