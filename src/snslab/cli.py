@@ -48,6 +48,7 @@ from .sensing import (
     DegenerateTraceError,
     DelayOutOfRangeError,
     LinkGeometry,
+    TraceTooLongError,
     VibrationSource,
     locate_traces,
     recover_phase_from_reference,
@@ -499,9 +500,8 @@ def _cmd_sense(args) -> int:
     placed = []
     try:
         os.makedirs(out_dir, exist_ok=True)
-        # the three traces share one clock, so one pass writes them all
-        (first, trace), *rest = ((staged[paths[name]], tr) for name, tr in traces.items())
-        write_trace(first, trace, also=dict(rest))
+        for name, trace in traces.items():
+            write_trace(staged[paths[name]], trace)
         with open(staged[loc_path], "w", encoding="ascii") as fh:
             fh.write(_render(record, "json"))
         for path, tmp in staged.items():
@@ -598,7 +598,8 @@ def entry(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeInfeasible, DegenerateTraceError, DelayOutOfRangeError) as exc:
+    except (RuntimeInfeasible, DegenerateTraceError, DelayOutOfRangeError,
+            TraceTooLongError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
 

@@ -6,13 +6,12 @@ fiber shows up in the phase streams recovered at both ends, delayed by
 its optical distance to each end. Cross-correlating the two streams
 gives the differential delay and with it the position.
 
-Traces are stored as two-column text (time_s, phase_rad) under a small
-key=value header so files round-trip byte for byte.
+Traces are stored as text, one sample per line under a small key=value
+header that holds the sample rate, so files round-trip byte for byte.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import warnings
@@ -23,6 +22,9 @@ import numpy as np
 DEFAULT_DRIFT_RATE_RAD2_PER_S = 0.01
 DEFAULT_NOISE_STD_RAD = 0.02
 DEFAULT_PHOTONS_PER_FRAME = 1e4
+# the most samples simulate_phase_traces accepts per trace; README derives it
+# from the measured peak memory and write time of sense per sample
+MAX_TRACE_SAMPLES = 10**7
 
 
 class DegenerateTraceError(RuntimeError):
@@ -31,6 +33,10 @@ class DegenerateTraceError(RuntimeError):
 
 class DelayOutOfRangeError(RuntimeError):
     """The measured delay exceeds the geometry plus allowed slack."""
+
+
+class TraceTooLongError(RuntimeError):
+    """The requested traces would hold more than MAX_TRACE_SAMPLES samples."""
 
 
 @dataclass(frozen=True)
@@ -110,52 +116,30 @@ class PhaseTrace:
 
 
 # samples per block of the trace-line loop: the per-block calls are amortized
-# and no Python object spans the whole trace. At 4096 a block's text (~160 kB)
-# crossed malloc's mmap threshold, and the sense bench's peak RSS then crept up
-# by as much as 9 MB over repeated writes
+# and no Python object spans the whole trace. At 4096 two-column lines a block's
+# text (~160 kB) crossed malloc's mmap threshold, and the sense bench's peak RSS
+# then crept up by as much as 9 MB over repeated writes
 _BLOCK = 512
 
 
-def write_trace(path, trace: PhaseTrace, *, also=None) -> None:
-    """Two-column text dump (time_s, phase_rad); repr keeps round trips exact.
+def write_trace(path, trace: PhaseTrace) -> None:
+    """One-column text dump: the header, then repr(samples[i]) on line i.
 
-    Line i holds repr(i / rate) and repr(samples[i]). Each block of lines
-    is formatted by one %-operation from C; np.arange(n) / rate equals the
-    per-line i / rate bit for bit below 2**53 samples.
-
-    also maps further paths to traces on the same clock (equal n_samples
-    and sample_rate_hz); one pass then writes every file and formats the
-    shared time column once per block. Every origin, the clock and the
-    paths are checked before any file is opened.
+    Sample i lies at i / sample_rate_hz, so the file holds no time column,
+    and repr keeps the round trip exact. Each block of lines is formatted by
+    one %-operation from C. The origin is checked before the file is opened.
     """
-    files = [(path, trace), *(also or {}).items()]
-    for _, tr in files:
-        if not tr.origin.isascii() or any(ch.isspace() for ch in tr.origin):
-            raise ValueError(f"origin {tr.origin!r} must be ASCII without whitespace")
-        if tr.n_samples != trace.n_samples or tr.sample_rate_hz != trace.sample_rate_hz:
-            raise ValueError("traces written together must share n_samples and sample_rate_hz")
-    if len({os.path.abspath(os.fsdecode(p)) for p, _ in files}) != len(files):
-        raise ValueError("each trace needs a path of its own")
-    # a tiny rate overflows i / rate to inf, written as "inf" like any other float
-    with contextlib.ExitStack() as stack, np.errstate(over="ignore"):
-        handles = []
-        for p, tr in files:
-            fh = stack.enter_context(open(p, "w", encoding="ascii"))
-            fh.write(f"# sample_rate_hz={tr.sample_rate_hz!r} origin={tr.origin}\n")
-            handles.append((fh, tr.samples))
+    if not trace.origin.isascii() or any(ch.isspace() for ch in trace.origin):
+        raise ValueError(f"origin {trace.origin!r} must be ASCII without whitespace")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"# sample_rate_hz={trace.sample_rate_hz!r} origin={trace.origin}\n")
         for start in range(0, trace.n_samples, _BLOCK):
-            times = np.arange(start, min(trace.n_samples, start + _BLOCK)) / trace.sample_rate_hz
-            # even slots hold the shared time strings, odd slots one trace's samples
-            line = [None] * (2 * len(times))
-            line[0::2] = map(repr, times.tolist())
-            fmt = "%s %r\n" * len(times)
-            for fh, samples in handles:
-                line[1::2] = samples[start : start + len(times)].tolist()
-                fh.write(fmt % tuple(line))
+            block = trace.samples[start : start + _BLOCK].tolist()
+            fh.write("%r\n" * len(block) % tuple(block))
 
 
 def read_trace(path) -> PhaseTrace:
-    """Read a write_trace file; blank lines are skipped, every other needs two columns."""
+    """Read a write_trace file; blank lines are skipped, every other holds one number."""
     path = os.fsdecode(path)
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
@@ -176,12 +160,10 @@ def read_trace(path) -> PhaseTrace:
             # by name, not by handle: numpy then reads the file in chunks from C
             body = np.loadtxt(path, skiprows=1, encoding="ascii", comments=None, ndmin=2)
         except ValueError as exc:
-            raise ValueError(f"{path}: expected two numbers per sample line: {exc}") from None
-    if body.shape[0] == 0:
-        body = np.empty((0, 2))
-    if body.shape[1] != 2:
-        raise ValueError(f"{path}: expected two columns per sample line")
-    return replace(head, samples=body[:, 1].copy())
+            raise ValueError(f"{path}: expected one number per sample line: {exc}") from None
+    if body.shape[1] > 1:
+        raise ValueError(f"{path}: expected one number per sample line, not {body.shape[1]}")
+    return replace(head, samples=body.reshape(-1))
 
 
 def simulate_phase_traces(
@@ -198,7 +180,8 @@ def simulate_phase_traces(
     A source at x reaches the alice-side stream after x/v and the
     bob-side stream after (length - x)/v. Both streams share one slow
     random-walk drift (common-mode fiber and laser wander) and carry
-    independent white readout noise.
+    independent white readout noise. Traces longer than MAX_TRACE_SAMPLES
+    are refused before any array is built.
     """
     if not (0.0 < duration_s < math.inf and 0.0 < sample_rate_hz < math.inf):
         raise ValueError("duration_s and sample_rate_hz must be > 0 and finite")
@@ -223,6 +206,11 @@ def simulate_phase_traces(
     n = int(round(n_samples))
     if n == 0:
         raise ValueError(f"duration_s * sample_rate_hz = {n_samples!r} rounds to no samples")
+    if n > MAX_TRACE_SAMPLES:
+        raise TraceTooLongError(
+            f"duration_s * sample_rate_hz = {n_samples:g} samples is past the trace cap of "
+            f"{MAX_TRACE_SAMPLES:g} samples (MAX_TRACE_SAMPLES)"
+        )
     t = np.arange(n) / sample_rate_hz
     v = geometry.light_speed_km_per_s
     alice = np.zeros(n)

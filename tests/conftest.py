@@ -21,8 +21,7 @@ def write_trace_reference(path, trace):
     """The per-line trace writer, one file per call: the byte reference for trace files."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# sample_rate_hz={trace.sample_rate_hz!r} origin={trace.origin}\n")
-        rate = trace.sample_rate_hz
-        fh.writelines(f"{i / rate!r} {v!r}\n" for i, v in enumerate(trace.samples.tolist()))
+        fh.writelines(f"{v!r}\n" for v in trace.samples.tolist())
 
 
 @pytest.fixture

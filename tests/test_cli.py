@@ -318,6 +318,12 @@ ERROR_CASES = {
         SENSE_CONFIG, sensing_ini(duration_s="1e200", sample_rate_hz="1e200"), 2,
         "config error: [sensing] duration_s * sample_rate_hz = inf samples is not finite",
     ),
+    # 1e10 samples; refused before any array is built, so the case allocates nothing large
+    "samples-past-cap": (
+        SENSE_CONFIG, sensing_ini(duration_s="1e4", sample_rate_hz="1e6"), 3,
+        "infeasible: duration_s * sample_rate_hz = 1e+10 samples is past the trace cap of "
+        "1e+07 samples (MAX_TRACE_SAMPLES)",
+    ),
     "photon-starved-frames": (
         SENSE_CONFIG, sensing_ini(photons_per_frame=1e-9), 3, "no photons",
     ),
@@ -736,7 +742,7 @@ def test_sense_end_to_end(tmp_path):
     header = (out_dir / "recovered_phase.txt").read_text().splitlines()
     assert header[0].startswith("# sample_rate_hz=")
     assert "origin=recovered" in header[0]
-    assert len(header[1].split()) == 2
+    assert len(header[1].split()) == 1
 
     # the photon-counting recovery really ran: the recovered stream is a
     # noisy version of the bob trace, not a copy of it
@@ -785,7 +791,7 @@ def test_failed_sense_write_leaves_no_file(tmp_path, blocker):
 
 
 def test_sense_write_failure_on_the_second_trace_leaves_no_file(tmp_path, monkeypatch):
-    # one write_trace call writes all three traces: fail it as it opens the second
+    # each trace has its own write_trace call: fail the second as it opens its file
     opened = []
 
     def failing_second_open(path, *args, **kwargs):
@@ -805,7 +811,7 @@ def test_sense_write_failure_on_the_second_trace_leaves_no_file(tmp_path, monkey
 
 
 def test_sense_trace_files_equal_the_per_line_writer_on_the_library_traces(tmp_path):
-    # 1200 samples span three blocks, so a block written to the wrong file shows
+    # 1200 samples span three blocks, so a lost or repeated block shows
     cfg = tmp_path / "case.ini"
     cfg.write_text(sensing_ini(duration_s=1.2))
     out = tmp_path / "out"
