@@ -10,9 +10,11 @@ Subcommands:
     plob       repeaterless bound for a loss or transmittance
 
 All inputs come from an INI file plus a few flags; without a config the
-desk-scale presets apply. Exit codes: 0 on success (a negative rate is
-still a success), 2 for configuration problems, 3 when the physics or
-statistics make the request infeasible.
+desk-scale presets apply. One sequence in `entry` serves every command:
+read the config, run the command, which returns its payload (`curve` its
+rendered table), render it and write it to --out or stdout. Exit codes:
+0 on success (a negative rate is still a success), 2 for configuration
+problems, 3 when the physics or statistics make the request infeasible.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ def _field_names(cls) -> set[str]:
 
 
 # the session aggregates of [keyrate], named as key_rate's arguments
-_KEYRATE_KEYS = ("n_untagged", "phase_error_rate", "n_sifted", "bit_error_rate", "n_pulses")
+_AGGREGATES = ("n_untagged", "phase_error_rate", "n_sifted", "bit_error_rate")
+_KEYRATE_KEYS = (*_AGGREGATES, "n_pulses")
 # the [sensing] keys beside LinkGeometry's and their defaults: MISSING marks
 # a required key, None an optional one whose absence the library handles
 _SENSING_KEYS = {
@@ -253,18 +256,23 @@ def _emit(text: str, out: str | None) -> None:
         raise ConfigError(f"cannot write --out {out}: {exc}") from None
 
 
-def _rate_payload(r: KeyRateReport, det: DetectorModel) -> dict:
+def _fields(obj, names) -> dict:
+    return {name: float(getattr(obj, name)) for name in names}
+
+
+def _rate(rate: float, det: DetectorModel) -> dict:
     return {
-        "privacy_bits": float(r.privacy_bits),
-        "error_correction_bits": float(r.error_correction_bits),
-        "correctness_bits": float(r.correctness_bits),
-        "secrecy_bits": float(r.secrecy_bits),
-        "secret_bits": float(r.secret_bits),
-        "rate_per_pulse": float(r.rate_per_pulse),
-        "rate_per_pulse_clamped": float(max(r.rate_per_pulse, 0.0)),
-        "clamped": bool(r.rate_per_pulse < 0.0),
-        "bits_per_second": float(r.rate_per_pulse * det.pulse_rate_hz),
+        "rate_per_pulse": float(rate),
+        "rate_per_pulse_clamped": float(max(rate, 0.0)),
+        "clamped": bool(rate < 0.0),
+        "bits_per_second": float(rate * det.pulse_rate_hz),
     }
+
+
+def _rate_payload(r: KeyRateReport, det: DetectorModel) -> dict:
+    bits = ("privacy_bits", "error_correction_bits", "correctness_bits", "secrecy_bits",
+            "secret_bits")
+    return {**_fields(r, bits), **_rate(r.rate_per_pulse, det)}
 
 
 def _analysis_payload(analysis: SessionAnalysis, det: DetectorModel, mode: str) -> dict:
@@ -273,14 +281,7 @@ def _analysis_payload(analysis: SessionAnalysis, det: DetectorModel, mode: str) 
         "mode": mode,
         "n_pulses": float(analysis.report.n_pulses),
         "decoy": {k: bool(v) if k == "feasible" else float(v) for k, v in decoy.items()},
-        "pairing": {
-            "pair_count": float(analysis.pair_count),
-            "survival_fraction": float(analysis.survival_fraction),
-            "n_sifted": float(analysis.n_sifted),
-            "bit_error_rate": float(analysis.bit_error_rate),
-            "n_untagged": float(analysis.n_untagged),
-            "phase_error_rate": float(analysis.phase_error_rate),
-        },
+        "pairing": _fields(analysis, ("pair_count", "survival_fraction", *_AGGREGATES)),
         "rate": _rate_payload(analysis.report, det),
     }
 
@@ -294,8 +295,7 @@ def _post_process(chain, *args):
         raise RuntimeInfeasible(str(exc)) from None
 
 
-def _cmd_keyrate(args) -> int:
-    cp = _read_config(args.config)
+def _cmd_keyrate(cp, args) -> dict:
     det, sec = _build(cp, "detector"), _build(cp, "security")
     if cp.has_section("keyrate"):
         # session quantities supplied directly, no channel model involved
@@ -307,28 +307,19 @@ def _cmd_keyrate(args) -> int:
             report = key_rate(**inputs, sec=sec)
         except ValueError as exc:
             raise ConfigError(f"[keyrate] {exc}") from None
-        payload = {
+        return {
             "mode": "direct",
             "n_pulses": float(report.n_pulses),
-            "inputs": {
-                "n_untagged": float(report.n_untagged),
-                "phase_error_rate": float(report.phase_error_rate),
-                "n_sifted": float(report.n_sifted),
-                "bit_error_rate": float(report.bit_error_rate),
-            },
+            "inputs": _fields(report, _AGGREGATES),
             "rate": _rate_payload(report, det),
         }
-        _emit(_render(payload, args.format), args.out)
-        return 0
     link, src = _build(cp, "link"), _build(cp, "source")
     tally = expected_tallies(link, det, src, _n_pulses(cp, args, default_pulses=1e10))
     analysis = _post_process(expected_post_processing, tally, src, sec)
-    _emit(_render(_analysis_payload(analysis, det, "expected"), args.format), args.out)
-    return 0
+    return _analysis_payload(analysis, det, "expected")
 
 
-def _cmd_simulate(args) -> int:
-    cp = _read_config(args.config)
+def _cmd_simulate(cp, args) -> dict:
     link, det, src, sec = (_build(cp, section) for section in _MODEL_SECTIONS)
     n_pulses, seed = _n_pulses(cp, args, default_pulses=1e6), _seed(cp, args)
     n_jobs = _setting(cp, args, "run", "n_jobs", 1)
@@ -343,8 +334,7 @@ def _cmd_simulate(args) -> int:
         "signal_heralded": float(tally.signal_heralded()),
         "pre_pairing_qber": float(tally.pre_pairing_qber()),
     }
-    _emit(_render(payload, args.format), args.out)
-    return 0
+    return payload
 
 
 def _parse_distances(text: str) -> list[float]:
@@ -367,8 +357,7 @@ _ETA_CEIL = 1.0 - 1e-12
 _CURVE_BLOCK = 256
 
 
-def _cmd_curve(args) -> int:
-    cp = _read_config(args.config)
+def _cmd_curve(cp, args) -> str:
     link, det, src, sec = (_build(cp, section) for section in _MODEL_SECTIONS)
     n_pulses = _n_pulses(cp, args, default_pulses=1e10)
     if args.distances is not None:
@@ -378,24 +367,7 @@ def _cmd_curve(args) -> int:
     else:
         raise ConfigError("[curve] is missing required key 'distances_km'")
 
-    columns = ["distance_km", "loss_db", "simulated_rate", "plob_absolute", "plob_relative"]
-    rows, block = [], []
-
-    def finish_block():
-        # one click table for the block's transmittances, then each distance's
-        # tally and post-processing in input order
-        if not block:
-            return
-        etas = np.array([eta for _, eta in block])
-        table = _click_table(etas[:, :1], etas[:, 1:], link.noise_per_pulse, src)
-        for i, (row, _) in enumerate(block):
-            tally = _mix_tallies(table.at(i), src, n_pulses)
-            analysis = _post_process(expected_post_processing, tally, src, sec)
-            # display floor: a session past its reach yields no key
-            row["simulated_rate"] = float(max(analysis.report.rate_per_pulse, 0.0))
-            rows.append(row)
-        block.clear()
-
+    rows, etas, error = [], [], None
     for d in distances:
         loss = link.atten_db_per_km * d
         try:
@@ -405,26 +377,34 @@ def _cmd_curve(args) -> int:
                 transmittance(loss + link.station_loss_db) * det.efficiency, _ETA_CEIL
             )
         except ValueError as exc:
-            # the distances before this one are evaluated first, so the
+            # held until the distances before this one are evaluated, so the
             # first failure in input order is the one reported
-            finish_block()
-            raise ConfigError(f"[curve] distance {d!r} km: {exc}") from None
-        row = {
+            error = ConfigError(f"[curve] distance {d!r} km: {exc}")
+            break
+        rows.append({
             "distance_km": float(d),
             "loss_db": float(loss),
             "plob_absolute": float(plob_bound(eta_abs)),
             "plob_relative": float(plob_bound(eta_rel)),
-        }
-        block.append((row, channel_transmittance(scaled, det)))
-        if len(block) == _CURVE_BLOCK:
-            finish_block()
-    finish_block()
-    _emit(_render_table(columns, rows, args.format), args.out)
-    return 0
+        })
+        etas.append(channel_transmittance(scaled, det))
+    for start in range(0, len(rows), _CURVE_BLOCK):
+        # one click table for the block's transmittances, then each distance's
+        # tally and post-processing in input order
+        block = np.array(etas[start:start + _CURVE_BLOCK])
+        table = _click_table(block[:, :1], block[:, 1:], link.noise_per_pulse, src)
+        for i, row in enumerate(rows[start:start + _CURVE_BLOCK]):
+            tally = _mix_tallies(table.at(i), src, n_pulses)
+            analysis = _post_process(expected_post_processing, tally, src, sec)
+            # display floor: a session past its reach yields no key
+            row["simulated_rate"] = float(max(analysis.report.rate_per_pulse, 0.0))
+    if error is not None:
+        raise error
+    columns = ["distance_km", "loss_db", "simulated_rate", "plob_absolute", "plob_relative"]
+    return _render_table(columns, rows, args.format)
 
 
-def _cmd_optimize(args) -> int:
-    cp = _read_config(args.config)
+def _cmd_optimize(cp, args) -> dict:
     link, det, src, sec = (_build(cp, section) for section in _MODEL_SECTIONS)
     n_pulses, seed = _n_pulses(cp, args, default_pulses=1e10), _seed(cp, args)
     n_starts = _setting(cp, args, "optimize", "n_starts", 12)
@@ -435,17 +415,12 @@ def _cmd_optimize(args) -> int:
     result = _post_process(optimize_params, link, det, sec, n_pulses, seed, src, n_starts, budget)
     if not result.feasible:
         raise RuntimeInfeasible("no parameter vector produced usable decoy statistics")
-    payload = {
+    return {
         "params": {k: float(v) for k, v in result.params.items()},
-        "rate_per_pulse": float(result.rate),
-        "rate_per_pulse_clamped": float(max(result.rate, 0.0)),
-        "clamped": bool(result.rate < 0.0),
-        "bits_per_second": float(result.rate * det.pulse_rate_hz),
+        **_rate(result.rate, det),
         "evaluations": int(result.evaluations),
         "start_index": int(result.start_index),
     }
-    _emit(_render(payload, args.format), args.out)
-    return 0
 
 
 def _build_vibrations(cp) -> list[VibrationSource]:
@@ -458,8 +433,7 @@ def _build_vibrations(cp) -> list[VibrationSource]:
     return [_build(cp, section, VibrationSource) for section in sections]
 
 
-def _cmd_sense(args) -> int:
-    cp = _read_config(args.config)
+def _cmd_sense(cp, args) -> dict:
     if not cp.has_section("sensing"):
         raise ConfigError("sense needs a [sensing] section")
     geometry = _build(cp, "sensing", LinkGeometry)
@@ -489,7 +463,7 @@ def _cmd_sense(args) -> int:
     # written only after every step above has succeeded, and under temporary
     # names that are moved into place once every write is done, so a failed
     # run leaves none of its files behind
-    out_dir = args.out or "."
+    out_dir = args.out_dir or "."
     traces = {"trace_alice": trace_a, "trace_bob": trace_b, "recovered_phase": recovered}
     paths = {name: os.path.join(out_dir, f"{name}.txt") for name in traces}
     record = dataclasses.asdict(result)
@@ -512,12 +486,10 @@ def _cmd_sense(args) -> int:
             with contextlib.suppress(OSError):
                 os.remove(path)
         raise ConfigError(f"cannot write --out {out_dir}: {exc}") from None
-    summary = {**paths, "localization_file": loc_path, "localization": record}
-    sys.stdout.write(_render(summary, args.format))
-    return 0
+    return {**paths, "localization_file": loc_path, "localization": record}
 
 
-def _cmd_plob(args) -> int:
+def _cmd_plob(cp, args) -> dict:
     if (args.loss_db is None) == (args.transmittance is None):
         raise ConfigError("plob needs exactly one of --loss-db or --transmittance")
     if args.loss_db is not None:
@@ -528,9 +500,7 @@ def _cmd_plob(args) -> int:
         eta = args.transmittance
         if not 0.0 <= eta < 1.0:
             raise ConfigError("--transmittance must lie in [0, 1)")
-    payload = {"transmittance": float(eta), "bound_bits_per_use": float(plob_bound(eta))}
-    _emit(_render(payload, args.format), args.out)
-    return 0
+    return {"transmittance": float(eta), "bound_bits_per_use": float(plob_bound(eta))}
 
 
 def _add_common(p: argparse.ArgumentParser, *, config=True, seed=False, n_pulses=False) -> None:
@@ -577,10 +547,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sense", help="phase traces, recovery and localization")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output directory for trace and result files")
+    p.add_argument("--out", dest="out_dir", metavar="OUT",
+                   help="output directory for trace and result files")
     p.add_argument("--format", choices=("json", "csv"), default="csv",
                    help="stdout summary format")
-    p.set_defaults(func=_cmd_sense)
+    p.set_defaults(func=_cmd_sense, out=None)
 
     p = sub.add_parser("plob", help="repeaterless bound for a loss or transmittance")
     _add_common(p, config=False)
@@ -591,10 +562,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def entry(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(_read_config(getattr(args, "config", None)), args)
+        _emit(result if isinstance(result, str) else _render(result, args.format), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -602,6 +573,7 @@ def entry(argv=None) -> int:
             TraceTooLongError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -141,6 +141,9 @@ class SourceParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.mu1 < self.mu2:
             raise ValueError("intensities must satisfy 0 < mu1 < mu2")
+        # the decoy analysis divides by this product
+        if self.mu1 * self.mu2 * (self.mu2 - self.mu1) == 0.0:
+            raise ValueError("mu1 is too small: mu1 * mu2 * (mu2 - mu1) underflows to 0")
         if self.muz < 0.0:
             raise ValueError("muz must be >= 0")
         if max(self.mu2, self.muz) > MAX_INTENSITY:
@@ -200,3 +203,11 @@ class SecurityParams:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
+        # key_rate charges 2 log2(2 / eps_cor) and 2 log2(1 / (sqrt(2) eps_pa eps_hat)):
+        # each quotient must be finite, and its divisor must not underflow to 0
+        if math.isinf(2.0 / self.eps_cor):
+            raise ValueError("eps_cor is too small: 2 / eps_cor overflows")
+        smoothing = math.sqrt(2.0) * self.eps_pa * self.eps_hat
+        if smoothing == 0.0 or math.isinf(1.0 / smoothing):
+            raise ValueError("eps_pa * eps_hat is too small: "
+                             "1 / (sqrt(2) * eps_pa * eps_hat) is not finite")

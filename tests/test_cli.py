@@ -160,13 +160,18 @@ def test_keyrate_direct_mode_validates_inputs(tmp_path):
     assert run_cli("keyrate", "--config", str(cfg))[0] == 2
 
 
-def test_output_file_equals_stdout(tmp_path):
-    cfg = str(CONFIGS / "longhaul_session.ini")
-    code, out, _ = run_cli("keyrate", "--config", cfg, "--format", "json")
+@pytest.mark.parametrize("argv", [
+    ["keyrate", "--config", str(CONFIGS / "longhaul_session.ini")],
+    ["simulate", "--n-pulses", "1e5"],
+    ["curve", "--distances", "0,50,100"],
+    ["optimize", "--budget", "3", "--n-starts", "1"],
+    ["plob", "--loss-db", "20"],
+], ids=lambda argv: argv[0])
+def test_output_file_equals_stdout(tmp_path, argv):
+    code, out, _ = run_cli(*argv, "--format", "json")
     assert code == 0
     target = tmp_path / "result.json"
-    code2, out2, _ = run_cli("keyrate", "--config", cfg, "--format", "json",
-                             "--out", str(target))
+    code2, out2, _ = run_cli(*argv, "--format", "json", "--out", str(target))
     assert code2 == 0
     assert out2 == ""
     assert target.read_text() == out
@@ -190,6 +195,15 @@ WIDE_SLICE = "[source]\nslice_half_width_rad = 2\n"
 WIDE_SLICE_ERROR = "config error: [source] slice_half_width_rad must lie in (0, pi/2)\n"
 HUGE_ARM = "[link]\nlength_a_km = 1e308\natten_db_per_km = 10\n"
 HUGE_ARM_ERROR = "config error: [link] the loss of each arm must be finite\n"
+TINY_MU1 = "[source]\nmu1 = 5e-324\n"
+TINY_MU1_ERROR = (
+    "config error: [source] mu1 is too small: mu1 * mu2 * (mu2 - mu1) underflows to 0\n"
+)
+TINY_SMOOTHING_ERROR = (
+    "config error: [security] eps_pa * eps_hat is too small: "
+    "1 / (sqrt(2) * eps_pa * eps_hat) is not finite\n"
+)
+DIRECT = KEYRATE + "n_untagged = 1000\n"
 NO_MU2_OPAQUE = (
     "[link]\nlength_a_km = 0\nlength_b_km = 0\natten_db_per_km = 1e308\n"
     "[source]\np_mu2 = 0\np_vac = 0.4\n"
@@ -376,6 +390,32 @@ ERROR_CASES = {
     "curve-first-failure-config": (
         ["curve", "--distances", "10,0", "--config", "{cfg}"], NO_MU2_OPAQUE, 2,
         "config error: [curve] distance 10.0 km: the loss of each arm must be finite",
+    ),
+    # mu1 * mu2 * (mu2 - mu1) underflowed to 0 and divided the decoy analysis
+    "mu1-underflow-keyrate": (KEYRATE_CONFIG, TINY_MU1, 2, TINY_MU1_ERROR),
+    "mu1-underflow-simulate": (["simulate", "--config", "{cfg}"], TINY_MU1, 2, TINY_MU1_ERROR),
+    "mu1-underflow-curve": (
+        ["curve", "--distances", "10", "--config", "{cfg}"], TINY_MU1, 2, TINY_MU1_ERROR,
+    ),
+    # sqrt(2) * eps_pa * eps_hat underflowed to 0 and divided key_rate's secrecy term
+    **{
+        f"{key.replace('_', '-')}-underflow-{name}": (
+            argv, text + f"[security]\n{key} = 5e-324\n", 2, TINY_SMOOTHING_ERROR,
+        )
+        for key in ("eps_pa", "eps_hat")
+        for name, argv, text in (
+            ("keyrate", KEYRATE_CONFIG, ""),
+            ("keyrate-direct", KEYRATE_CONFIG, DIRECT),
+            ("simulate", ["simulate", "--config", "{cfg}"], ""),
+        )
+    },
+    # 1 / (sqrt(2) * eps_pa * eps_hat) and 2 / eps_cor overflowed to a key of -inf
+    "eps-pa-overflow-keyrate": (
+        KEYRATE_CONFIG, "[security]\neps_pa = 1e-300\n", 2, TINY_SMOOTHING_ERROR,
+    ),
+    "eps-cor-overflow-keyrate-direct": (
+        KEYRATE_CONFIG, DIRECT + "[security]\neps_cor = 1e-310\n", 2,
+        "config error: [security] eps_cor is too small: 2 / eps_cor overflows\n",
     ),
 }
 

@@ -122,6 +122,15 @@ def test_source_refuses_a_bad_slice_half_width(half_width):
         _source(slice_half_width_rad=half_width)
 
 
+@pytest.mark.parametrize("mu1", [5e-324, 1.5e-323])
+def test_source_refuses_a_mu1_whose_decoy_denominator_underflows(mu1):
+    # mu1 * mu2 * (mu2 - mu1) is 0 here, and the decoy analysis divides by it
+    with pytest.raises(ValueError, match=r"mu1 is too small: mu1 \* mu2 \* \(mu2 - mu1\)"):
+        _source(mu1=mu1)
+    # at 2e-323 the product keeps its last subnormal
+    assert _source(mu1=2e-323).mu1 == 2e-323
+
+
 def test_jitter_sigma_matches_misalignment():
     # the sigma is defined so that a zero-mean Gaussian phase error of that
     # width produces exactly the configured baseline wrong-port fraction
@@ -143,3 +152,23 @@ def test_security_params_validation():
     with pytest.raises(ValueError):
         SecurityParams(f_ec=1.16, eps_cor=1e-10, eps_pa=1e-10, eps_hat=1e-10,
                        xi_decoy=1.0)
+
+
+def _security(**overrides):
+    return SecurityParams(**{**dict(f_ec=1.16, eps_cor=1e-10, eps_pa=1e-10, eps_hat=1e-10,
+                                    xi_decoy=1e-10), **overrides})
+
+
+@pytest.mark.parametrize("eps_pa, eps_hat", [
+    (5e-324, 1e-10),  # the product underflows to 0
+    (1e-10, 5e-324),
+    (1e-300, 1e-10),  # its inverse overflows
+])
+def test_security_refuses_a_smoothing_budget_without_a_finite_charge(eps_pa, eps_hat):
+    with pytest.raises(ValueError, match=r"eps_pa \* eps_hat is too small"):
+        _security(eps_pa=eps_pa, eps_hat=eps_hat)
+
+
+def test_security_refuses_an_eps_cor_without_a_finite_charge():
+    with pytest.raises(ValueError, match="eps_cor is too small: 2 / eps_cor overflows"):
+        _security(eps_cor=1e-310)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from itertools import product
@@ -376,6 +377,18 @@ def test_key_rate_validation():
     assert report.rate_per_pulse < 0.0  # constants still get paid
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(eps_cor=1.2e-308),
+    dict(eps_pa=1e-300, eps_hat=1e-8),
+    dict(eps_pa=1e-8, eps_hat=1e-300),
+])
+def test_the_smallest_accepted_budgets_are_charged_finitely(overrides):
+    sec = dataclasses.replace(reference_security(), **overrides)
+    report = key_rate(244731.0, 0.1336, 558729.0, 0.0212, 1.007e13, sec)
+    assert math.isfinite(report.correctness_bits) and math.isfinite(report.secrecy_bits)
+    assert math.isfinite(report.rate_per_pulse)
+
+
 # ------------------------------------------------------------ full pipeline
 
 def test_expected_chain_reference_scale(ref_expected, ref_src, ref_sec):
@@ -390,6 +403,16 @@ def test_expected_chain_reference_scale(ref_expected, ref_src, ref_sec):
     eta = 10.0 ** (-10.6)
     assert rate >= 10.0 * plob_bound(eta)
     assert analysis.report.n_pulses == REFERENCE_PULSES
+
+
+@pytest.mark.parametrize("mu1", [2e-323, 1e-310])
+def test_the_smallest_accepted_mu1_runs_the_decoy_analysis(desk, mu1):
+    link, det, src, sec = desk
+    src = dataclasses.replace(src, mu1=mu1)
+    analysis = expected_post_processing(expected_tallies(link, det, src, 1e10), src, sec)
+    # no provable single photons at so dim a decoy, and a finite rate
+    assert not analysis.feasible
+    assert math.isfinite(analysis.report.rate_per_pulse)
 
 
 def test_expected_chain_scales_with_session_length(desk):
