@@ -442,21 +442,22 @@ def _cmd_sense(cp, args) -> dict:
     fs = opts["sample_rate_hz"]
     seed = _seed(cp, args)
     try:
-        trace_a, trace_b = simulate_phase_traces(
+        traces = dict(zip(("trace_alice", "trace_bob"), simulate_phase_traces(
             geometry, sources, opts["duration_s"], fs, seed,
             drift_rate_rad2_per_s=opts["drift_rate_rad2_per_s"],
             noise_std_rad=opts["noise_std_rad"],
-        )
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-        # no name holds the counts, so they are freed before the correlation's peak
-        recovered = _post_process(
-            recover_phase_from_reference,
-            *synthesize_reference_counts(trace_b.samples, opts["photons_per_frame"], rng), fs,
-        )
-        result = locate_traces(
-            trace_a, trace_b, geometry,
-            max_lag_s=opts["max_lag_s"], slack_s=opts["max_slack_s"],
-        )
+        )))
+        # each end's stream becomes what the reference channel recovers from it, on its own
+        # substream (bob's key 1, alice's key 2); no name holds its counts or its raw stream
+        for name, key in (("trace_alice", 2), ("trace_bob", 1)):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+            traces[name] = _post_process(
+                recover_phase_from_reference,
+                *synthesize_reference_counts(traces[name].samples, opts["photons_per_frame"], rng),
+                fs, traces[name].origin,
+            )
+        result = locate_traces(*traces.values(), geometry, max_lag_s=opts["max_lag_s"],
+                               slack_s=opts["max_slack_s"])
     except ValueError as exc:
         raise ConfigError(f"[sensing] {exc}") from None
 
@@ -464,7 +465,6 @@ def _cmd_sense(cp, args) -> dict:
     # names that are moved into place once every write is done, so a failed
     # run leaves none of its files behind
     out_dir = args.out_dir or "."
-    traces = {"trace_alice": trace_a, "trace_bob": trace_b, "recovered_phase": recovered}
     paths = {name: os.path.join(out_dir, f"{name}.txt") for name in traces}
     record = dataclasses.asdict(result)
     record = {k: bool(v) if k == "out_of_range" else float(v) for k, v in record.items()}

@@ -134,7 +134,8 @@ def decoy_bounds(
     matched-intensity row for the phase-error rate of single-photon pairs.
     A statistically starved session comes back with feasible=False, zero
     untagged events and a phase error pinned at one half; callers should
-    treat that as "no provable key", not as an exception.
+    treat that as "no provable key", not as an exception. A decoy so dim
+    that a single-photon yield bound is not finite raises ValueError.
     """
     xi = sec.xi_decoy
     mu1, mu2, muz = src.mu1, src.mu2, src.muz
@@ -164,6 +165,9 @@ def decoy_bounds(
 
     y1_alice = y1_lower(gain_bounds(MU1, VAC)[0], gain_bounds(MU2, VAC)[1])
     y1_bob = y1_lower(gain_bounds(VAC, MU1)[0], gain_bounds(VAC, MU2)[1])
+    if not (math.isfinite(y1_alice) and math.isfinite(y1_bob)):
+        # the quotient overflows once denom is subnormal
+        raise ValueError("mu1 is too small: the single-photon yield bound is not finite")
 
     matched_pulses, _, matched_errors = row(DECOY, MU1, MU1)[:3]
     sifted_windows = matched_pulses * src.slice_acceptance

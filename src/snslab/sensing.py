@@ -45,9 +45,9 @@ class LinkGeometry:
     light_speed_km_per_s: float = 2.0e5
 
     def __post_init__(self) -> None:
-        if self.length_km <= 0.0:
+        if not self.length_km > 0.0:
             raise ValueError("length_km must be > 0")
-        if self.light_speed_km_per_s <= 0.0:
+        if not self.light_speed_km_per_s > 0.0:
             raise ValueError("light_speed_km_per_s must be > 0")
 
     @property
@@ -74,13 +74,13 @@ class VibrationSource:
     duration_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.position_km < 0.0:
+        if not self.position_km >= 0.0:
             raise ValueError("position_km must be >= 0")
-        if self.frequency_hz <= 0.0:
+        if not self.frequency_hz > 0.0:
             raise ValueError("frequency_hz must be > 0")
-        if self.start_s < 0.0:
+        if not self.start_s >= 0.0:
             raise ValueError("start_s must be >= 0")
-        if self.duration_s is not None and self.duration_s <= 0.0:
+        if self.duration_s is not None and not self.duration_s > 0.0:
             raise ValueError("duration_s must be > 0 when given")
 
     def waveform(self, t: np.ndarray) -> np.ndarray:
@@ -197,7 +197,7 @@ def simulate_phase_traces(
                 f"sample_rate_hz {sample_rate_hz} aliases the {s.frequency_hz} Hz "
                 "source; need at least twice the highest source frequency"
             )
-    if drift_rate_rad2_per_s < 0.0 or noise_std_rad < 0.0:
+    if not (drift_rate_rad2_per_s >= 0.0 and noise_std_rad >= 0.0):
         raise ValueError("noise magnitudes must be >= 0")
 
     n_samples = duration_s * sample_rate_hz
@@ -246,7 +246,7 @@ def synthesize_reference_counts(
     for checking estimator bias in isolation.
     """
     phases = np.asarray(phases, dtype=float)
-    if photons_per_frame <= 0.0:
+    if not photons_per_frame > 0.0:
         raise ValueError("photons_per_frame must be > 0")
     quadratures = np.stack([np.cos(phases), np.sin(phases)])
     mean_left = 0.25 * photons_per_frame * (1.0 + quadratures)
@@ -277,7 +277,7 @@ def recover_phase_from_reference(
         raise ValueError("count arrays must both have shape (2, frames)")
     if nl.shape[1] == 0:
         raise ValueError("need at least one frame")
-    if frame_rate_hz <= 0.0:
+    if not frame_rate_hz > 0.0:
         raise ValueError("frame_rate_hz must be > 0")
     total = nl + nr
     if np.any(total <= 0.0):
@@ -297,9 +297,10 @@ def cross_correlate_delay(
     Both traces are linearly detrended, cross-correlated over all lags
     (or only |lag| <= max_lag_s when given; math.inf caps nothing), and
     the integer peak is refined by a parabolic fit through its neighbors.
-    A NaN max_lag_s is refused. A positive delay means trace_b lags. The
-    second return value is the peak correlation after global
-    normalization, in [-1, 1].
+    A NaN max_lag_s is refused, and so is a trace whose detrended energy
+    is zero or not finite (DegenerateTraceError). A positive delay means
+    trace_b lags. The second return value is the peak correlation after
+    global normalization, in [-1, 1].
     """
     if trace_a.sample_rate_hz != trace_b.sample_rate_hz:
         raise ValueError("traces must share one sample rate")
@@ -326,6 +327,8 @@ def cross_correlate_delay(
     norm = math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
     if norm == 0.0:
         raise DegenerateTraceError("a trace is constant after detrending")
+    if not math.isfinite(norm):  # a NaN or infinite sample, or an energy that overflows
+        raise DegenerateTraceError(f"a trace's energy after detrending is {norm!r}, not finite")
 
     size = 1
     while size < 2 * n - 1:
@@ -380,7 +383,7 @@ def locate(
     DelayOutOfRangeError. The optional correlation_peak is carried into
     the result untouched for reporting.
     """
-    if slack_s < 0.0:
+    if not slack_s >= 0.0:
         raise ValueError("slack_s must be >= 0")
     limit = geometry.max_delay_s
     if abs(delay_s) > limit + slack_s:
@@ -413,7 +416,7 @@ def locate_traces(
     """
     if slack_s is None:
         slack_s = 1.0 / trace_alice.sample_rate_hz
-    if slack_s < 0.0:
+    if not slack_s >= 0.0:
         raise ValueError("slack_s must be >= 0")
     if max_lag_s is None:
         max_lag_s = geometry.max_delay_s + slack_s

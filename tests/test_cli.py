@@ -199,6 +199,8 @@ TINY_MU1 = "[source]\nmu1 = 5e-324\n"
 TINY_MU1_ERROR = (
     "config error: [source] mu1 is too small: mu1 * mu2 * (mu2 - mu1) underflows to 0\n"
 )
+DIM_MU1 = "[source]\nmu1 = 1e-315\n"
+DIM_MU1_ERROR = "infeasible: mu1 is too small: the single-photon yield bound is not finite\n"
 TINY_SMOOTHING_ERROR = (
     "config error: [security] eps_pa * eps_hat is too small: "
     "1 / (sqrt(2) * eps_pa * eps_hat) is not finite\n"
@@ -396,6 +398,14 @@ ERROR_CASES = {
     "mu1-underflow-simulate": (["simulate", "--config", "{cfg}"], TINY_MU1, 2, TINY_MU1_ERROR),
     "mu1-underflow-curve": (
         ["curve", "--distances", "10", "--config", "{cfg}"], TINY_MU1, 2, TINY_MU1_ERROR,
+    ),
+    # a mu1 the source accepts whose yield bound overflowed: it printed -Infinity, not JSON
+    "mu1-overflow-keyrate": ([*KEYRATE_CONFIG, "--format", "json"], DIM_MU1, 3, DIM_MU1_ERROR),
+    "mu1-overflow-simulate": (
+        ["simulate", "--n-pulses", "1e5", "--config", "{cfg}"], DIM_MU1, 3, DIM_MU1_ERROR,
+    ),
+    "mu1-overflow-curve": (
+        ["curve", "--distances", "10", "--config", "{cfg}"], DIM_MU1, 3, DIM_MU1_ERROR,
     ),
     # sqrt(2) * eps_pa * eps_hat underflowed to 0 and divided key_rate's secrecy term
     **{
@@ -769,9 +779,9 @@ def test_sense_end_to_end(tmp_path):
             "--out", str(out_dir), "--format", "json")
     code, out, _ = run_cli(*args)
     assert code == 0
-    for name in ("trace_alice.txt", "trace_bob.txt", "recovered_phase.txt",
-                 "localization.json"):
-        assert (out_dir / name).exists()
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "localization.json", "trace_alice.txt", "trace_bob.txt",
+    ]
     record = json.loads((out_dir / "localization.json").read_text())
     assert record["position_from_alice_km"] == pytest.approx(60.0, abs=1.0)
     assert record["correlation_peak"] > 0.9
@@ -779,15 +789,10 @@ def test_sense_end_to_end(tmp_path):
     summary = json.loads(out)
     assert summary["localization"] == record
 
-    header = (out_dir / "recovered_phase.txt").read_text().splitlines()
-    assert header[0].startswith("# sample_rate_hz=")
-    assert "origin=recovered" in header[0]
-    assert len(header[1].split()) == 1
-
-    # the photon-counting recovery really ran: the recovered stream is a
-    # noisy version of the bob trace, not a copy of it
-    bob_lines = (out_dir / "trace_bob.txt").read_text().splitlines()
-    assert header[1:] != bob_lines[1:]
+    for who in ("alice", "bob"):
+        lines = (out_dir / f"trace_{who}.txt").read_text().splitlines()
+        assert lines[0] == f"# sample_rate_hz=200000.0 origin={who}"
+        assert len(lines[1].split()) == 1
 
     first = {name: (out_dir / name).read_bytes()
              for name in ("trace_alice.txt", "localization.json")}
@@ -807,11 +812,15 @@ def test_sense_recovers_through_the_reference_channel_by_default(tmp_path):
         assert run_cli("sense", "--config", str(cfg), "--out", str(out))[0] == 0
         outputs[name] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert outputs["default"] == outputs["explicit"]
-    out = tmp_path / "default"
-    bob = read_trace(out / "trace_bob.txt").samples
-    recovered = read_trace(out / "recovered_phase.txt").samples
-    assert not np.array_equal(recovered, bob)
-    assert np.max(np.abs(recovered - bob)) < 0.2
+    # each written stream is a noisy recovery of the library's raw trace, not a copy of it
+    raw = simulate_phase_traces(
+        LinkGeometry(length_km=100.0),
+        VibrationSource(position_km=10.0, frequency_hz=5.0, amplitude_rad=0.1), 0.1, 1000.0, 1,
+    )
+    for trace in raw:
+        recovered = read_trace(tmp_path / "default" / f"trace_{trace.origin}.txt").samples
+        assert not np.array_equal(recovered, trace.samples)
+        assert np.max(np.abs(recovered - trace.samples)) < 0.2
 
 
 @pytest.mark.parametrize("blocker", ["trace_bob.txt", "localization.json"])
@@ -861,14 +870,44 @@ def test_sense_trace_files_equal_the_per_line_writer_on_the_library_traces(tmp_p
         VibrationSource(position_km=10.0, frequency_hz=5.0, amplitude_rad=0.1),
         1.2, 1000.0, 9,
     )
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=9, spawn_key=(1,)))
-    recovered = recover_phase_from_reference(
-        *synthesize_reference_counts(bob.samples, DEFAULT_PHOTONS_PER_FRAME, rng), 1000.0
-    )
     assert alice.n_samples == 1200 > 2 * _BLOCK
-    for name, trace in [("trace_alice", alice), ("trace_bob", bob), ("recovered_phase", recovered)]:
-        write_trace_reference(tmp_path / "ref.txt", trace)
-        assert (out / f"{name}.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes(), name
+    # each end recovered on its own substream: alice on key 2, bob on key 1
+    for raw, key in [(alice, 2), (bob, 1)]:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=9, spawn_key=(key,)))
+        recovered = recover_phase_from_reference(
+            *synthesize_reference_counts(raw.samples, DEFAULT_PHOTONS_PER_FRAME, rng), 1000.0,
+            raw.origin,
+        )
+        write_trace_reference(tmp_path / "ref.txt", recovered)
+        name = f"trace_{raw.origin}.txt"
+        assert (out / name).read_bytes() == (tmp_path / "ref.txt").read_bytes(), name
+
+
+@pytest.mark.parametrize("text", [
+    (CONFIGS / "sense_demo.ini").read_text(),
+    # a noiseless link with its source in the middle: both ends see the same raw phase,
+    # so one substream reused for both ends would give them the same recovery noise
+    sensing_ini(length_km=20, duration_s=10, drift_rate_rad2_per_s=0.01, noise_std_rad=0)
+    + "[run]\nseed = 5\n",
+], ids=["sense_demo", "midpoint"])
+def test_sense_recovers_the_two_ends_with_independent_noise(tmp_path, text):
+    cfg, out = tmp_path / "case.ini", tmp_path / "out"
+    cfg.write_text(text)
+    assert run_cli("sense", "--config", str(cfg), "--out", str(out))[0] == 0
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp.read_string(text)
+    sensing = cp["sensing"]
+    (vibration,) = (cp[s] for s in cp.sections() if s.startswith("vibration."))
+    raw = simulate_phase_traces(
+        LinkGeometry(length_km=sensing.getfloat("length_km")),
+        VibrationSource(**{k: vibration.getfloat(k) for k in vibration}),
+        sensing.getfloat("duration_s"), sensing.getfloat("sample_rate_hz"),
+        cp.getint("run", "seed"),
+        drift_rate_rad2_per_s=sensing.getfloat("drift_rate_rad2_per_s"),
+        noise_std_rad=sensing.getfloat("noise_std_rad"),
+    )
+    noise = [read_trace(out / f"trace_{t.origin}.txt").samples - t.samples for t in raw]
+    assert abs(np.corrcoef(*noise)[0, 1]) < 5.0 / math.sqrt(noise[0].size)
 
 
 def test_sense_missing_section_is_config_error(tmp_path):

@@ -405,14 +405,25 @@ def test_expected_chain_reference_scale(ref_expected, ref_src, ref_sec):
     assert analysis.report.n_pulses == REFERENCE_PULSES
 
 
-@pytest.mark.parametrize("mu1", [2e-323, 1e-310])
+@pytest.mark.parametrize("mu1", [1e-310])
 def test_the_smallest_accepted_mu1_runs_the_decoy_analysis(desk, mu1):
     link, det, src, sec = desk
     src = dataclasses.replace(src, mu1=mu1)
     analysis = expected_post_processing(expected_tallies(link, det, src, 1e10), src, sec)
     # no provable single photons at so dim a decoy, and a finite rate
     assert not analysis.feasible
+    assert math.isfinite(analysis.decoy.y1_alice_low) and math.isfinite(analysis.decoy.y1_bob_low)
     assert math.isfinite(analysis.report.rate_per_pulse)
+
+
+@pytest.mark.parametrize("mu1", [2e-323, 1e-315])
+def test_a_mu1_whose_yield_bound_overflows_is_refused(desk, mu1):
+    # SourceParams accepts these, but the yield bound's quotient overflows to -inf
+    link, det, src, sec = desk
+    src = dataclasses.replace(src, mu1=mu1)
+    tally = expected_tallies(link, det, src, 1e10)
+    with pytest.raises(ValueError, match="mu1 is too small: the single-photon yield bound"):
+        decoy_bounds(tally, src, sec)
 
 
 def test_expected_chain_scales_with_session_length(desk):

@@ -49,6 +49,12 @@ def test_geometry_validation():
         LinkGeometry(length_km=10.0, light_speed_km_per_s=-1.0)
 
 
+@pytest.mark.parametrize("field", ["length_km", "light_speed_km_per_s"])
+def test_geometry_refuses_nan(field):
+    with pytest.raises(ValueError, match=f"{field} must be > 0"):
+        LinkGeometry(**{"length_km": 10.0, field: math.nan})
+
+
 # ------------------------------------------------------------------ source
 
 def test_vibration_waveform_window_and_values():
@@ -78,6 +84,13 @@ def test_vibration_source_validation():
     with pytest.raises(ValueError):
         VibrationSource(position_km=0.0, frequency_hz=1.0, amplitude_rad=0.1,
                         start_s=-0.5)
+
+
+@pytest.mark.parametrize("field", ["position_km", "frequency_hz", "start_s", "duration_s"])
+def test_vibration_source_refuses_nan(field):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        VibrationSource(**{"position_km": 0.0, "frequency_hz": 1.0, "amplitude_rad": 0.1,
+                           field: math.nan})
 
 
 # ------------------------------------------------------------- trace model
@@ -157,6 +170,13 @@ def test_simulation_validation():
     # sampling at exactly twice the source frequency is allowed
     a, _ = simulate_phase_traces(geo, _burst(50.0), 0.1, 1000.0, seed=0)
     assert a.n_samples == 100
+
+
+@pytest.mark.parametrize("key", ["drift_rate_rad2_per_s", "noise_std_rad"])
+def test_simulation_refuses_a_nan_noise_magnitude(key):
+    with pytest.raises(ValueError, match="noise magnitudes must be >= 0"):
+        simulate_phase_traces(LinkGeometry(length_km=100.0), _burst(50.0), 0.1, 50e3, seed=0,
+                              **{key: math.nan})
 
 
 def test_simulation_refuses_a_sample_count_that_overflows():
@@ -311,6 +331,13 @@ def test_recovery_validation():
             recover_phase_from_reference(silent, silent.copy(), 100.0)
     # one silent port alone still reads a phase
     assert recover_phase_from_reference(ones, np.zeros((2, 3)), 100.0).n_samples == 3
+
+
+def test_reference_channel_refuses_nan_rates():
+    with pytest.raises(ValueError, match="photons_per_frame must be > 0"):
+        synthesize_reference_counts(np.zeros(3), math.nan)
+    with pytest.raises(ValueError, match="frame_rate_hz must be > 0"):
+        recover_phase_from_reference(np.ones((2, 3)), np.ones((2, 3)), math.nan)
 
 
 # ---------------------------------------------------------------- trace io
@@ -539,6 +566,18 @@ def test_correlation_degenerate_and_mismatched_inputs():
         cross_correlate_delay(wavy, longer)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_correlation_refuses_a_trace_that_is_not_finite(bad):
+    # a NaN trace was placed at the bob end with a NaN correlation peak
+    wavy = PhaseTrace(samples=np.sin(np.arange(100.0)), sample_rate_hz=10.0, origin="x")
+    broken = replace(wavy, samples=np.where(np.arange(100) == 5, bad, wavy.samples))
+    for a, b in [(wavy, broken), (broken, wavy)]:
+        with pytest.raises(DegenerateTraceError, match="not finite"):
+            cross_correlate_delay(a, b)
+        with pytest.raises(DegenerateTraceError, match="not finite"):
+            locate_traces(a, b, LinkGeometry(length_km=1e6))
+
+
 # ------------------------------------------------------------- localization
 
 def test_locate_zero_delay_is_midpoint():
@@ -566,6 +605,14 @@ def test_locate_rejects_delays_past_the_slack():
         locate(2.531e-3, geo, slack_s=5e-6)
     with pytest.raises(ValueError):
         locate(1e-3, geo, slack_s=-1e-9)
+
+
+def test_locate_refuses_a_nan_slack():
+    geo = LinkGeometry(length_km=500.0)
+    with pytest.raises(ValueError, match="slack_s must be >= 0"):
+        locate(1e-3, geo, slack_s=math.nan)
+    with pytest.raises(ValueError, match="slack_s must be >= 0"):
+        locate_traces(_wavelet_trace(0), _wavelet_trace(0), geo, slack_s=math.nan)
 
 
 def test_locate_negative_delay_mirrors():
