@@ -5,12 +5,12 @@ bytes and exits with the same code as the committed table says.
 The table (golden_cli.json, beside this file) holds the SHA-256 of each
 command's stdout and of every file it writes. It was generated on a 2-core
 x86-64 Xeon with Python 3.11.7 and numpy 2.4.6; no other machine has
-confirmed it yet. `sense` fits its delay peak through np.polyfit, which is
-LAPACK, and numpy's SIMD exp and log may round differently on another CPU,
-so a mismatch there on new hardware says which build differs, not that the
-code changed. A change that moves a hash on purpose regenerates the table
-(`PYTHONPATH=src python3 tests/test_golden.py`) and states why in
-CHANGES.md.
+confirmed it yet. numpy's SIMD exp, log and sums may round differently on
+another CPU, so a mismatch there on new hardware says which build differs,
+not that the code changed. A change that moves a hash on purpose
+regenerates the table (`PYTHONPATH=src python3 tests/test_golden.py`, which
+prints each command whose entry changed and what moved in it) and states
+why in CHANGES.md.
 """
 
 import hashlib
@@ -72,12 +72,24 @@ def test_readme_command_prints_and_writes_the_frozen_bytes(tmp_path, command):
     assert run_in(tmp_path, command) == json.loads(TABLE.read_text())[command]
 
 
+def moved(before: dict, after: dict) -> list[str]:
+    """What differs between two entries of the table: exit, stdout, stderr, file paths."""
+    keys = [key for key in ("exit", "stdout", "stderr") if before.get(key) != after.get(key)]
+    old_files, new_files = before.get("files", {}), after.get("files", {})
+    return keys + sorted(path for path in old_files.keys() | new_files.keys()
+                         if old_files.get(path) != new_files.get(path))
+
+
 if __name__ == "__main__":
     import tempfile
 
+    old = json.loads(TABLE.read_text()) if TABLE.exists() else {}
     table = {}
     for command in readme_commands():
         with tempfile.TemporaryDirectory() as tmp:
             table[command] = run_in(Path(tmp), command)
+        changed = moved(old.get(command, {}), table[command])
+        if changed:
+            sys.stdout.write(f"{command}: {', '.join(changed)}\n")
     TABLE.write_text(json.dumps(table, indent=2) + "\n")
     sys.stdout.write(f"wrote {len(table)} commands to {TABLE}\n")

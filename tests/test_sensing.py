@@ -498,25 +498,18 @@ def test_correlation_respects_lag_cap():
 
 
 def _cross_correlate_reference(trace_a, trace_b, max_lag_s):
-    """The masked full-window correlation: all 2n-1 lags, then |lag| <= cap kept."""
+    """FFT-free oracle: polyfit-detrended traces, one np.dot per lag |lag| <= cap.
+
+    Returns the integer peak lag, the refined delay and the normalized peak.
+    """
     n, fs = trace_a.n_samples, trace_a.sample_rate_hz
     t = np.arange(n, dtype=float)
-    a = trace_a.samples - np.polynomial.polynomial.polyval(
-        t, np.polynomial.polynomial.polyfit(t, trace_a.samples, 1)
-    )
-    b = trace_b.samples - np.polynomial.polynomial.polyval(
-        t, np.polynomial.polynomial.polyfit(t, trace_b.samples, 1)
-    )
-    norm = math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
-    size = 1
-    while size < 2 * n - 1:
-        size *= 2
-    corr = np.fft.irfft(np.conj(np.fft.rfft(a, size)) * np.fft.rfft(b, size), size)
-    lags = np.arange(-(n - 1), n)
-    values = np.concatenate([corr[size - (n - 1):], corr[:n]])
-    if max_lag_s is not None:
-        keep = np.abs(lags) <= int(math.floor(max_lag_s * fs))
-        lags, values = lags[keep], values[keep]
+    a, b = (tr.samples - np.polynomial.polynomial.polyval(
+        t, np.polynomial.polynomial.polyfit(t, tr.samples, 1)) for tr in (trace_a, trace_b))
+    cap = n - 1 if max_lag_s is None else min(n - 1, math.floor(max_lag_s * fs))
+    lags = np.arange(-cap, cap + 1)
+    values = np.array([np.dot(a[:n - lag], b[lag:]) if lag >= 0 else np.dot(a[-lag:], b[:n + lag])
+                       for lag in lags])
     peak = int(np.argmax(values))
     offset = 0.0
     if 0 < peak < len(values) - 1:
@@ -524,7 +517,17 @@ def _cross_correlate_reference(trace_a, trace_b, max_lag_s):
         denom = 2.0 * (2.0 * r0 - rp - rm)
         if denom > 0.0:
             offset = float(np.clip((rp - rm) / denom, -0.5, 0.5))
-    return (float(lags[peak]) + offset) / fs, float(values[peak] / norm)
+    norm = math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
+    return int(lags[peak]), (float(lags[peak]) + offset) / fs, float(values[peak] / norm)
+
+
+def _assert_matches_the_oracle(a, b, max_lag_s):
+    fs = a.sample_rate_hz
+    lag, ref_delay, ref_peak = _cross_correlate_reference(a, b, max_lag_s)
+    delay, peak = cross_correlate_delay(a, b, max_lag_s)
+    assert abs(delay * fs - lag) <= 0.5  # the same integer peak lag
+    assert abs(delay - ref_delay) <= 1e-9 / fs
+    assert abs(peak - ref_peak) <= 1e-12
 
 
 # cap = 0, a cap that cuts the true 150-sample lag off, one that holds it,
@@ -534,7 +537,21 @@ def test_lag_window_slices_equal_the_masked_full_window(max_lag_s):
     noise = np.random.default_rng(3).standard_normal((2, 4000)) * 0.05
     a = replace(_wavelet_trace(0), samples=_wavelet_trace(0).samples + noise[0])
     b = replace(_wavelet_trace(150), samples=_wavelet_trace(150).samples + noise[1])
-    assert cross_correlate_delay(a, b, max_lag_s) == _cross_correlate_reference(a, b, max_lag_s)
+    _assert_matches_the_oracle(a, b, max_lag_s)
+
+
+# n + cap just below, at and just past a power of two, with the true lag at the
+# window's edge, where a transform too short to hold the window would wrap
+@pytest.mark.parametrize("cap", [1095, 1096, 1097])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_lag_at_the_window_edge_does_not_wrap(cap, sign):
+    n = 3000  # n + cap = 4095, 4096, 4097
+    source = np.random.default_rng(cap).standard_normal(n + cap)
+    late, early = source[:n], source[cap:]
+    a, b = (PhaseTrace(samples=s, sample_rate_hz=1.0, origin="x")
+            for s in ((early, late) if sign > 0 else (late, early)))
+    _assert_matches_the_oracle(a, b, float(cap))
+    assert cross_correlate_delay(a, b, float(cap))[0] == sign * cap
 
 
 def test_an_infinite_lag_cap_caps_nothing_and_a_nan_cap_is_refused():
