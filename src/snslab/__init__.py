@@ -8,6 +8,7 @@ phase channel for vibration sensing and localization.
 from .model import (
     DEFAULT_SLICE_HALF_WIDTH_RAD,
     DetectorModel,
+    Infeasible,
     LinkModel,
     SecurityParams,
     SourceParams,
@@ -38,8 +39,6 @@ from .security import (
     post_aopp_phase_error,
 )
 from .sensing import (
-    DegenerateTraceError,
-    DelayOutOfRangeError,
     LinkGeometry,
     LocalizationResult,
     PhaseTrace,
@@ -69,9 +68,8 @@ __all__ = [
     "AoppResult",
     "DEFAULT_SLICE_HALF_WIDTH_RAD",
     "DecoyBounds",
-    "DegenerateTraceError",
-    "DelayOutOfRangeError",
     "DetectorModel",
+    "Infeasible",
     "KeyRateReport",
     "LinkGeometry",
     "LinkModel",

@@ -14,7 +14,8 @@ desk-scale presets apply. One sequence in `entry` serves every command:
 read the config, run the command, which returns its payload (`curve` its
 rendered table), render it and write it to --out or stdout. Exit codes:
 0 on success (a negative rate is still a success), 2 for configuration
-problems, 3 when the physics or statistics make the request infeasible.
+problems, 3 when the library raises Infeasible: the physics, the
+statistics or a size cap make the request infeasible.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import sys
 import numpy as np
 
 from .model import (
-    DetectorModel, LinkModel, SecurityParams, SourceParams, channel_transmittance, transmittance,
+    DetectorModel, Infeasible, LinkModel, SecurityParams, SourceParams, channel_transmittance,
+    transmittance,
 )
 from .optimize import MAX_STARTS, optimize_params
 from .presets import desk_detector, desk_link, desk_security, desk_source
@@ -47,10 +49,7 @@ from .sensing import (
     DEFAULT_DRIFT_RATE_RAD2_PER_S,
     DEFAULT_NOISE_STD_RAD,
     DEFAULT_PHOTONS_PER_FRAME,
-    DegenerateTraceError,
-    DelayOutOfRangeError,
     LinkGeometry,
-    TraceTooLongError,
     VibrationSource,
     locate_traces,
     recover_phase_from_reference,
@@ -63,10 +62,6 @@ from .simulate import _click_table, _mix_tallies, expected_tallies, monte_carlo_
 
 class ConfigError(Exception):
     """Bad or missing configuration; maps to exit code 2."""
-
-
-class RuntimeInfeasible(RuntimeError):
-    """Valid configuration that cannot produce the requested result."""
 
 
 def _field_names(cls) -> set[str]:
@@ -286,15 +281,6 @@ def _analysis_payload(analysis: SessionAnalysis, det: DetectorModel, mode: str) 
     }
 
 
-def _post_process(chain, *args):
-    """Run one step; its ValueError (a session past the sampler's cap, more starts than the
-    optimizer's cap, no pulses in a row, no photons in a frame) is infeasible."""
-    try:
-        return chain(*args)
-    except ValueError as exc:
-        raise RuntimeInfeasible(str(exc)) from None
-
-
 def _cmd_keyrate(cp, args) -> dict:
     det, sec = _build(cp, "detector"), _build(cp, "security")
     if cp.has_section("keyrate"):
@@ -315,7 +301,7 @@ def _cmd_keyrate(cp, args) -> dict:
         }
     link, src = _build(cp, "link"), _build(cp, "source")
     tally = expected_tallies(link, det, src, _n_pulses(cp, args, default_pulses=1e10))
-    analysis = _post_process(expected_post_processing, tally, src, sec)
+    analysis = expected_post_processing(tally, src, sec)
     return _analysis_payload(analysis, det, "expected")
 
 
@@ -325,8 +311,8 @@ def _cmd_simulate(cp, args) -> dict:
     n_jobs = _setting(cp, args, "run", "n_jobs", 1)
     if n_jobs < 1:
         raise ConfigError("[run] n_jobs must be >= 1")
-    tally = _post_process(monte_carlo_session, link, det, src, int(n_pulses), seed, n_jobs)
-    analysis = _post_process(mc_post_processing, tally, src, sec, seed)
+    tally = monte_carlo_session(link, det, src, int(n_pulses), seed, n_jobs)
+    analysis = mc_post_processing(tally, src, sec, seed)
     payload = _analysis_payload(analysis, det, "monte_carlo")
     payload["seed"] = seed
     payload["tally"] = {
@@ -395,7 +381,7 @@ def _cmd_curve(cp, args) -> str:
         table = _click_table(block[:, :1], block[:, 1:], link.noise_per_pulse, src)
         for i, row in enumerate(rows[start:start + _CURVE_BLOCK]):
             tally = _mix_tallies(table.at(i), src, n_pulses)
-            analysis = _post_process(expected_post_processing, tally, src, sec)
+            analysis = expected_post_processing(tally, src, sec)
             # display floor: a session past its reach yields no key
             row["simulated_rate"] = float(max(analysis.report.rate_per_pulse, 0.0))
     if error is not None:
@@ -412,9 +398,9 @@ def _cmd_optimize(cp, args) -> dict:
     for key, value in (("n_starts", n_starts), ("budget", budget)):
         if value < 1:
             raise ConfigError(f"[optimize] {key} must be >= 1")
-    result = _post_process(optimize_params, link, det, sec, n_pulses, seed, src, n_starts, budget)
+    result = optimize_params(link, det, sec, n_pulses, seed, src, n_starts, budget)
     if not result.feasible:
-        raise RuntimeInfeasible("no parameter vector produced usable decoy statistics")
+        raise Infeasible("no parameter vector produced usable decoy statistics")
     return {
         "params": {k: float(v) for k, v in result.params.items()},
         **_rate(result.rate, det),
@@ -451,8 +437,7 @@ def _cmd_sense(cp, args) -> dict:
         # substream (bob's key 1, alice's key 2); no name holds its counts or its raw stream
         for name, key in (("trace_alice", 2), ("trace_bob", 1)):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
-            traces[name] = _post_process(
-                recover_phase_from_reference,
+            traces[name] = recover_phase_from_reference(
                 *synthesize_reference_counts(traces[name].samples, opts["photons_per_frame"], rng),
                 fs, traces[name].origin,
             )
@@ -497,9 +482,9 @@ def _cmd_plob(cp, args) -> dict:
             raise ConfigError("--loss-db must be >= 0")
         eta = min(transmittance(args.loss_db), _ETA_CEIL)
     else:
-        eta = args.transmittance
-        if not 0.0 <= eta < 1.0:
+        if not 0.0 <= args.transmittance < 1.0:
             raise ConfigError("--transmittance must lie in [0, 1)")
+        eta = args.transmittance + 0.0  # -0.0 prints as 0.0
     return {"transmittance": float(eta), "bound_bits_per_use": float(plob_bound(eta))}
 
 
@@ -569,8 +554,7 @@ def entry(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeInfeasible, DegenerateTraceError, DelayOutOfRangeError,
-            TraceTooLongError) as exc:
+    except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     return 0

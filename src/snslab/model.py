@@ -21,6 +21,15 @@ MAX_INTENSITY = 100.0
 DEFAULT_SLICE_HALF_WIDTH_RAD = 0.3
 
 
+class Infeasible(RuntimeError):
+    """A valid request that the physics, the statistics or a size cap cannot serve.
+
+    Every such refusal in the package raises this type, and only such
+    refusals do; the command line reports it as exit code 3. A ValueError
+    means the input itself is invalid.
+    """
+
+
 def transmittance(loss_db: float) -> float:
     """Convert a loss budget in dB to a transmittance in (0, 1].
 

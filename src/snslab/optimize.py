@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    DetectorModel, LinkModel, SecurityParams, SourceParams, channel_transmittance,
+    DetectorModel, Infeasible, LinkModel, SecurityParams, SourceParams, channel_transmittance,
 )
 from .security import SessionAnalysis, expected_post_processing
 from .simulate import _click_table, _mix_tallies
@@ -196,12 +196,12 @@ def optimize_params(
     budget caps the total number of objective evaluations; a budget of 1
     returns the single evaluated start. If no evaluation is feasible the
     result carries rate -inf. Every start is drawn before the first
-    evaluation, so more than MAX_STARTS starts are refused before any is.
+    evaluation, so more than MAX_STARTS starts raise Infeasible before any is.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     if n_starts > MAX_STARTS:
-        raise ValueError(
+        raise Infeasible(
             f"n_starts {n_starts} is past the optimizer's cap of {MAX_STARTS} starts (MAX_STARTS)"
         )
     if budget < 1:

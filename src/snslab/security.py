@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SecurityParams, SourceParams, binary_entropy
+from .model import Infeasible, SecurityParams, SourceParams, binary_entropy
 from .simulate import (
     DECOY,
     MU1,
@@ -135,7 +135,8 @@ def decoy_bounds(
     A statistically starved session comes back with feasible=False, zero
     untagged events and a phase error pinned at one half; callers should
     treat that as "no provable key", not as an exception. A decoy so dim
-    that a single-photon yield bound is not finite raises ValueError.
+    that a single-photon yield bound is not finite, or a tally with no
+    pulses in a row the bounds read, raises Infeasible.
     """
     xi = sec.xi_decoy
     mu1, mu2, muz = src.mu1, src.mu2, src.muz
@@ -144,7 +145,7 @@ def decoy_bounds(
     def row(kind: str, la: str, lb: str) -> list[float]:
         r = counts[ROW_INDEX[(kind, la, lb)]]
         if r[0] <= 0.0:
-            raise ValueError(f"tally lacks pulses for row ({kind}, {la}, {lb})")
+            raise Infeasible(f"tally lacks pulses for row ({kind}, {la}, {lb})")
         return r
 
     def gain_bounds(la: str, lb: str) -> tuple[float, float]:
@@ -167,7 +168,7 @@ def decoy_bounds(
     y1_bob = y1_lower(gain_bounds(VAC, MU1)[0], gain_bounds(VAC, MU2)[1])
     if not (math.isfinite(y1_alice) and math.isfinite(y1_bob)):
         # the quotient overflows once denom is subnormal
-        raise ValueError("mu1 is too small: the single-photon yield bound is not finite")
+        raise Infeasible("mu1 is too small: the single-photon yield bound is not finite")
 
     matched_pulses, _, matched_errors = row(DECOY, MU1, MU1)[:3]
     sifted_windows = matched_pulses * src.slice_acceptance

@@ -19,24 +19,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .model import Infeasible
+
 DEFAULT_DRIFT_RATE_RAD2_PER_S = 0.01
 DEFAULT_NOISE_STD_RAD = 0.02
 DEFAULT_PHOTONS_PER_FRAME = 1e4
 # the most samples simulate_phase_traces accepts per trace; README derives it
 # from the measured peak memory and write time of sense per sample
 MAX_TRACE_SAMPLES = 10**7
-
-
-class DegenerateTraceError(RuntimeError):
-    """A trace has no usable variance after detrending."""
-
-
-class DelayOutOfRangeError(RuntimeError):
-    """The measured delay exceeds the geometry plus allowed slack."""
-
-
-class TraceTooLongError(RuntimeError):
-    """The requested traces would hold more than MAX_TRACE_SAMPLES samples."""
 
 
 @dataclass(frozen=True)
@@ -181,7 +171,8 @@ def simulate_phase_traces(
     bob-side stream after (length - x)/v. Both streams share one slow
     random-walk drift (common-mode fiber and laser wander) and carry
     independent white readout noise. Traces longer than MAX_TRACE_SAMPLES
-    are refused before any array is built.
+    raise Infeasible before any array is built; magnitudes so large that a
+    trace overflows are refused once it is built.
     """
     if not (0.0 < duration_s < math.inf and 0.0 < sample_rate_hz < math.inf):
         raise ValueError("duration_s and sample_rate_hz must be > 0 and finite")
@@ -207,7 +198,7 @@ def simulate_phase_traces(
     if n == 0:
         raise ValueError(f"duration_s * sample_rate_hz = {n_samples!r} rounds to no samples")
     if n > MAX_TRACE_SAMPLES:
-        raise TraceTooLongError(
+        raise Infeasible(
             f"duration_s * sample_rate_hz = {n_samples:g} samples is past the trace cap of "
             f"{MAX_TRACE_SAMPLES:g} samples (MAX_TRACE_SAMPLES)"
         )
@@ -215,16 +206,22 @@ def simulate_phase_traces(
     v = geometry.light_speed_km_per_s
     alice = np.zeros(n)
     bob = np.zeros(n)
-    for s in sources:
-        alice += s.waveform(t - s.position_km / v)
-        bob += s.waveform(t - (geometry.length_km - s.position_km) / v)
+    # a magnitude near the float range overflows to inf, or to NaN beside an
+    # opposite inf; the check below refuses either
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in sources:
+            alice += s.waveform(t - s.position_km / v)
+            bob += s.waveform(t - (geometry.length_km - s.position_km) / v)
 
-    rng = np.random.default_rng(seed)
-    drift = np.cumsum(
-        rng.standard_normal(n) * math.sqrt(drift_rate_rad2_per_s / sample_rate_hz)
-    )
-    alice = alice + drift + rng.standard_normal(n) * noise_std_rad
-    bob = bob + drift + rng.standard_normal(n) * noise_std_rad
+        rng = np.random.default_rng(seed)
+        drift = np.cumsum(
+            rng.standard_normal(n) * math.sqrt(drift_rate_rad2_per_s / sample_rate_hz)
+        )
+        alice = alice + drift + rng.standard_normal(n) * noise_std_rad
+        bob = bob + drift + rng.standard_normal(n) * noise_std_rad
+    if not (np.isfinite(alice).all() and np.isfinite(bob).all()):
+        raise ValueError("the simulated phase is not finite: amplitude_rad, dc_offset_rad, "
+                         "drift_rate_rad2_per_s or noise_std_rad is too large")
     return (
         PhaseTrace(samples=alice, sample_rate_hz=sample_rate_hz, origin="alice"),
         PhaseTrace(samples=bob, sample_rate_hz=sample_rate_hz, origin="bob"),
@@ -244,10 +241,15 @@ def synthesize_reference_counts(
     With an rng the counts are the Poisson draws as drawn (int64), all of
     the left port before the right; without one the exact float means are
     returned, which is handy for checking estimator bias in isolation.
+    photons_per_frame is at most 2**53, so that every count, and the sum of
+    the two ports of a frame, stays exact in float.
     """
     phases = np.asarray(phases, dtype=float)
     if not photons_per_frame > 0.0:
         raise ValueError("photons_per_frame must be > 0")
+    if photons_per_frame > 2.0**53:
+        raise ValueError(f"photons_per_frame {photons_per_frame:g} is past 2**53, "
+                         "where the counts stop being exact in float")
     quarter = 0.25 * photons_per_frame
     mean_left = np.empty((2, phases.size))
     np.cos(phases, out=mean_left[0])
@@ -274,10 +276,10 @@ def recover_phase_from_reference(
     and np.unwrap restores the winding, which holds while the phase moves
     less than pi per frame. The first frame takes the principal value in
     (-pi, pi]. A frame with no photons on either port of either row
-    carries no phase information and is rejected. Integer counts are read
-    as they are, with no float copy of either array: the sum and the
-    difference are formed in float, exactly while the counts stay below
-    2**53.
+    carries no phase information and raises Infeasible. Integer counts
+    are read as they are, with no float copy of either array: the sum and
+    the difference are formed in float, exactly while the counts stay
+    below 2**53.
     """
     nl = np.asarray(counts_left)
     nr = np.asarray(counts_right)
@@ -289,7 +291,7 @@ def recover_phase_from_reference(
         raise ValueError("frame_rate_hz must be > 0")
     total = np.add(nl, nr, dtype=float)
     if np.any(total <= 0.0):
-        raise ValueError("a frame recorded no photons on either port")
+        raise Infeasible("a frame recorded no photons on either port")
     contrast = np.subtract(nl, nr, dtype=float)
     contrast /= total
     samples = np.unwrap(np.arctan2(contrast[1], contrast[0]))
@@ -319,11 +321,10 @@ def cross_correlate_delay(
     The detrend is the closed-form least-squares line: the mean, then the
     slope against the centred sample index. The correlation is one FFT at
     the smallest power of two >= n + cap, the shortest length at which
-    the lags up to +-cap do not wrap. A NaN max_lag_s is refused, and so
-    is a trace whose detrended energy is zero or not finite
-    (DegenerateTraceError). A positive delay means trace_b lags. The
-    second return value is the peak correlation after global
-    normalization, in [-1, 1].
+    the lags up to +-cap do not wrap. A NaN max_lag_s raises ValueError;
+    a trace whose detrended energy is zero or not finite raises
+    Infeasible. A positive delay means trace_b lags. The second return
+    value is the peak correlation after global normalization, in [-1, 1].
     """
     if trace_a.sample_rate_hz != trace_b.sample_rate_hz:
         raise ValueError("traces must share one sample rate")
@@ -351,9 +352,9 @@ def cross_correlate_delay(
         b -= _dot(centred, b) * slope_scale * centred
     norm = math.sqrt(_dot(a, a) * _dot(b, b))
     if norm == 0.0:
-        raise DegenerateTraceError("a trace is constant after detrending")
+        raise Infeasible("a trace is constant after detrending")
     if not math.isfinite(norm):  # a NaN or infinite sample, or an energy that overflows
-        raise DegenerateTraceError(f"a trace's energy after detrending is {norm!r}, not finite")
+        raise Infeasible(f"a trace's energy after detrending is {norm!r}, not finite")
 
     size = 1 << (n + cap - 1).bit_length()
     spectrum = np.conj(np.fft.rfft(a, size)) * np.fft.rfft(b, size)
@@ -403,16 +404,14 @@ def locate(
     beyond the physical maximum length/v are tolerated (measurement
     jitter of a source right at an end); the position is then clamped
     onto the fiber with out_of_range set. Anything further raises
-    DelayOutOfRangeError. The optional correlation_peak is carried into
-    the result untouched for reporting.
+    Infeasible. The optional correlation_peak is carried into the result
+    untouched for reporting.
     """
     if not slack_s >= 0.0:
         raise ValueError("slack_s must be >= 0")
     limit = geometry.max_delay_s
     if abs(delay_s) > limit + slack_s:
-        raise DelayOutOfRangeError(
-            f"delay {delay_s:.3e} s exceeds the link's {limit:.3e} s plus slack"
-        )
+        raise Infeasible(f"delay {delay_s:.3e} s exceeds the link's {limit:.3e} s plus slack")
     raw = 0.5 * (geometry.length_km + geometry.light_speed_km_per_s * delay_s)
     clamped = min(max(raw, 0.0), geometry.length_km)
     return LocalizationResult(

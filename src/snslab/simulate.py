@@ -56,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
-    MAX_INTENSITY, DetectorModel, LinkModel, SourceParams, channel_transmittance,
+    MAX_INTENSITY, DetectorModel, Infeasible, LinkModel, SourceParams, channel_transmittance,
 )
 
 MC_CHUNK = 1 << 17
@@ -671,13 +671,13 @@ def monte_carlo_session(
     chunks of a run draw in step, each from its own generator, so the
     per-chunk draw order is unchanged. Ground-truth photon numbers are
     recorded per row so the decoy analysis can be audited against the
-    simulator. A session longer than MC_MAX_PULSES is refused before the
-    first chunk.
+    simulator. A session longer than MC_MAX_PULSES raises Infeasible
+    before the first chunk.
     """
     if n_pulses < 0:
         raise ValueError("n_pulses must be >= 0")
     if n_pulses > MC_MAX_PULSES:
-        raise ValueError(
+        raise Infeasible(
             f"n_pulses {n_pulses:g} is past the sampler's cap of {MC_MAX_PULSES:g} pulses"
             " (MC_MAX_PULSES)"
         )

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import snslab.sensing
 import snslab.simulate
 from snslab import (
+    Infeasible,
     LinkGeometry,
     SessionTally,
     VibrationSource,
@@ -78,11 +79,12 @@ def test_plob_loss_flag_matches_library():
 
 
 def test_plob_csv_default_and_zero_transmittance():
-    code, out, _ = run_cli("plob", "--transmittance", "0")
-    assert code == 0
-    payload = csv_payload(out)
-    assert payload["bound_bits_per_use"] == "0.0"
-    assert payload["transmittance"] == "0.0"
+    for zero in ("0", "-0.0"):  # -0.0 prints as 0.0, as in curve
+        code, out, _ = run_cli("plob", "--transmittance", zero)
+        assert code == 0
+        payload = csv_payload(out)
+        assert payload["bound_bits_per_use"] == "0.0"
+        assert payload["transmittance"] == "0.0"
 
 
 def test_plob_flag_misuse_is_a_config_error():
@@ -206,6 +208,10 @@ TINY_SMOOTHING_ERROR = (
     "1 / (sqrt(2) * eps_pa * eps_hat) is not finite\n"
 )
 DIRECT = KEYRATE + "n_untagged = 1000\n"
+PHASE_NOT_FINITE_ERROR = (
+    "config error: [sensing] the simulated phase is not finite: amplitude_rad, dc_offset_rad, "
+    "drift_rate_rad2_per_s or noise_std_rad is too large\n"
+)
 NO_MU2_OPAQUE = (
     "[link]\nlength_a_km = 0\nlength_b_km = 0\natten_db_per_km = 1e308\n"
     "[source]\np_mu2 = 0\np_vac = 0.4\n"
@@ -343,6 +349,27 @@ ERROR_CASES = {
     "photon-starved-frames": (
         SENSE_CONFIG, sensing_ini(photons_per_frame=1e-9), 3, "no photons",
     ),
+    # the noise hides the 5 Hz tone, and the widened lag search peaks past the link
+    "delay-past-the-link": (
+        SENSE_CONFIG, sensing_ini(noise_std_rad=3, max_lag_s=0.05), 3, "exceeds the link's",
+    ),
+    # an overflowing phase printed numpy warnings, then failed in the Poisson draw
+    "phase-noise-not-finite": (
+        SENSE_CONFIG, sensing_ini(noise_std_rad=1e308), 2, PHASE_NOT_FINITE_ERROR,
+    ),
+    "phase-waveform-not-finite": (
+        SENSE_CONFIG,
+        sensing_ini().replace("amplitude_rad = 0.1", "amplitude_rad = 1e308")
+        + "dc_offset_rad = 1e308\n", 2, PHASE_NOT_FINITE_ERROR,
+    ),
+    # counts past 2**53 are not exact in float; 1e300 failed in the Poisson draw
+    **{
+        f"photons-past-2-53-{value}": (
+            SENSE_CONFIG, sensing_ini(photons_per_frame=value), 2,
+            f"config error: [sensing] photons_per_frame {value} is past 2**53",
+        )
+        for value in ("1e+19", "1e+300")
+    },
     "ten-pulses": (["simulate", "--n-pulses", "10"], None, 3, "tally lacks pulses"),
     "half-pulse": (["simulate", "--n-pulses", "0.5"], None, 3, "tally lacks pulses"),
     # refused before the first chunk, so the case samples nothing
@@ -442,8 +469,20 @@ def test_config_error_battery(tmp_path, case):
     assert rc == code
     assert err.startswith("config error:" if code == 2 else "infeasible:")
     assert fragment in err
+    assert err.endswith("\n") and err.count("\n") == 1  # one line on stderr, nothing else
     # a refused run writes nothing, not even the output directory
     assert not out.exists()
+
+
+def test_a_value_error_inside_a_command_is_not_reported_as_infeasible(monkeypatch):
+    # only Infeasible exits 3: any other error of a command's chain is a fault
+    # of the program and surfaces as itself
+    def broken(*args):
+        raise ValueError("n_untagged cannot exceed n_sifted")
+
+    monkeypatch.setattr(cli, "mc_post_processing", broken)
+    with pytest.raises(ValueError, match="n_untagged cannot exceed n_sifted"):
+        run_cli("simulate", "--n-pulses", "1000")
 
 
 @pytest.mark.parametrize(
@@ -630,7 +669,7 @@ def test_curve_equals_the_per_distance_chain(tmp_path_factory, src, half_width, 
         seen.append(tally)
         try:
             analysis = expected_post_processing(tally, *args)
-        except ValueError as exc:
+        except Infeasible as exc:
             seen.append(exc)
             raise
         seen.append(analysis.report.rate_per_pulse)
@@ -652,7 +691,7 @@ def test_curve_equals_the_per_distance_chain(tmp_path_factory, src, half_width, 
         try:
             analysis = expected_post_processing(tally, src, sec)
             want.append(analysis.report.rate_per_pulse)
-        except ValueError as exc:
+        except Infeasible as exc:
             want.append(exc)
             break
     assert len(seen) == len(want)
@@ -660,7 +699,7 @@ def test_curve_equals_the_per_distance_chain(tmp_path_factory, src, half_width, 
         if isinstance(ref, SessionTally):
             assert got.n_pulses == ref.n_pulses
             assert got.counts.tobytes() == ref.counts.tobytes()
-        elif isinstance(ref, ValueError):
+        elif isinstance(ref, Infeasible):
             assert code == 3
             assert str(got) == str(ref)
             assert err == f"infeasible: {ref}\n"

@@ -5,7 +5,7 @@ import pytest
 
 import snslab.optimize
 import snslab.simulate
-from snslab import SourceParams, expected_post_processing, expected_tallies
+from snslab import Infeasible, SourceParams, expected_post_processing, expected_tallies
 from snslab.optimize import (
     INFEASIBLE_RATE,
     MAX_STARTS,
@@ -180,7 +180,7 @@ def test_optimizer_validation(desk):
         optimize_params(link, det, sec, 1e9, seed=0, base=src, budget=0)
     with pytest.raises(ValueError):
         optimize_params(link, det, sec, 1e9, seed=0, base=src, n_starts=0)
-    with pytest.raises(ValueError, match="cap of 100000 starts"):
+    with pytest.raises(Infeasible, match="cap of 100000 starts"):
         optimize_params(link, det, sec, 1e9, seed=0, base=src, n_starts=MAX_STARTS + 1)
 
 

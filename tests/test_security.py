@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snslab import (
+    Infeasible,
     SessionTally,
     aopp,
     binary_entropy,
@@ -192,7 +193,7 @@ def test_decoy_bounds_starved_session_is_infeasible():
 def test_decoy_bounds_require_all_rows():
     tally = SessionTally(n_pulses=1e6)
     tally.counts[ROW_INDEX[(DECOY, VAC, VAC)], 0] = 10.0
-    with pytest.raises(ValueError):
+    with pytest.raises(Infeasible):
         decoy_bounds(tally, desk_source(), desk_security())
 
 
@@ -422,7 +423,7 @@ def test_a_mu1_whose_yield_bound_overflows_is_refused(desk, mu1):
     link, det, src, sec = desk
     src = dataclasses.replace(src, mu1=mu1)
     tally = expected_tallies(link, det, src, 1e10)
-    with pytest.raises(ValueError, match="mu1 is too small: the single-photon yield bound"):
+    with pytest.raises(Infeasible, match="mu1 is too small: the single-photon yield bound"):
         decoy_bounds(tally, src, sec)
 
 

@@ -9,14 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from snslab.model import Infeasible
 from snslab.sensing import (
     _BLOCK,
     MAX_TRACE_SAMPLES,
-    DegenerateTraceError,
-    DelayOutOfRangeError,
     LinkGeometry,
     PhaseTrace,
-    TraceTooLongError,
     VibrationSource,
     cross_correlate_delay,
     locate,
@@ -191,7 +189,7 @@ def test_simulation_refuses_a_sample_count_past_the_cap_before_allocating():
     # one sample past the cap; the refusal comes before any array is built
     tracemalloc.start()
     try:
-        with pytest.raises(TraceTooLongError, match=r"\(MAX_TRACE_SAMPLES\)"):
+        with pytest.raises(Infeasible, match=r"\(MAX_TRACE_SAMPLES\)"):
             simulate_phase_traces(geo, _burst(50.0), (MAX_TRACE_SAMPLES + 1) / 1e3, 1e3, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -327,10 +325,18 @@ def test_recovery_validation():
     for row in (0, 1):  # a silent frame in the middle of either quadrature row
         silent = np.full((2, 3), 3.0)
         silent[row, 1] = 0.0
-        with pytest.raises(ValueError, match="no photons"):
+        with pytest.raises(Infeasible, match="no photons"):
             recover_phase_from_reference(silent, silent.copy(), 100.0)
     # one silent port alone still reads a phase
     assert recover_phase_from_reference(ones, np.zeros((2, 3)), 100.0).n_samples == 3
+
+
+def test_reference_channel_caps_photons_where_float_counts_stay_exact():
+    left, right = synthesize_reference_counts(np.array([0.0, 2.0]), 2.0**53,
+                                              np.random.default_rng(1))
+    assert (left + right).max() < 2**53
+    with pytest.raises(ValueError, match=r"photons_per_frame 9\.0072e\+15 is past 2\*\*53"):
+        synthesize_reference_counts(np.zeros(3), math.nextafter(2.0**53, math.inf))
 
 
 def test_reference_channel_refuses_nan_rates():
@@ -568,7 +574,7 @@ def test_an_infinite_lag_cap_caps_nothing_and_a_nan_cap_is_refused():
 def test_correlation_degenerate_and_mismatched_inputs():
     flat = PhaseTrace(samples=np.zeros(100), sample_rate_hz=10.0, origin="x")
     wavy = PhaseTrace(samples=np.sin(np.arange(100.0)), sample_rate_hz=10.0, origin="x")
-    with pytest.raises(DegenerateTraceError):
+    with pytest.raises(Infeasible):
         cross_correlate_delay(flat, wavy)
     other_rate = PhaseTrace(samples=np.sin(np.arange(100.0)), sample_rate_hz=20.0,
                             origin="x")
@@ -589,9 +595,9 @@ def test_correlation_refuses_a_trace_that_is_not_finite(bad):
     wavy = PhaseTrace(samples=np.sin(np.arange(100.0)), sample_rate_hz=10.0, origin="x")
     broken = replace(wavy, samples=np.where(np.arange(100) == 5, bad, wavy.samples))
     for a, b in [(wavy, broken), (broken, wavy)]:
-        with pytest.raises(DegenerateTraceError, match="not finite"):
+        with pytest.raises(Infeasible, match="not finite"):
             cross_correlate_delay(a, b)
-        with pytest.raises(DegenerateTraceError, match="not finite"):
+        with pytest.raises(Infeasible, match="not finite"):
             locate_traces(a, b, LinkGeometry(length_km=1e6))
 
 
@@ -618,7 +624,7 @@ def test_locate_slightly_beyond_the_end_clamps():
 
 def test_locate_rejects_delays_past_the_slack():
     geo = LinkGeometry(length_km=500.0)
-    with pytest.raises(DelayOutOfRangeError):
+    with pytest.raises(Infeasible):
         locate(2.531e-3, geo, slack_s=5e-6)
     with pytest.raises(ValueError):
         locate(1e-3, geo, slack_s=-1e-9)
@@ -671,7 +677,7 @@ def test_locate_traces_with_wide_lag_window_can_overrun():
     geo = LinkGeometry(length_km=10.0)  # 50 us of fiber, 150 ms of shift
     a = _wavelet_trace(0)
     b = _wavelet_trace(150)
-    with pytest.raises(DelayOutOfRangeError):
+    with pytest.raises(Infeasible):
         locate_traces(a, b, geo, max_lag_s=1.0)
     # the default window caps the search at the physical range instead
     res = locate_traces(a, b, geo)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import snslab.simulate
 from snslab import (
     DetectorModel,
+    Infeasible,
     LinkModel,
     SessionTally,
     SourceParams,
@@ -784,7 +785,7 @@ def test_dark_clicks_of_a_silent_source_herald_at_two_nu_one_minus_nu(nu):
 
 def test_sessions_past_the_cap_are_refused_before_the_first_chunk():
     link, det, src = desk_link(), desk_detector(), desk_source()
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(Infeasible, match="cap"):
         monte_carlo_session(link, det, src, int(MC_MAX_PULSES) + 1, seed=1)
 
 
