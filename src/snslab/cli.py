@@ -15,7 +15,9 @@ read the config, run the command, which returns its payload (`curve` its
 rendered table), render it and write it to --out or stdout. Exit codes:
 0 on success (a negative rate is still a success), 2 for configuration
 problems, 3 when the library raises Infeasible: the physics, the
-statistics or a size cap make the request infeasible.
+statistics or a size cap make the request infeasible. Inputs are checked
+as they are read, `sense`'s when its SensePlan is built; any other error
+a command raises is a fault of the program and escapes `entry` as itself.
 """
 
 from __future__ import annotations
@@ -45,18 +47,7 @@ from .security import (
     mc_post_processing,
     plob_bound,
 )
-from .sensing import (
-    DEFAULT_DRIFT_RATE_RAD2_PER_S,
-    DEFAULT_NOISE_STD_RAD,
-    DEFAULT_PHOTONS_PER_FRAME,
-    LinkGeometry,
-    VibrationSource,
-    locate_traces,
-    recover_phase_from_reference,
-    simulate_phase_traces,
-    synthesize_reference_counts,
-    write_trace,
-)
+from .sensing import LinkGeometry, SensePlan, VibrationSource, sense, write_trace
 from .simulate import _click_table, _mix_tallies, expected_tallies, monte_carlo_session
 
 
@@ -71,17 +62,8 @@ def _field_names(cls) -> set[str]:
 # the session aggregates of [keyrate], named as key_rate's arguments
 _AGGREGATES = ("n_untagged", "phase_error_rate", "n_sifted", "bit_error_rate")
 _KEYRATE_KEYS = (*_AGGREGATES, "n_pulses")
-# the [sensing] keys beside LinkGeometry's and their defaults: MISSING marks
-# a required key, None an optional one whose absence the library handles
-_SENSING_KEYS = {
-    "duration_s": dataclasses.MISSING,
-    "sample_rate_hz": dataclasses.MISSING,
-    "drift_rate_rad2_per_s": DEFAULT_DRIFT_RATE_RAD2_PER_S,
-    "noise_std_rad": DEFAULT_NOISE_STD_RAD,
-    "max_lag_s": None,
-    "max_slack_s": None,
-    "photons_per_frame": DEFAULT_PHOTONS_PER_FRAME,
-}
+# the fields of SensePlan that no [sensing] key spells out
+_PLAN_GIVEN = {"geometry", "sources", "seed"}
 # sections read straight into a model dataclass: its fields are the keys,
 # and the desk preset supplies every key the section leaves out
 _MODEL_SECTIONS = {
@@ -96,7 +78,7 @@ _SECTION_KEYS = {
     "run": {"n_pulses", "seed", "n_jobs"},
     "curve": {"distances_km"},
     "optimize": {"n_starts", "budget"},
-    "sensing": _field_names(LinkGeometry) | set(_SENSING_KEYS),
+    "sensing": _field_names(LinkGeometry) | (_field_names(SensePlan) - _PLAN_GIVEN),
 }
 _VIBRATION_KEYS = _field_names(VibrationSource)
 
@@ -162,20 +144,22 @@ def _getint(cp, section: str, key: str, default: int) -> int:
         raise ConfigError(f"[{section}] {key} must be an integer") from None
 
 
-def _build(cp, section: str, cls=None):
+def _build(cp, section: str, cls=None, **given):
     """Build the dataclass one INI section describes: cls, or a model section's own.
 
-    A key the section leaves out takes the desk preset's value in a model
-    section, else the field's default; a field with neither is required.
+    Given fields are taken as they are and the rest read from the section: a
+    key it leaves out takes the desk preset's value in a model section, else
+    the field's default; a field with neither is required.
     """
     base = None
     if section in _MODEL_SECTIONS:
         cls, preset = _MODEL_SECTIONS[section]
         base = preset()
-    values = {}
+    values = dict(given)
     for f in dataclasses.fields(cls):
-        default = f.default if base is None else getattr(base, f.name)
-        values[f.name] = _getfloat(cp, section, f.name, default)
+        if f.name not in given:
+            default = f.default if base is None else getattr(base, f.name)
+            values[f.name] = _getfloat(cp, section, f.name, default)
     try:
         return cls(**values)
     except ValueError as exc:
@@ -409,42 +393,20 @@ def _cmd_optimize(cp, args) -> dict:
     }
 
 
-def _build_vibrations(cp) -> list[VibrationSource]:
-    sections = sorted(
-        (s for s in cp.sections() if s.startswith("vibration.")),
-        key=lambda s: s.split(".", 1)[1],
-    )
+def _build_vibrations(cp) -> tuple[VibrationSource, ...]:
+    sections = sorted(s for s in cp.sections() if s.startswith("vibration."))
     if not sections:
         raise ConfigError("sense needs at least one [vibration.*] section")
-    return [_build(cp, section, VibrationSource) for section in sections]
+    return tuple(_build(cp, section, VibrationSource) for section in sections)
 
 
 def _cmd_sense(cp, args) -> dict:
     if not cp.has_section("sensing"):
         raise ConfigError("sense needs a [sensing] section")
-    geometry = _build(cp, "sensing", LinkGeometry)
-    sources = _build_vibrations(cp)
-    opts = {key: _getfloat(cp, "sensing", key, default) for key, default in _SENSING_KEYS.items()}
-    fs = opts["sample_rate_hz"]
-    seed = _seed(cp, args)
-    try:
-        traces = dict(zip(("trace_alice", "trace_bob"), simulate_phase_traces(
-            geometry, sources, opts["duration_s"], fs, seed,
-            drift_rate_rad2_per_s=opts["drift_rate_rad2_per_s"],
-            noise_std_rad=opts["noise_std_rad"],
-        )))
-        # each end's stream becomes what the reference channel recovers from it, on its own
-        # substream (bob's key 1, alice's key 2); no name holds its counts or its raw stream
-        for name, key in (("trace_alice", 2), ("trace_bob", 1)):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
-            traces[name] = recover_phase_from_reference(
-                *synthesize_reference_counts(traces[name].samples, opts["photons_per_frame"], rng),
-                fs, traces[name].origin,
-            )
-        result = locate_traces(*traces.values(), geometry, max_lag_s=opts["max_lag_s"],
-                               slack_s=opts["max_slack_s"])
-    except ValueError as exc:
-        raise ConfigError(f"[sensing] {exc}") from None
+    plan = _build(cp, "sensing", SensePlan, geometry=_build(cp, "sensing", LinkGeometry),
+                  sources=_build_vibrations(cp), seed=_seed(cp, args))
+    alice, bob, result = sense(plan)
+    traces = {"trace_alice": alice, "trace_bob": bob}
 
     # written only after every step above has succeeded, and under temporary
     # names that are moved into place once every write is done, so a failed

@@ -172,13 +172,15 @@ def decoy_bounds(
 
     matched_pulses, _, matched_errors = row(DECOY, MU1, MU1)[:3]
     sifted_windows = matched_pulses * src.slice_acceptance
+    # read before the return below: a row with no pulses is refused in a starved session too
+    signal_alice, signal_bob = row(SIGNAL, MUZ, VAC)[0], row(SIGNAL, VAC, MUZ)[0]
 
     if y1_alice <= 0.0 or y1_bob <= 0.0 or sifted_windows <= 0.0:
         return DecoyBounds(y0_low, y0_up, y1_alice, y1_bob, 0.0, 0.0, 0.0, 0.5, False)
 
     p_single = muz * math.exp(-muz)
-    n1_alice = row(SIGNAL, MUZ, VAC)[0] * p_single * y1_alice
-    n1_bob = row(SIGNAL, VAC, MUZ)[0] * p_single * y1_bob
+    n1_alice = signal_alice * p_single * y1_alice
+    n1_bob = signal_bob * p_single * y1_bob
 
     # wrong-port gain of the sifted matched-intensity windows, decomposed
     # over photon number: vacuum errs half the time, the single-photon

@@ -4,7 +4,8 @@ The phase-tracking channel that stabilizes the key exchange doubles as a
 distributed sensor: a mechanical disturbance at position x along the
 fiber shows up in the phase streams recovered at both ends, delayed by
 its optical distance to each end. Cross-correlating the two streams
-gives the differential delay and with it the position.
+gives the differential delay and with it the position. A SensePlan holds
+one run's inputs and checks them all when it is built; sense runs it.
 
 Traces are stored as text, one sample per line under a small key=value
 header that holds the sample rate, so files round-trip byte for byte.
@@ -156,28 +157,11 @@ def read_trace(path) -> PhaseTrace:
     return replace(head, samples=body.reshape(-1))
 
 
-def simulate_phase_traces(
-    geometry: LinkGeometry,
-    sources,
-    duration_s: float,
-    sample_rate_hz: float,
-    seed: int,
-    drift_rate_rad2_per_s: float = DEFAULT_DRIFT_RATE_RAD2_PER_S,
-    noise_std_rad: float = DEFAULT_NOISE_STD_RAD,
-) -> tuple[PhaseTrace, PhaseTrace]:
-    """Phase streams both ends would recover for the given disturbances.
-
-    A source at x reaches the alice-side stream after x/v and the
-    bob-side stream after (length - x)/v. Both streams share one slow
-    random-walk drift (common-mode fiber and laser wander) and carry
-    independent white readout noise. Traces longer than MAX_TRACE_SAMPLES
-    raise Infeasible before any array is built; magnitudes so large that a
-    trace overflows are refused once it is built.
-    """
+def _sample_count(geometry, sources, duration_s, sample_rate_hz, drift_rate_rad2_per_s,
+                  noise_std_rad) -> int:
+    """The samples per trace of simulate_phase_traces, once its inputs pass every check."""
     if not (0.0 < duration_s < math.inf and 0.0 < sample_rate_hz < math.inf):
         raise ValueError("duration_s and sample_rate_hz must be > 0 and finite")
-    if isinstance(sources, VibrationSource):
-        sources = [sources]
     for s in sources:
         if s.position_km > geometry.length_km:
             raise ValueError(
@@ -202,30 +186,66 @@ def simulate_phase_traces(
             f"duration_s * sample_rate_hz = {n_samples:g} samples is past the trace cap of "
             f"{MAX_TRACE_SAMPLES:g} samples (MAX_TRACE_SAMPLES)"
         )
+    # |sin| <= 1 bounds each waveform by |dc_offset_rad| + |amplitude_rad|, and K = 64 each
+    # normal draw, noise or drift step, with room for rounding (numpy's ziggurat normal stays
+    # below about 13.7 in magnitude): a finite bound keeps every sample finite
+    bound = sum(abs(s.dc_offset_rad) + abs(s.amplitude_rad) for s in sources)
+    bound += 64.0 * (noise_std_rad + n * math.sqrt(drift_rate_rad2_per_s / sample_rate_hz))
+    if not math.isfinite(bound):
+        raise ValueError("the simulated phase is not finite: amplitude_rad, dc_offset_rad, "
+                         "drift_rate_rad2_per_s or noise_std_rad is too large")
+    return n
+
+
+def simulate_phase_traces(
+    geometry: LinkGeometry,
+    sources,
+    duration_s: float,
+    sample_rate_hz: float,
+    seed: int,
+    drift_rate_rad2_per_s: float = DEFAULT_DRIFT_RATE_RAD2_PER_S,
+    noise_std_rad: float = DEFAULT_NOISE_STD_RAD,
+) -> tuple[PhaseTrace, PhaseTrace]:
+    """Phase streams both ends would recover for the given disturbances.
+
+    A source at x reaches the alice-side stream after x/v and the
+    bob-side stream after (length - x)/v. Both streams share one slow
+    random-walk drift (common-mode fiber and laser wander) and carry
+    independent white readout noise. Every input is checked before any
+    array is built: traces longer than MAX_TRACE_SAMPLES raise Infeasible,
+    and magnitudes whose bound on the phase overflows raise ValueError.
+    """
+    if isinstance(sources, VibrationSource):
+        sources = [sources]
+    n = _sample_count(geometry, sources, duration_s, sample_rate_hz, drift_rate_rad2_per_s,
+                      noise_std_rad)
     t = np.arange(n) / sample_rate_hz
     v = geometry.light_speed_km_per_s
     alice = np.zeros(n)
     bob = np.zeros(n)
-    # a magnitude near the float range overflows to inf, or to NaN beside an
-    # opposite inf; the check below refuses either
+    # a source that starts, or arrives, far past the trace overflows the sine's
+    # argument in the samples where it is not active, which the waveform masks
     with np.errstate(over="ignore", invalid="ignore"):
         for s in sources:
             alice += s.waveform(t - s.position_km / v)
             bob += s.waveform(t - (geometry.length_km - s.position_km) / v)
 
-        rng = np.random.default_rng(seed)
-        drift = np.cumsum(
-            rng.standard_normal(n) * math.sqrt(drift_rate_rad2_per_s / sample_rate_hz)
-        )
-        alice = alice + drift + rng.standard_normal(n) * noise_std_rad
-        bob = bob + drift + rng.standard_normal(n) * noise_std_rad
-    if not (np.isfinite(alice).all() and np.isfinite(bob).all()):
-        raise ValueError("the simulated phase is not finite: amplitude_rad, dc_offset_rad, "
-                         "drift_rate_rad2_per_s or noise_std_rad is too large")
+    rng = np.random.default_rng(seed)
+    drift = np.cumsum(rng.standard_normal(n) * math.sqrt(drift_rate_rad2_per_s / sample_rate_hz))
+    alice = alice + drift + rng.standard_normal(n) * noise_std_rad
+    bob = bob + drift + rng.standard_normal(n) * noise_std_rad
     return (
         PhaseTrace(samples=alice, sample_rate_hz=sample_rate_hz, origin="alice"),
         PhaseTrace(samples=bob, sample_rate_hz=sample_rate_hz, origin="bob"),
     )
+
+
+def _check_photons(photons_per_frame: float) -> None:
+    if not photons_per_frame > 0.0:
+        raise ValueError("photons_per_frame must be > 0")
+    if photons_per_frame > 2.0**53:
+        raise ValueError(f"photons_per_frame {photons_per_frame:g} is past 2**53, "
+                         "where the counts stop being exact in float")
 
 
 def synthesize_reference_counts(
@@ -245,11 +265,7 @@ def synthesize_reference_counts(
     the two ports of a frame, stays exact in float.
     """
     phases = np.asarray(phases, dtype=float)
-    if not photons_per_frame > 0.0:
-        raise ValueError("photons_per_frame must be > 0")
-    if photons_per_frame > 2.0**53:
-        raise ValueError(f"photons_per_frame {photons_per_frame:g} is past 2**53, "
-                         "where the counts stop being exact in float")
+    _check_photons(photons_per_frame)
     quarter = 0.25 * photons_per_frame
     mean_left = np.empty((2, phases.size))
     np.cos(phases, out=mean_left[0])
@@ -308,6 +324,13 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", x, y))
 
 
+def _check_lag(n: int, max_lag_s: float | None) -> None:
+    if n < 3:
+        raise ValueError("traces must hold at least 3 samples")
+    if max_lag_s is not None and not max_lag_s >= 0.0:  # NaN included
+        raise ValueError(f"max_lag_s must be >= 0, not {max_lag_s!r}")
+
+
 def cross_correlate_delay(
     trace_a: PhaseTrace,
     trace_b: PhaseTrace,
@@ -331,15 +354,11 @@ def cross_correlate_delay(
     if trace_a.n_samples != trace_b.n_samples:
         raise ValueError("traces must be equally long")
     n = trace_a.n_samples
-    if n < 3:
-        raise ValueError("traces must hold at least 3 samples")
+    _check_lag(n, max_lag_s)
     fs = trace_a.sample_rate_hz
     cap = n - 1
-    if max_lag_s is not None:
-        if not max_lag_s >= 0.0:  # NaN included
-            raise ValueError(f"max_lag_s must be >= 0, not {max_lag_s!r}")
-        if max_lag_s * fs < cap:  # an infinite cap leaves every lag
-            cap = math.floor(max_lag_s * fs)
+    if max_lag_s is not None and max_lag_s * fs < cap:  # an infinite cap leaves every lag
+        cap = math.floor(max_lag_s * fs)
 
     centred = np.arange(n) - 0.5 * (n - 1)
     slope_scale = 12.0 / ((n - 1) * n * (n + 1))  # 1 / sum(centred**2)
@@ -391,6 +410,11 @@ class LocalizationResult:
     out_of_range: bool
 
 
+def _check_slack(slack_s: float) -> None:
+    if not slack_s >= 0.0:
+        raise ValueError("slack_s must be >= 0")
+
+
 def locate(
     delay_s: float,
     geometry: LinkGeometry,
@@ -407,8 +431,7 @@ def locate(
     Infeasible. The optional correlation_peak is carried into the result
     untouched for reporting.
     """
-    if not slack_s >= 0.0:
-        raise ValueError("slack_s must be >= 0")
+    _check_slack(slack_s)
     limit = geometry.max_delay_s
     if abs(delay_s) > limit + slack_s:
         raise Infeasible(f"delay {delay_s:.3e} s exceeds the link's {limit:.3e} s plus slack")
@@ -438,9 +461,53 @@ def locate_traces(
     """
     if slack_s is None:
         slack_s = 1.0 / trace_alice.sample_rate_hz
-    if not slack_s >= 0.0:
-        raise ValueError("slack_s must be >= 0")
+    _check_slack(slack_s)
     if max_lag_s is None:
         max_lag_s = geometry.max_delay_s + slack_s
     delay, peak = cross_correlate_delay(trace_alice, trace_bob, max_lag_s)
     return locate(delay, geometry, slack_s=slack_s, correlation_peak=peak)
+
+
+@dataclass(frozen=True)
+class SensePlan:
+    """One sensing run; building it makes every check sense makes on its inputs."""
+
+    geometry: LinkGeometry
+    sources: tuple[VibrationSource, ...]
+    seed: int
+    duration_s: float
+    sample_rate_hz: float
+    drift_rate_rad2_per_s: float = DEFAULT_DRIFT_RATE_RAD2_PER_S
+    noise_std_rad: float = DEFAULT_NOISE_STD_RAD
+    max_lag_s: float | None = None
+    max_slack_s: float | None = None
+    photons_per_frame: float = DEFAULT_PHOTONS_PER_FRAME
+
+    def __post_init__(self) -> None:
+        # in the order sense meets them
+        n = _sample_count(self.geometry, self.sources, self.duration_s, self.sample_rate_hz,
+                          self.drift_rate_rad2_per_s, self.noise_std_rad)
+        _check_photons(self.photons_per_frame)
+        if self.max_slack_s is not None:
+            _check_slack(self.max_slack_s)
+        _check_lag(n, self.max_lag_s)
+
+
+def sense(plan: SensePlan) -> tuple[PhaseTrace, PhaseTrace, LocalizationResult]:
+    """Simulate both ends, recover each from its reference counts, and localize.
+
+    Each end's counts are drawn on a substream of the seed of its own: alice's
+    spawn key is 2 and bob's 1.
+    """
+    traces = list(simulate_phase_traces(
+        plan.geometry, plan.sources, plan.duration_s, plan.sample_rate_hz, plan.seed,
+        drift_rate_rad2_per_s=plan.drift_rate_rad2_per_s, noise_std_rad=plan.noise_std_rad,
+    ))
+    for i, key in enumerate((2, 1)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=plan.seed, spawn_key=(key,)))
+        traces[i] = recover_phase_from_reference(
+            *synthesize_reference_counts(traces[i].samples, plan.photons_per_frame, rng),
+            plan.sample_rate_hz, traces[i].origin,
+        )
+    return (*traces, locate_traces(*traces, plan.geometry, max_lag_s=plan.max_lag_s,
+                                   slack_s=plan.max_slack_s))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import snslab.sensing
@@ -21,6 +21,7 @@ import snslab.simulate
 from snslab import (
     Infeasible,
     LinkGeometry,
+    SensePlan,
     SessionTally,
     VibrationSource,
     expected_post_processing,
@@ -46,7 +47,7 @@ from snslab.presets import (
     reference_security,
     reference_source,
 )
-from snslab.sensing import _BLOCK, DEFAULT_PHOTONS_PER_FRAME
+from snslab.sensing import _BLOCK, DEFAULT_PHOTONS_PER_FRAME, MAX_TRACE_SAMPLES
 
 from conftest import sources, write_trace_reference
 
@@ -393,6 +394,11 @@ ERROR_CASES = {
     "no-mu2-pulses": (
         KEYRATE_CONFIG, "[source]\np_mu2 = 0\np_mu1 = 0.65\n", 3, "tally lacks pulses",
     ),
+    # no signal pulses leave the session starved, which returned feasible false at exit 0
+    "no-signal-pulses-simulate": (
+        ["simulate", "--n-pulses", "1e5", "--config", "{cfg}"], "[source]\nepsilon_send = 0\n", 3,
+        "infeasible: tally lacks pulses for row (signal, muz, vac)",
+    ),
     "out-dir-is-a-file": (
         ["sense", "--config", "{cfg}", "--out", "{cfg}"], sensing_ini(), 2,
         "cannot write --out",
@@ -485,6 +491,81 @@ def test_a_value_error_inside_a_command_is_not_reported_as_infeasible(monkeypatc
         run_cli("simulate", "--n-pulses", "1000")
 
 
+def test_a_value_error_inside_the_sense_run_is_not_reported_as_a_config_error(
+    monkeypatch, tmp_path
+):
+    # the plan refuses every bad input before the run starts, so an error
+    # raised inside the run is a fault of the program and surfaces as itself
+    def broken(*args):
+        raise ValueError("internal shape bug")
+
+    monkeypatch.setattr(snslab.sensing, "cross_correlate_delay", broken)
+    cfg, out = tmp_path / "sense.ini", tmp_path / "out"
+    cfg.write_text(sensing_ini())
+    with pytest.raises(ValueError, match="internal shape bug"):
+        run_cli("sense", "--config", str(cfg), "--out", str(out))
+    assert not out.exists()
+
+
+# edge values as written in a config file (zeros, subnormals, values near
+# the float range, negatives, malformed numbers, '%' and empty values), and
+# an ordinary section, which runs, for each section the fuzz draws
+FUZZ_EDGES = [
+    "0", "-0.0", "5e-324", "1e-300", "1e300", "1.7e308", "-1", "-1e300", "1.5.2", "abc", "1e",
+    "5%", "%", "",
+]
+FUZZ_SENSING = {
+    "length_km": "100", "light_speed_km_per_s": "2e5", "duration_s": "0.1",
+    "sample_rate_hz": "1000", "drift_rate_rad2_per_s": "0.01", "noise_std_rad": "0.02",
+    "max_lag_s": "0.001", "max_slack_s": "1e-5", "photons_per_frame": "1e4",
+}
+FUZZ_VIBRATION = {
+    "position_km": "10", "frequency_hz": "5", "amplitude_rad": "0.1", "phase_rad": "0.3",
+    "dc_offset_rad": "0.2", "start_s": "0.01", "duration_s": "0.05",
+}
+# the most samples per trace a drawn file may ask for and still run: larger
+# counts up to MAX_TRACE_SAMPLES are skipped to keep the test short, while
+# counts past the cap are refused before any array is built and so do run
+FUZZ_MAX_SAMPLES = 5000
+
+
+def _fuzz_section(ordinary):
+    # the ordinary section with up to four keys left out (None) or set to an edge value
+    changes = st.dictionaries(st.sampled_from(sorted(ordinary)),
+                              st.sampled_from([None, *FUZZ_EDGES]), max_size=4)
+    return changes.map(lambda c: {k: v for k, v in {**ordinary, **c}.items() if v is not None})
+
+
+def _fuzz_samples(sensing):
+    try:
+        n = float(sensing["duration_s"]) * float(sensing["sample_rate_hz"])
+    except (KeyError, ValueError):
+        return 0
+    return round(n) if math.isfinite(n) else 0
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sensing=_fuzz_section(FUZZ_SENSING), vibration=_fuzz_section(FUZZ_VIBRATION))
+def test_sense_ends_in_a_result_or_one_refusal_on_drawn_configs(tmp_path, sensing, vibration):
+    # any exception other than ConfigError and Infeasible escapes entry and fails the test
+    assert set(FUZZ_SENSING) == cli._SECTION_KEYS["sensing"]
+    assert set(FUZZ_VIBRATION) == cli._VIBRATION_KEYS
+    assume(not FUZZ_MAX_SAMPLES < _fuzz_samples(sensing) <= MAX_TRACE_SAMPLES)
+    cfg, out = tmp_path / "fuzz.ini", tmp_path / "out"
+    cfg.write_text("".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in section.items())
+        for name, section in (("sensing", sensing), ("vibration.a", vibration))
+    ))
+    code, _, err = run_cli("sense", "--config", str(cfg), "--out", str(out))
+    assert code in (0, 2, 3)
+    if code:
+        assert err.startswith("config error:" if code == 2 else "infeasible:")
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert not out.exists()
+    shutil.rmtree(out, ignore_errors=True)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -522,6 +603,11 @@ ROUND_TRIP = {
         dc_offset_rad=1.2, start_s=0.05, duration_s=0.1,
     ),
 }
+# a value of each [sensing] key beside LinkGeometry's, none of them its default
+SENSE_SETTINGS = {
+    "duration_s": 0.5, "sample_rate_hz": 4000.0, "drift_rate_rad2_per_s": 0.03,
+    "noise_std_rad": 0.05, "max_lag_s": 2e-3, "max_slack_s": 1e-4, "photons_per_frame": 2e5,
+}
 DESK = {
     "link": desk_link(),
     "detector": desk_detector(),
@@ -538,8 +624,8 @@ def test_config_sections_round_trip(section, data):
     fields = dataclasses.fields(value)
     names = {f.name for f in fields}
     if section == "sensing":
-        # [sensing] also carries the trace and recovery settings
-        assert names <= cli._SECTION_KEYS[section]
+        # [sensing] also carries the plan's trace and recovery settings
+        assert cli._SECTION_KEYS[section] == names | set(SENSE_SETTINGS)
     elif section.startswith("vibration."):
         assert names == cli._VIBRATION_KEYS
     else:
@@ -563,6 +649,37 @@ def test_config_sections_round_trip(section, data):
     assert built == expected
     if written == names:
         assert built == value
+    if section == "sensing":
+        # any subset of the plan's settings builds the plan, with the field
+        # defaults for the rest
+        required = {f.name for f in dataclasses.fields(SensePlan)
+                    if f.name in SENSE_SETTINGS and f.default is dataclasses.MISSING}
+        written = data.draw(st.sets(st.sampled_from(sorted(SENSE_SETTINGS)))) | required
+        cp = configparser.ConfigParser()
+        cp.read_string("[sensing]\n" + "".join(
+            f"{name} = {SENSE_SETTINGS[name]!r}\n" for name in sorted(written)
+        ))
+        given_fields = {"geometry": value, "sources": (ROUND_TRIP["vibration.main"],), "seed": 7}
+        plan = cli._build(cp, section, SensePlan, **given_fields)
+        assert plan == SensePlan(**given_fields, **{name: SENSE_SETTINGS[name] for name in written})
+
+
+def test_readme_sensing_table_gives_each_key_its_field_default():
+    text = README.read_text()
+    table = text[text.index("| `[sensing]` key |"):].split("\n\n", 1)[0]
+    rows = [line.split(" | ") for line in table.splitlines()[2:]]
+    classes = {"LinkGeometry": LinkGeometry, "SensePlan": SensePlan}
+    assert {row[0].strip("| `") for row in rows} == cli._SECTION_KEYS["sensing"]
+    for key, owner, default in rows:
+        field = {f.name: f for f in dataclasses.fields(classes[owner.strip("`")])}[key.strip("| `")]
+        default = default.split()[0].rstrip(":;")
+        if default == "required":
+            assert field.default is dataclasses.MISSING
+        elif default == "none":
+            assert field.default is None
+        else:
+            assert float(default) == field.default
+
 
 def test_curve_requires_distances():
     assert run_cli("curve")[0] == 2
