@@ -37,7 +37,7 @@ from .model import (
     DetectorModel, Infeasible, LinkModel, SecurityParams, SourceParams, channel_transmittance,
     transmittance,
 )
-from .optimize import MAX_STARTS, optimize_params
+from .optimize import DEFAULT_BUDGET, DEFAULT_N_STARTS, MAX_STARTS, optimize_params
 from .presets import desk_detector, desk_link, desk_security, desk_source
 from .security import (
     KeyRateReport,
@@ -377,8 +377,8 @@ def _cmd_curve(cp, args) -> str:
 def _cmd_optimize(cp, args) -> dict:
     link, det, src, sec = (_build(cp, section) for section in _MODEL_SECTIONS)
     n_pulses, seed = _n_pulses(cp, args, default_pulses=1e10), _seed(cp, args)
-    n_starts = _setting(cp, args, "optimize", "n_starts", 12)
-    budget = _setting(cp, args, "optimize", "budget", 20000)
+    n_starts = _setting(cp, args, "optimize", "n_starts", DEFAULT_N_STARTS)
+    budget = _setting(cp, args, "optimize", "budget", DEFAULT_BUDGET)
     for key, value in (("n_starts", n_starts), ("budget", budget)):
         if value < 1:
             raise ConfigError(f"[optimize] {key} must be >= 1")

@@ -38,6 +38,9 @@ _MAX_DECOY_SEND_PROB = 0.98
 # the most Latin hypercube starts optimize_params draws; README derives it
 # from the measured cost of drawing and repairing one start
 MAX_STARTS = 100_000
+# the search size of optimize_params, and of `optimize` where no key or flag sets it
+DEFAULT_N_STARTS = 12
+DEFAULT_BUDGET = 20000
 
 
 @dataclass(frozen=True)
@@ -149,8 +152,9 @@ def evaluate(
 ) -> float:
     """Expected key rate of the source program src.
 
-    A vector in PARAM_NAMES order is first turned into a SourceParams by
-    params_to_source. Returns the (possibly negative) rate per pulse, or
+    src must be a SourceParams: anything else, a vector in PARAM_NAMES
+    order included, raises TypeError (params_to_source builds one from a
+    vector). Returns the (possibly negative) rate per pulse, or
     INFEASIBLE_RATE when the decoy statistics cannot certify any
     single-photon events at all.
     """
@@ -179,8 +183,8 @@ def optimize_params(
     n_pulses: float,
     seed: int,
     base: SourceParams,
-    n_starts: int = 12,
-    budget: int = 20000,
+    n_starts: int = DEFAULT_N_STARTS,
+    budget: int = DEFAULT_BUDGET,
     space: SearchSpace | None = None,
     initial=None,
 ) -> OptimizeResult:

@@ -24,6 +24,8 @@ import numpy as np
 
 from .model import Infeasible, SecurityParams, SourceParams, binary_entropy
 from .simulate import (
+    _BITS_A,
+    _BITS_B,
     DECOY,
     MU1,
     MU2,
@@ -342,20 +344,26 @@ class SessionAnalysis:
     feasible: bool
 
 
-def _signal_groups(tally: SessionTally) -> tuple[float, float, float, float]:
-    """Herald counts split by the receiver's key bit, with error shares.
+# each signal row's index, receiver bit and whether its two bits differ
+_SIGNAL_BITS = [(i, int(_BITS_B[i]), bool(_BITS_A[i] != _BITS_B[i]))
+                for i, (kind, _, _) in enumerate(row_keys()) if kind == SIGNAL]
 
-    Returns (group1, err1, group0, err0): group1 counts heralds where the
-    receiver recorded 1 (he kept quiet), of which err1 carry a sender bit
-    of 0 (neither talked); group0 where he recorded 0, err0 with both
-    talking.
+
+def _signal_groups(tally: SessionTally) -> tuple[float, float, float, float]:
+    """Signal heralds split by the receiver's key bit, with error shares.
+
+    Returns (group1, err1, group0, err0): group1 counts the heralds whose
+    receiver bit is 1 and err1 those of them whose sender bit differs;
+    group0 and err0 the same for bit 0. The bits are z_bit_assignment's,
+    through _BITS_A and _BITS_B.
     """
     heralds = tally.counts[:, 1].tolist()
-    sent_quiet, quiet_sent, both, neither = (
-        heralds[ROW_INDEX[(SIGNAL, la, lb)]]
-        for la, lb in ((MUZ, VAC), (VAC, MUZ), (MUZ, MUZ), (VAC, VAC))
-    )
-    return sent_quiet + neither, neither, quiet_sent + both, both
+    group, err = [0.0, 0.0], [0.0, 0.0]
+    for i, bit, is_error in _SIGNAL_BITS:
+        group[bit] += heralds[i]
+        if is_error:
+            err[bit] += heralds[i]
+    return group[1], err[1], group[0], err[0]
 
 
 def _pairing_tail(

@@ -324,7 +324,7 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", x, y))
 
 
-def _check_lag(n: int, max_lag_s: float | None) -> None:
+def _check_lag(n: int, max_lag_s: float | None = None) -> None:
     if n < 3:
         raise ValueError("traces must hold at least 3 samples")
     if max_lag_s is not None and not max_lag_s >= 0.0:  # NaN included
@@ -410,9 +410,15 @@ class LocalizationResult:
     out_of_range: bool
 
 
-def _check_slack(slack_s: float) -> None:
+def _check_window(geometry: LinkGeometry, slack_s: float) -> None:
+    """Refuse a negative slack, or a delay window whose end maps to a non-finite position:
+    the position grows with |delay|, so every delay inside maps to a finite one."""
     if not slack_s >= 0.0:
         raise ValueError("slack_s must be >= 0")
+    end_s, v = geometry.max_delay_s + slack_s, geometry.light_speed_km_per_s
+    if not math.isfinite(geometry.length_km + v * end_s):
+        raise ValueError(f"the delay window's end, max_delay_s + slack_s = {end_s:g} s, maps to "
+                         f"a non-finite position at light_speed_km_per_s {v:g}")
 
 
 def locate(
@@ -428,10 +434,11 @@ def locate(
     beyond the physical maximum length/v are tolerated (measurement
     jitter of a source right at an end); the position is then clamped
     onto the fiber with out_of_range set. Anything further raises
-    Infeasible. The optional correlation_peak is carried into the result
-    untouched for reporting.
+    Infeasible. A negative slack, or a window whose end maps to a
+    non-finite position, raises ValueError. The optional correlation_peak
+    is carried into the result untouched for reporting.
     """
-    _check_slack(slack_s)
+    _check_window(geometry, slack_s)
     limit = geometry.max_delay_s
     if abs(delay_s) > limit + slack_s:
         raise Infeasible(f"delay {delay_s:.3e} s exceeds the link's {limit:.3e} s plus slack")
@@ -451,20 +458,15 @@ def locate_traces(
     trace_alice: PhaseTrace,
     trace_bob: PhaseTrace,
     geometry: LinkGeometry,
-    max_lag_s: float | None = None,
-    slack_s: float | None = None,
 ) -> LocalizationResult:
     """Correlate two end-point traces and place the disturbance.
 
-    Unless overridden, the lag search is capped at the physical maximum
-    delay plus slack, and slack defaults to one sample period.
+    The delay can only lie within the link's max_delay_s of zero, give or
+    take a sample: the lag search stops there, and one sample period is
+    the slack locate allows past the link.
     """
-    if slack_s is None:
-        slack_s = 1.0 / trace_alice.sample_rate_hz
-    _check_slack(slack_s)
-    if max_lag_s is None:
-        max_lag_s = geometry.max_delay_s + slack_s
-    delay, peak = cross_correlate_delay(trace_alice, trace_bob, max_lag_s)
+    slack_s = 1.0 / trace_alice.sample_rate_hz
+    delay, peak = cross_correlate_delay(trace_alice, trace_bob, geometry.max_delay_s + slack_s)
     return locate(delay, geometry, slack_s=slack_s, correlation_peak=peak)
 
 
@@ -479,8 +481,6 @@ class SensePlan:
     sample_rate_hz: float
     drift_rate_rad2_per_s: float = DEFAULT_DRIFT_RATE_RAD2_PER_S
     noise_std_rad: float = DEFAULT_NOISE_STD_RAD
-    max_lag_s: float | None = None
-    max_slack_s: float | None = None
     photons_per_frame: float = DEFAULT_PHOTONS_PER_FRAME
 
     def __post_init__(self) -> None:
@@ -488,9 +488,8 @@ class SensePlan:
         n = _sample_count(self.geometry, self.sources, self.duration_s, self.sample_rate_hz,
                           self.drift_rate_rad2_per_s, self.noise_std_rad)
         _check_photons(self.photons_per_frame)
-        if self.max_slack_s is not None:
-            _check_slack(self.max_slack_s)
-        _check_lag(n, self.max_lag_s)
+        _check_lag(n)
+        _check_window(self.geometry, 1.0 / self.sample_rate_hz)  # locate_traces' slack
 
 
 def sense(plan: SensePlan) -> tuple[PhaseTrace, PhaseTrace, LocalizationResult]:
@@ -509,5 +508,4 @@ def sense(plan: SensePlan) -> tuple[PhaseTrace, PhaseTrace, LocalizationResult]:
             *synthesize_reference_counts(traces[i].samples, plan.photons_per_frame, rng),
             plan.sample_rate_hz, traces[i].origin,
         )
-    return (*traces, locate_traces(*traces, plan.geometry, max_lag_s=plan.max_lag_s,
-                                   slack_s=plan.max_slack_s))
+    return (*traces, locate_traces(*traces, plan.geometry))

@@ -15,23 +15,8 @@ Two views of a session are provided with identical bookkeeping:
 The sampler's draw order is part of its contract, because it fixes the
 seeded stream. A slot can click only where a photon reaches the station or
 a detector fires dark; such a slot is readable, and the sampler draws
-nothing for the others. Each chunk draws, in this order (see _sample_run
-for the formulas):
-
-1. the pulses of each row code (13 tally rows plus discarded), one
-   multinomial over the row probabilities of _row_pulses;
-2. the readable slots of each tally row, one binomial each;
-3. one uniform per readable slot, picking its first active event (an
-   arrival at A or at B, a dark click left or right), then one uniform for
-   the first photon's arrival time where that event is an arrival;
-4. the photons arriving after that time, and at B after a first arrival
-   at A, then the dark clicks after the first active event;
-5. one uniform phase per readable slot, read as the announced phase in
-   decoy windows and as the relative phase in signal windows, then the
-   jitter of each slot a photon reached;
-6. the port split of the arrived photons;
-7. the lost photons of each herald, for the single-photon column;
-8. one uniform permutation of the signal heralds, for the key-bit order.
+nothing for the others. The draws of each chunk, in order and with their
+formulas, are listed in _sample_run's docstring.
 
 The tallies have the law that independent per-slot draws of roles, decoy
 picks, send decisions, photons and dark clicks would give: a slot that is
@@ -520,8 +505,7 @@ def _sample_run(
     fires dark; no other slot can click, so only the readable slots of the
     tallied rows are drawn. With x = ia eta_a and y = ib eta_b the arriving
     intensities of a row, a = 1 - exp(-x) and b = 1 - exp(-y), the draws
-    of each chunk, in this order, fix the seeded stream (see the module
-    docstring):
+    of each chunk, in this order, fix the seeded stream:
 
     1. the row counts, one multinomial(n, row probabilities + discarded);
     2. the readable slots of each row, binomial(n_r, q_r) with

@@ -328,8 +328,14 @@ ERROR_CASES = {
     "aliasing": (SENSE_CONFIG, sensing_ini(sample_rate_hz=9), 2, "aliases"),
     "position-past-end": (SENSE_CONFIG, sensing_ini(length_km=5), 2, "past the 5.0 km link"),
     "negative-noise": (SENSE_CONFIG, sensing_ini(noise_std_rad=-1), 2, "noise"),
-    "negative-max-lag": (SENSE_CONFIG, sensing_ini(max_lag_s=-1), 2, "max_lag_s must be >= 0"),
-    "negative-max-slack": (SENSE_CONFIG, sensing_ini(max_slack_s=-1), 2, "slack_s must be >= 0"),
+    # the lag window and the slack follow from the link and the sample rate
+    **{
+        f"{key}-key": (
+            SENSE_CONFIG, sensing_ini(**{key: 1}), 2,
+            f"config error: unknown key '{key}' in [sensing]\n",
+        )
+        for key in ("max_lag_s", "max_slack_s")
+    },
     "two-samples": (SENSE_CONFIG, sensing_ini(duration_s=0.002), 2, "at least 3 samples"),
     # 0.4 samples round to none; it was refused as infeasible by the recovery
     "zero-samples": (
@@ -350,9 +356,15 @@ ERROR_CASES = {
     "photon-starved-frames": (
         SENSE_CONFIG, sensing_ini(photons_per_frame=1e-9), 3, "no photons",
     ),
-    # the noise hides the 5 Hz tone, and the widened lag search peaks past the link
-    "delay-past-the-link": (
-        SENSE_CONFIG, sensing_ini(noise_std_rad=3, max_lag_s=0.05), 3, "exceeds the link's",
+    # the end of the 2 s delay window, at 1.7e308 km/s, overflows: the noise-led peak
+    # printed an infinite unclamped position at exit 0 for most seeds
+    "window-end-not-finite": (
+        SENSE_CONFIG,
+        "[sensing]\nlength_km = 100\nlight_speed_km_per_s = 1.7e308\nsample_rate_hz = 0.5\n"
+        "duration_s = 40\nnoise_std_rad = 3\n"
+        "[vibration.a]\nposition_km = 10\nfrequency_hz = 0.2\namplitude_rad = 1\n", 2,
+        "config error: [sensing] the delay window's end, max_delay_s + slack_s = 2 s, maps to a "
+        "non-finite position at light_speed_km_per_s 1.7e+308\n",
     ),
     # an overflowing phase printed numpy warnings, then failed in the Poisson draw
     "phase-noise-not-finite": (
@@ -517,7 +529,7 @@ FUZZ_EDGES = [
 FUZZ_SENSING = {
     "length_km": "100", "light_speed_km_per_s": "2e5", "duration_s": "0.1",
     "sample_rate_hz": "1000", "drift_rate_rad2_per_s": "0.01", "noise_std_rad": "0.02",
-    "max_lag_s": "0.001", "max_slack_s": "1e-5", "photons_per_frame": "1e4",
+    "photons_per_frame": "1e4",
 }
 FUZZ_VIBRATION = {
     "position_km": "10", "frequency_hz": "5", "amplitude_rad": "0.1", "phase_rad": "0.3",
@@ -557,13 +569,24 @@ def test_sense_ends_in_a_result_or_one_refusal_on_drawn_configs(tmp_path, sensin
         f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in section.items())
         for name, section in (("sensing", sensing), ("vibration.a", vibration))
     ))
-    code, _, err = run_cli("sense", "--config", str(cfg), "--out", str(out))
+    code, stdout, err = run_cli("sense", "--config", str(cfg), "--out", str(out),
+                                "--format", "json")
     assert code in (0, 2, 3)
     if code:
         assert err.startswith("config error:" if code == 2 else "infeasible:")
         assert err.endswith("\n") and err.count("\n") == 1
         assert not out.exists()
+    else:
+        # NaN and Infinity are not JSON: the parse refuses them
+        for text in (stdout, (out / "localization.json").read_text()):
+            record = json.loads(text, parse_constant=_refuse_constant)
+            record = record.get("localization", record)
+            assert all(math.isfinite(value) for value in record.values())
     shutil.rmtree(out, ignore_errors=True)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"sense wrote {name}, which is not JSON")
 
 
 @pytest.mark.parametrize(
@@ -606,7 +629,7 @@ ROUND_TRIP = {
 # a value of each [sensing] key beside LinkGeometry's, none of them its default
 SENSE_SETTINGS = {
     "duration_s": 0.5, "sample_rate_hz": 4000.0, "drift_rate_rad2_per_s": 0.03,
-    "noise_std_rad": 0.05, "max_lag_s": 2e-3, "max_slack_s": 1e-4, "photons_per_frame": 2e5,
+    "noise_std_rad": 0.05, "photons_per_frame": 2e5,
 }
 DESK = {
     "link": desk_link(),
