@@ -25,8 +25,9 @@ from .model import Infeasible
 DEFAULT_DRIFT_RATE_RAD2_PER_S = 0.01
 DEFAULT_NOISE_STD_RAD = 0.02
 DEFAULT_PHOTONS_PER_FRAME = 1e4
-# the most samples simulate_phase_traces accepts per trace; README derives it
-# from the measured peak memory and write time of sense per sample
+# the most samples simulate_phase_traces accepts per trace. README derives it
+# from the time sense takes to write its traces as text, 14-30 s at the cap;
+# sense peaks there near 0.8 GB, so memory alone would allow more
 MAX_TRACE_SAMPLES = 10**7
 
 
@@ -230,10 +231,17 @@ def simulate_phase_traces(
             alice += s.waveform(t - s.position_km / v)
             bob += s.waveform(t - (geometry.length_km - s.position_km) / v)
 
+    # in place, with each sum in the order alice + drift + noise
     rng = np.random.default_rng(seed)
-    drift = np.cumsum(rng.standard_normal(n) * math.sqrt(drift_rate_rad2_per_s / sample_rate_hz))
-    alice = alice + drift + rng.standard_normal(n) * noise_std_rad
-    bob = bob + drift + rng.standard_normal(n) * noise_std_rad
+    drift = rng.standard_normal(n)
+    drift *= math.sqrt(drift_rate_rad2_per_s / sample_rate_hz)
+    np.cumsum(drift, out=drift)
+    noise = np.empty(n)
+    for samples in (alice, bob):
+        samples += drift
+        rng.standard_normal(out=noise)
+        noise *= noise_std_rad
+        samples += noise
     return (
         PhaseTrace(samples=alice, sample_rate_hz=sample_rate_hz, origin="alice"),
         PhaseTrace(samples=bob, sample_rate_hz=sample_rate_hz, origin="bob"),
@@ -276,7 +284,37 @@ def synthesize_reference_counts(
     mean_left *= quarter
     if rng is None:
         return mean_left, mean_right
-    return rng.poisson(mean_left), rng.poisson(mean_right)
+    counts_left = rng.poisson(mean_left)
+    del mean_left  # the right port draws without it
+    return counts_left, rng.poisson(mean_right)
+
+
+# frames per block of the phase recovery and its unwrap: their temporaries
+# stay a fixed size (about 1 MB), whatever the trace length
+_PHASE_BLOCK = 1 << 14
+
+
+def _unwrap(phase: np.ndarray) -> None:
+    """np.unwrap(phase) written over phase, one block of samples at a time.
+
+    Each block repeats np.unwrap's arithmetic on its steps, its tie rule at a
+    step of exactly +-pi included. The correction summed over the blocks
+    before is added to the block's first term before its cumsum, so the sum
+    runs in one sequence as np.unwrap's does and every sample is the same.
+    """
+    prev, carry = phase[0], 0.0
+    for start in range(1, phase.size, _PHASE_BLOCK):
+        block = phase[start : start + _PHASE_BLOCK]
+        step = np.diff(block, prepend=prev)
+        prev = block[-1]
+        correction = np.mod(step + math.pi, 2.0 * math.pi) - math.pi
+        np.copyto(correction, math.pi, where=(correction == -math.pi) & (step > 0))
+        correction -= step
+        np.copyto(correction, 0.0, where=abs(step) < math.pi)
+        correction[0] += carry
+        np.cumsum(correction, out=correction)
+        carry = correction[-1]
+        block += correction
 
 
 def recover_phase_from_reference(
@@ -288,14 +326,15 @@ def recover_phase_from_reference(
     """Phase trace from the port counts of the two quadrature frames.
 
     Each row's contrast (left-right)/(left+right) reads cos(phase) in row 0
-    and sin(phase) in row 1; arctan2 of the pair gives the phase mod 2*pi
-    and np.unwrap restores the winding, which holds while the phase moves
-    less than pi per frame. The first frame takes the principal value in
-    (-pi, pi]. A frame with no photons on either port of either row
-    carries no phase information and raises Infeasible. Integer counts
-    are read as they are, with no float copy of either array: the sum and
-    the difference are formed in float, exactly while the counts stay
-    below 2**53.
+    and sin(phase) in row 1; arctan2 of the pair gives the phase mod 2*pi,
+    and an unwrap that gives np.unwrap's every sample restores the winding,
+    which holds while the phase moves less than pi per frame. The first
+    frame takes the principal value in (-pi, pi]. A frame with no photons
+    on either port of either row carries no phase information and raises
+    Infeasible. Both steps run over blocks of frames, so beside the trace
+    they hold only a block's temporaries. Integer counts are read as they
+    are, with no float copy of either array: the sum and the difference
+    are formed in float, exactly while the counts stay below 2**53.
     """
     nl = np.asarray(counts_left)
     nr = np.asarray(counts_right)
@@ -305,12 +344,16 @@ def recover_phase_from_reference(
         raise ValueError("need at least one frame")
     if not frame_rate_hz > 0.0:
         raise ValueError("frame_rate_hz must be > 0")
-    total = np.add(nl, nr, dtype=float)
-    if np.any(total <= 0.0):
-        raise Infeasible("a frame recorded no photons on either port")
-    contrast = np.subtract(nl, nr, dtype=float)
-    contrast /= total
-    samples = np.unwrap(np.arctan2(contrast[1], contrast[0]))
+    samples = np.empty(nl.shape[1])
+    for start in range(0, samples.size, _PHASE_BLOCK):
+        frames = slice(start, start + _PHASE_BLOCK)
+        total = np.add(nl[:, frames], nr[:, frames], dtype=float)
+        if np.any(total <= 0.0):
+            raise Infeasible("a frame recorded no photons on either port")
+        contrast = np.subtract(nl[:, frames], nr[:, frames], dtype=float)
+        contrast /= total
+        np.arctan2(contrast[1], contrast[0], out=samples[frames])
+    _unwrap(samples)
     return PhaseTrace(samples=samples, sample_rate_hz=frame_rate_hz, origin=origin)
 
 
@@ -375,8 +418,14 @@ def cross_correlate_delay(
     if not math.isfinite(norm):  # a NaN or infinite sample, or an energy that overflows
         raise Infeasible(f"a trace's energy after detrending is {norm!r}, not finite")
 
+    # the detrend's arrays are dropped once used, and the spectrum is formed in place
+    del centred
     size = 1 << (n + cap - 1).bit_length()
-    spectrum = np.conj(np.fft.rfft(a, size)) * np.fft.rfft(b, size)
+    spectrum = np.fft.rfft(a, size)
+    del a
+    np.conjugate(spectrum, out=spectrum)
+    spectrum *= np.fft.rfft(b, size)
+    del b
     corr = np.fft.irfft(spectrum, size)
     # corr[lag mod size] = sum_n a[n] b[n+lag]; values[i] holds lag i - cap
     values = np.concatenate([corr[size - cap:], corr[: cap + 1]])
@@ -434,10 +483,12 @@ def locate(
     beyond the physical maximum length/v are tolerated (measurement
     jitter of a source right at an end); the position is then clamped
     onto the fiber with out_of_range set. Anything further raises
-    Infeasible. A negative slack, or a window whose end maps to a
-    non-finite position, raises ValueError. The optional correlation_peak
-    is carried into the result untouched for reporting.
+    Infeasible. A NaN delay, a negative slack, or a window whose end maps
+    to a non-finite position raises ValueError. The optional
+    correlation_peak is carried into the result untouched for reporting.
     """
+    if math.isnan(delay_s):
+        raise ValueError(f"delay_s must be a number, not {delay_s!r}")
     _check_window(geometry, slack_s)
     limit = geometry.max_delay_s
     if abs(delay_s) > limit + slack_s:
@@ -504,8 +555,10 @@ def sense(plan: SensePlan) -> tuple[PhaseTrace, PhaseTrace, LocalizationResult]:
     ))
     for i, key in enumerate((2, 1)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=plan.seed, spawn_key=(key,)))
-        traces[i] = recover_phase_from_reference(
-            *synthesize_reference_counts(traces[i].samples, plan.photons_per_frame, rng),
-            plan.sample_rate_hz, traces[i].origin,
-        )
+        counts = synthesize_reference_counts(traces[i].samples, plan.photons_per_frame, rng)
+        # the raw trace is freed before the recovered one is allocated, which
+        # can then take its place, and the counts before the next end's are drawn
+        origin, traces[i] = traces[i].origin, None
+        traces[i] = recover_phase_from_reference(*counts, plan.sample_rate_hz, origin)
+        del counts
     return (*traces, locate_traces(*traces, plan.geometry))

@@ -12,16 +12,19 @@ from hypothesis import strategies as st
 from snslab.model import Infeasible
 from snslab.sensing import (
     _BLOCK,
+    _PHASE_BLOCK,
     MAX_TRACE_SAMPLES,
     LinkGeometry,
     PhaseTrace,
     SensePlan,
     VibrationSource,
+    _unwrap,
     cross_correlate_delay,
     locate,
     locate_traces,
     read_trace,
     recover_phase_from_reference,
+    sense,
     simulate_phase_traces,
     synthesize_reference_counts,
     write_trace,
@@ -289,6 +292,29 @@ def test_recovery_unwinds_full_turns_exactly():
     rec = recover_phase_from_reference(left, right, 3000.0)
     assert rec.samples.dtype == np.float64
     assert np.max(np.abs(rec.samples - phases)) < 1e-9
+
+
+def _phases_to_unwrap(kind, n, rng):
+    if kind.startswith("walk"):  # steps uniform in +-max_step, raw or wrapped as arctan2 reads them
+        walk = np.cumsum(rng.uniform(-1.0, 1.0, n) * float(kind.split("-")[1]))
+        return walk if kind.endswith("raw") else np.arctan2(np.sin(walk), np.cos(walk))
+    step = {"pi": np.pi, "inside-pi": np.nextafter(np.pi, 0.0), "past-pi": np.nextafter(np.pi, 4.0)}
+    phases = np.zeros(n)  # every step is exactly +-step: 0 to +-step and back
+    phases[1::2] = rng.choice([-step[kind], step[kind]], n // 2)
+    return phases
+
+
+@pytest.mark.parametrize("n", [1, 2, _PHASE_BLOCK - 1, _PHASE_BLOCK, _PHASE_BLOCK + 1,
+                               3 * _PHASE_BLOCK + 123])
+@pytest.mark.parametrize("kind", ["pi", "inside-pi", "past-pi", "walk-0.3", "walk-3-raw",
+                                  "walk-3", "walk-10-raw", "walk-10"])
+def test_block_unwrap_equals_np_unwrap_bit_for_bit(kind, n):
+    phases = _phases_to_unwrap(kind, n, np.random.default_rng(n))
+    if kind == "pi" and n > 2:  # both signs of the tie are met
+        assert {np.pi, -np.pi} <= set(np.diff(phases))
+    unwrapped = phases.copy()
+    _unwrap(unwrapped)
+    assert unwrapped.tobytes() == np.unwrap(phases).tobytes()
 
 
 def test_recovery_stays_on_track_with_photon_noise():
@@ -633,6 +659,11 @@ def test_locate_refuses_a_nan_slack():
         locate(1e-3, geo, slack_s=math.nan)
 
 
+def test_locate_refuses_a_nan_delay():
+    with pytest.raises(ValueError, match="delay_s must be a number, not nan"):
+        locate(math.nan, LinkGeometry(length_km=100.0))
+
+
 @pytest.mark.parametrize("length_km, slack_s", [(100.0, 2.0), (1.7e308, 1e-3)])
 def test_locate_refuses_a_window_whose_end_has_no_finite_position(length_km, slack_s):
     # the end of the window maps to (length + v*(length/v + slack))/2 from bob,
@@ -687,3 +718,24 @@ def test_locate_traces_with_wide_lag_window_can_overrun():
     # the window caps the search at the physical range
     res = locate_traces(a, b, geo)
     assert abs(res.delay_s) <= geo.max_delay_s + 1.0 / 1000.0
+
+
+# -------------------------------------------------------------------- sense
+
+def test_sense_peaks_at_most_72_bytes_per_sample():
+    # the sense_demo.ini link and burst over 2e5 samples. The chain frees each
+    # temporary before the next large one is made, so it peaks in the count
+    # draw: both traces, the port means and the counts, 64 B per sample
+    n = 200_000
+    burst = VibrationSource(position_km=60.0, frequency_hz=800.0, amplitude_rad=0.8,
+                            dc_offset_rad=1.2, start_s=0.05, duration_s=0.1)
+    plan = SensePlan(geometry=LinkGeometry(length_km=200.0), sources=(burst,), seed=5,
+                     duration_s=n / 200e3, sample_rate_hz=200e3)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        sense(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / n <= 72.0
