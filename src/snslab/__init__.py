@@ -44,8 +44,6 @@ from .sensing import (
     PhaseTrace,
     SensePlan,
     VibrationSource,
-    cross_correlate_delay,
-    locate,
     locate_traces,
     read_trace,
     recover_phase_from_reference,
@@ -91,14 +89,12 @@ __all__ = [
     "binary_entropy",
     "channel_transmittance",
     "click_probabilities",
-    "cross_correlate_delay",
     "decoy_bounds",
     "evaluate",
     "expected_post_processing",
     "expected_tallies",
     "fluctuation_bounds",
     "key_rate",
-    "locate",
     "locate_traces",
     "mc_post_processing",
     "monte_carlo_session",

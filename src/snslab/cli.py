@@ -240,11 +240,16 @@ def _fields(obj, names) -> dict:
 
 
 def _rate(rate: float, det: DetectorModel) -> dict:
+    bits_per_second = rate * det.pulse_rate_hz
+    if not (math.isfinite(rate) and math.isfinite(bits_per_second)):
+        # a secret length of a few hundred bits over a session of far less than a pulse
+        raise Infeasible("the key rate is not finite per pulse or per second: the session is "
+                         "too short for its secret length")
     return {
         "rate_per_pulse": float(rate),
         "rate_per_pulse_clamped": float(max(rate, 0.0)),
         "clamped": bool(rate < 0.0),
-        "bits_per_second": float(rate * det.pulse_rate_hz),
+        "bits_per_second": float(bits_per_second),
     }
 
 

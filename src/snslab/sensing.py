@@ -3,9 +3,10 @@
 The phase-tracking channel that stabilizes the key exchange doubles as a
 distributed sensor: a mechanical disturbance at position x along the
 fiber shows up in the phase streams recovered at both ends, delayed by
-its optical distance to each end. Cross-correlating the two streams
-gives the differential delay and with it the position. A SensePlan holds
-one run's inputs and checks them all when it is built; sense runs it.
+its optical distance to each end. locate_traces, the one localization
+call, cross-correlates the two streams over the delays the link allows
+and maps the differential delay to a position. A SensePlan holds one
+run's inputs and checks them all when it is built; sense runs it.
 
 Traces are stored as text, one sample per line under a small key=value
 header that holds the sample rate, so files round-trip byte for byte.
@@ -367,42 +368,25 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", x, y))
 
 
-def _check_lag(n: int, max_lag_s: float | None = None) -> None:
+def _check_lag(n: int) -> None:
     if n < 3:
         raise ValueError("traces must hold at least 3 samples")
-    if max_lag_s is not None and not max_lag_s >= 0.0:  # NaN included
-        raise ValueError(f"max_lag_s must be >= 0, not {max_lag_s!r}")
 
 
-def cross_correlate_delay(
-    trace_a: PhaseTrace,
-    trace_b: PhaseTrace,
-    max_lag_s: float | None = None,
-) -> tuple[float, float]:
-    """Differential delay of trace_b behind trace_a, in seconds.
+def _correlate(trace_a: PhaseTrace, trace_b: PhaseTrace, cap: int) -> tuple[float, float]:
+    """Differential delay of trace_b behind trace_a, in seconds, over |lag| <= cap samples.
 
-    Both traces are linearly detrended, cross-correlated over all lags
-    (or only |lag| <= max_lag_s when given; math.inf caps nothing), and
-    the integer peak is refined by a parabolic fit through its neighbors.
-    The detrend is the closed-form least-squares line: the mean, then the
-    slope against the centred sample index. The correlation is one FFT at
-    the smallest power of two >= n + cap, the shortest length at which
-    the lags up to +-cap do not wrap. A NaN max_lag_s raises ValueError;
-    a trace whose detrended energy is zero or not finite raises
-    Infeasible. A positive delay means trace_b lags. The second return
-    value is the peak correlation after global normalization, in [-1, 1].
+    Both traces are linearly detrended, cross-correlated over the lags up to
+    +-cap, and the integer peak is refined by a parabolic fit through its
+    neighbors. The detrend is the closed-form least-squares line: the mean,
+    then the slope against the centred sample index. The correlation is one
+    FFT at the smallest power of two >= n + cap, the shortest length at which
+    the lags up to +-cap do not wrap. A trace whose detrended energy is zero
+    or not finite raises Infeasible. A positive delay means trace_b lags. The
+    second return value is the peak correlation after global normalization,
+    in [-1, 1].
     """
-    if trace_a.sample_rate_hz != trace_b.sample_rate_hz:
-        raise ValueError("traces must share one sample rate")
-    if trace_a.n_samples != trace_b.n_samples:
-        raise ValueError("traces must be equally long")
-    n = trace_a.n_samples
-    _check_lag(n, max_lag_s)
-    fs = trace_a.sample_rate_hz
-    cap = n - 1
-    if max_lag_s is not None and max_lag_s * fs < cap:  # an infinite cap leaves every lag
-        cap = math.floor(max_lag_s * fs)
-
+    n, fs = trace_a.n_samples, trace_a.sample_rate_hz
     centred = np.arange(n) - 0.5 * (n - 1)
     slope_scale = 12.0 / ((n - 1) * n * (n + 1))  # 1 / sum(centred**2)
     # a NaN or infinite sample turns the detrended trace into NaN, which the
@@ -459,50 +443,14 @@ class LocalizationResult:
     out_of_range: bool
 
 
-def _check_window(geometry: LinkGeometry, slack_s: float) -> None:
-    """Refuse a negative slack, or a delay window whose end maps to a non-finite position:
-    the position grows with |delay|, so every delay inside maps to a finite one."""
-    if not slack_s >= 0.0:
-        raise ValueError("slack_s must be >= 0")
-    end_s, v = geometry.max_delay_s + slack_s, geometry.light_speed_km_per_s
+def _check_window(geometry: LinkGeometry, sample_rate_hz: float) -> None:
+    """Refuse a delay window, the link's max_delay_s plus one sample period, whose end maps
+    to a non-finite position: the position grows with |delay|, so every delay inside maps
+    to a finite one."""
+    end_s, v = geometry.max_delay_s + 1.0 / sample_rate_hz, geometry.light_speed_km_per_s
     if not math.isfinite(geometry.length_km + v * end_s):
         raise ValueError(f"the delay window's end, max_delay_s + slack_s = {end_s:g} s, maps to "
                          f"a non-finite position at light_speed_km_per_s {v:g}")
-
-
-def locate(
-    delay_s: float,
-    geometry: LinkGeometry,
-    slack_s: float = 0.0,
-    correlation_peak: float = float("nan"),
-) -> LocalizationResult:
-    """Map a differential delay to a position on the fiber.
-
-    A positive delay means the bob-side stream lags, putting the source
-    at (length + v*delay)/2 from the bob end. Delays up to slack_s
-    beyond the physical maximum length/v are tolerated (measurement
-    jitter of a source right at an end); the position is then clamped
-    onto the fiber with out_of_range set. Anything further raises
-    Infeasible. A NaN delay, a negative slack, or a window whose end maps
-    to a non-finite position raises ValueError. The optional
-    correlation_peak is carried into the result untouched for reporting.
-    """
-    if math.isnan(delay_s):
-        raise ValueError(f"delay_s must be a number, not {delay_s!r}")
-    _check_window(geometry, slack_s)
-    limit = geometry.max_delay_s
-    if abs(delay_s) > limit + slack_s:
-        raise Infeasible(f"delay {delay_s:.3e} s exceeds the link's {limit:.3e} s plus slack")
-    raw = 0.5 * (geometry.length_km + geometry.light_speed_km_per_s * delay_s)
-    clamped = min(max(raw, 0.0), geometry.length_km)
-    return LocalizationResult(
-        delay_s=delay_s,
-        position_from_bob_km=clamped,
-        position_from_alice_km=geometry.length_km - clamped,
-        position_from_bob_unclamped_km=raw,
-        correlation_peak=correlation_peak,
-        out_of_range=raw != clamped,
-    )
 
 
 def locate_traces(
@@ -512,13 +460,42 @@ def locate_traces(
 ) -> LocalizationResult:
     """Correlate two end-point traces and place the disturbance.
 
-    The delay can only lie within the link's max_delay_s of zero, give or
-    take a sample: the lag search stops there, and one sample period is
-    the slack locate allows past the link.
+    The traces must share one sample rate and one length of at least 3
+    samples. The delay can only lie within the link's max_delay_s of zero,
+    give or take a sample: the lag search stops at max_delay_s plus one
+    sample period, the slack. A positive delay means the bob-side stream
+    lags, putting the source at (length + v*delay)/2 from the bob end. A
+    delay within the slack past the link is clamped onto the fiber with
+    out_of_range set; one further out, which only the rounding of the
+    window's end in samples lets through, raises Infeasible, as does a trace
+    that is constant or not finite after detrending. A window whose end maps
+    to a non-finite position raises ValueError.
     """
-    slack_s = 1.0 / trace_alice.sample_rate_hz
-    delay, peak = cross_correlate_delay(trace_alice, trace_bob, geometry.max_delay_s + slack_s)
-    return locate(delay, geometry, slack_s=slack_s, correlation_peak=peak)
+    if trace_alice.sample_rate_hz != trace_bob.sample_rate_hz:
+        raise ValueError("traces must share one sample rate")
+    if trace_alice.n_samples != trace_bob.n_samples:
+        raise ValueError("traces must be equally long")
+    n, fs = trace_alice.n_samples, trace_alice.sample_rate_hz
+    _check_lag(n)
+    _check_window(geometry, fs)
+    window_s = geometry.max_delay_s + 1.0 / fs
+    cap = n - 1
+    if window_s * fs < cap:  # a window wider than the trace leaves every lag
+        cap = math.floor(window_s * fs)
+    delay_s, peak = _correlate(trace_alice, trace_bob, cap)
+    if abs(delay_s) > window_s:
+        raise Infeasible(f"delay {delay_s:.3e} s exceeds the link's "
+                         f"{geometry.max_delay_s:.3e} s plus slack")
+    raw = 0.5 * (geometry.length_km + geometry.light_speed_km_per_s * delay_s)
+    clamped = min(max(raw, 0.0), geometry.length_km)
+    return LocalizationResult(
+        delay_s=delay_s,
+        position_from_bob_km=clamped,
+        position_from_alice_km=geometry.length_km - clamped,
+        position_from_bob_unclamped_km=raw,
+        correlation_peak=peak,
+        out_of_range=raw != clamped,
+    )
 
 
 @dataclass(frozen=True)
@@ -540,7 +517,7 @@ class SensePlan:
                           self.drift_rate_rad2_per_s, self.noise_std_rad)
         _check_photons(self.photons_per_frame)
         _check_lag(n)
-        _check_window(self.geometry, 1.0 / self.sample_rate_hz)  # locate_traces' slack
+        _check_window(self.geometry, self.sample_rate_hz)
 
 
 def sense(plan: SensePlan) -> tuple[PhaseTrace, PhaseTrace, LocalizationResult]:

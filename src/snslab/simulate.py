@@ -167,11 +167,17 @@ class SessionTally:
         """Copy of counts as one TallyRow per key, in row_keys() order."""
         return {key: TallyRow(*row) for key, row in zip(row_keys(), self.counts.tolist())}
 
-    def merge(self, other: "SessionTally") -> None:
-        self.n_pulses += other.n_pulses
-        self.counts = self.counts + other.counts
-        self.z_bits_alice = np.concatenate([self.z_bits_alice, other.z_bits_alice])
-        self.z_bits_bob = np.concatenate([self.z_bits_bob, other.z_bits_bob])
+    def merge(self, *others: "SessionTally") -> None:
+        """Add the others' counts in argument order and append their bits in that order.
+
+        Each bit stream is joined by one concatenation, so merging many parts
+        in one call costs time linear in the bits.
+        """
+        for other in others:
+            self.n_pulses += other.n_pulses
+            self.counts = self.counts + other.counts
+        self.z_bits_alice = np.concatenate([self.z_bits_alice, *(o.z_bits_alice for o in others)])
+        self.z_bits_bob = np.concatenate([self.z_bits_bob, *(o.z_bits_bob for o in others)])
 
     def validate(self) -> None:
         pulses, heralds, errors, accepted, _ = self.counts.T
@@ -680,10 +686,10 @@ def monte_carlo_session(
         sizes = [min(MC_CHUNK, n_pulses - idx * MC_CHUNK) for idx in chunks]
         return _sample_run(rngs, sizes, src, eta_a, eta_b, nu)
 
-    tally = SessionTally(n_pulses=0.0)
     threaded = workers > 1 and len(runs) > 1
     with ThreadPoolExecutor(max_workers=workers) if threaded else nullcontext() as pool:
-        for part in (pool.map if threaded else map)(run, runs):
-            tally.merge(part)  # in run order, to keep the bit streams stable
+        parts = list((pool.map if threaded else map)(run, runs))
+    tally = SessionTally(n_pulses=0.0)
+    tally.merge(*parts)  # in run order, to keep the bit streams stable
     tally.validate()
     return tally

@@ -213,6 +213,10 @@ PHASE_NOT_FINITE_ERROR = (
     "config error: [sensing] the simulated phase is not finite: amplitude_rad, dc_offset_rad, "
     "drift_rate_rad2_per_s or noise_std_rad is too large\n"
 )
+RATE_NOT_FINITE_ERROR = (
+    "infeasible: the key rate is not finite per pulse or per second: the session is too short "
+    "for its secret length\n"
+)
 NO_MU2_OPAQUE = (
     "[link]\nlength_a_km = 0\nlength_b_km = 0\natten_db_per_km = 1e308\n"
     "[source]\np_mu2 = 0\np_vac = 0.4\n"
@@ -472,6 +476,18 @@ ERROR_CASES = {
         KEYRATE_CONFIG, DIRECT + "[security]\neps_cor = 1e-310\n", 2,
         "config error: [security] eps_cor is too small: 2 / eps_cor overflows\n",
     ),
+    # a secret length of about -200 bits over a session of far less than a pulse
+    # overflowed, and the rate printed -Infinity, not JSON, at exit 0
+    "rate-overflow-keyrate": (
+        ["keyrate", "--n-pulses", "1e-300", "--format", "json"], None, 3,
+        RATE_NOT_FINITE_ERROR,
+    ),
+    "rate-overflow-keyrate-direct": (
+        [*KEYRATE_CONFIG, "--format", "json"],
+        "[keyrate]\nn_untagged = 0\nphase_error_rate = 0.5\nn_sifted = 1\nbit_error_rate = 0.1\n"
+        "n_pulses = 5e-324\n", 3,
+        RATE_NOT_FINITE_ERROR,
+    ),
 }
 
 
@@ -511,7 +527,7 @@ def test_a_value_error_inside_the_sense_run_is_not_reported_as_a_config_error(
     def broken(*args):
         raise ValueError("internal shape bug")
 
-    monkeypatch.setattr(snslab.sensing, "cross_correlate_delay", broken)
+    monkeypatch.setattr(snslab.sensing, "_correlate", broken)
     cfg, out = tmp_path / "sense.ini", tmp_path / "out"
     cfg.write_text(sensing_ini())
     with pytest.raises(ValueError, match="internal shape bug"):
@@ -586,7 +602,75 @@ def test_sense_ends_in_a_result_or_one_refusal_on_drawn_configs(tmp_path, sensin
 
 
 def _refuse_constant(name):
-    raise AssertionError(f"sense wrote {name}, which is not JSON")
+    raise AssertionError(f"the output holds {name}, which is not JSON")
+
+
+# the sections keyrate and curve read, as ordinary files: the desk presets, and
+# the [keyrate] aggregates of direct mode in place of the channel model
+_DESK_SECTIONS = {section: {key: repr(value) for key, value in dataclasses.asdict(preset()).items()}
+                  for section, (_, preset) in cli._MODEL_SECTIONS.items()}
+FUZZ_COMMANDS = {
+    "keyrate-direct": (["keyrate"], {
+        "keyrate": {"n_untagged": "1000", "phase_error_rate": "0.1", "n_sifted": "2000",
+                    "bit_error_rate": "0.1", "n_pulses": "1e9"},
+        "detector": _DESK_SECTIONS["detector"], "security": _DESK_SECTIONS["security"],
+    }),
+    "keyrate-expected": (["keyrate"], {**_DESK_SECTIONS, "run": {"n_pulses": "1e10"}}),
+    "curve": (["curve"], {**_DESK_SECTIONS, "run": {"n_pulses": "1e10"},
+                          "curve": {"distances_km": "10,100"}}),
+}
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# the flag a command reads beside its key, set to an edge value or left out;
+# --n-pulses takes only the edges argparse parses as numbers, since any other
+# is a usage error, outside entry's contract
+FUZZ_FLAGS = {
+    "keyrate-expected": ("--n-pulses", [edge for edge in FUZZ_EDGES if _is_number(edge)]),
+    "curve": ("--distances", FUZZ_EDGES),
+}
+
+
+@st.composite
+def _fuzz_command(draw):
+    # one command, and its sections with up to four keys across them left out or set to an edge
+    name = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    argv, sections = FUZZ_COMMANDS[name]
+    ordinary = {(section, key): value
+                for section, keys in sections.items() for key, value in keys.items()}
+    drawn = draw(_fuzz_section(ordinary))
+    flag, values = FUZZ_FLAGS.get(name, (None, []))
+    value = draw(st.sampled_from([None, *values]))
+    return [*argv, *([] if value is None else [f"{flag}={value}"])], drawn
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=_fuzz_command())
+def test_keyrate_and_curve_end_in_a_result_or_one_refusal_on_drawn_configs(tmp_path, command):
+    # any exception other than ConfigError and Infeasible escapes entry and fails the test
+    for _, sections in FUZZ_COMMANDS.values():
+        assert all(set(keys) <= cli._SECTION_KEYS[name] for name, keys in sections.items())
+    argv, drawn = command
+    cfg = tmp_path / "fuzz.ini"
+    sections = {}
+    for (section, key), value in drawn.items():
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    cfg.write_text("".join(f"[{name}]\n" + "".join(lines) for name, lines in sections.items()))
+    code, stdout, err = run_cli(*argv, "--config", str(cfg), "--format", "json")
+    assert code in (0, 2, 3)
+    if code:
+        assert err.startswith("config error:" if code == 2 else "infeasible:")
+        assert err.endswith("\n") and err.count("\n") == 1
+    else:
+        json.loads(stdout, parse_constant=_refuse_constant)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """The public-results contract: every command of README's "Command line"
 block, run in-process on the shipped configs, prints and writes the same
-bytes and exits with the same code as the committed table says.
+bytes and exits with the same code as the committed table says. README's
+"Quick start" block runs as written, and every name snslab exports exists.
 
 The table (golden_cli.json, beside this file) holds the SHA-256 of each
 command's stdout and of every file it writes. It was generated on a 2-core
@@ -16,6 +17,7 @@ why in CHANGES.md.
 import hashlib
 import io
 import json
+import math
 import os
 import shlex
 import shutil
@@ -25,17 +27,23 @@ from pathlib import Path
 
 import pytest
 
+import snslab
 from snslab.cli import entry
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLE = Path(__file__).resolve().parent / "golden_cli.json"
 
 
+def readme_block(heading: str) -> str:
+    """The first fenced block under README's heading, without its info string."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split(f"## {heading}", 1)[1].split("```", 2)[1]
+    return block.split("\n", 1)[1]
+
+
 def readme_commands() -> list[str]:
     """The command lines of README's "Command line" block, in order."""
-    text = (ROOT / "README.md").read_text()
-    block = text.split("## Command line", 1)[1].split("```", 2)[1]
-    return [line.strip() for line in block.splitlines() if line.strip()]
+    return [line.strip() for line in readme_block("Command line").splitlines() if line.strip()]
 
 
 def run_in(cwd: Path, command: str) -> dict:
@@ -70,6 +78,19 @@ def test_the_table_covers_every_readme_command():
 @pytest.mark.parametrize("command", readme_commands())
 def test_readme_command_prints_and_writes_the_frozen_bytes(tmp_path, command):
     assert run_in(tmp_path, command) == json.loads(TABLE.read_text())[command]
+
+
+def test_the_readme_quick_start_runs_and_prints_two_numbers():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(readme_block("Quick start"), "README.md", "exec"), {})
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 2 and all(math.isfinite(float(line)) for line in lines)
+
+
+def test_every_name_snslab_exports_resolves():
+    assert len(set(snslab.__all__)) == len(snslab.__all__)
+    assert [name for name in snslab.__all__ if not hasattr(snslab, name)] == []
 
 
 def moved(before: dict, after: dict) -> list[str]:

@@ -18,9 +18,8 @@ from snslab.sensing import (
     PhaseTrace,
     SensePlan,
     VibrationSource,
+    _correlate,
     _unwrap,
-    cross_correlate_delay,
-    locate,
     locate_traces,
     read_trace,
     recover_phase_from_reference,
@@ -499,9 +498,14 @@ def _wavelet_trace(shift, n=4000, fs=1000.0):
     return PhaseTrace(samples=w, sample_rate_hz=fs, origin="x")
 
 
+def _full(trace):
+    """The widest lag cap _correlate takes: every lag of the trace."""
+    return trace.n_samples - 1
+
+
 def test_correlation_of_identical_traces():
     tr = _wavelet_trace(0)
-    delay, peak = cross_correlate_delay(tr, tr)
+    delay, peak = _correlate(tr, tr, _full(tr))
     assert delay == 0.0
     assert peak == pytest.approx(1.0, abs=1e-9)
 
@@ -510,27 +514,21 @@ def test_correlation_of_identical_traces():
 def test_correlation_recovers_integer_shifts(shift):
     a = _wavelet_trace(0)
     b = _wavelet_trace(shift)
-    delay, peak = cross_correlate_delay(a, b)
+    delay, peak = _correlate(a, b, _full(a))
     assert abs(delay * 1000.0 - shift) < 1e-3  # sub-millisample
     assert peak > 0.99
-    back, _ = cross_correlate_delay(b, a)
+    back, _ = _correlate(b, a, _full(a))
     assert back == pytest.approx(-delay, abs=1e-9)
 
 
 def test_correlation_respects_lag_cap():
     a = _wavelet_trace(0)
     b = _wavelet_trace(150)
-    delay, _ = cross_correlate_delay(a, b, max_lag_s=0.1)
+    delay, _ = _correlate(a, b, 100)
     assert abs(delay) <= 0.1
-    with pytest.raises(ValueError):
-        cross_correlate_delay(a, b, max_lag_s=-0.01)
-    # refused before the traces are looked at: a flat pair would be degenerate
-    flat = PhaseTrace(samples=np.zeros(100), sample_rate_hz=10.0, origin="x")
-    with pytest.raises(ValueError, match="max_lag_s must be >= 0"):
-        cross_correlate_delay(flat, flat, max_lag_s=-0.01)
 
 
-def _cross_correlate_reference(trace_a, trace_b, max_lag_s):
+def _cross_correlate_reference(trace_a, trace_b, cap):
     """FFT-free oracle: polyfit-detrended traces, one np.dot per lag |lag| <= cap.
 
     Returns the integer peak lag, the refined delay and the normalized peak.
@@ -539,7 +537,6 @@ def _cross_correlate_reference(trace_a, trace_b, max_lag_s):
     t = np.arange(n, dtype=float)
     a, b = (tr.samples - np.polynomial.polynomial.polyval(
         t, np.polynomial.polynomial.polyfit(t, tr.samples, 1)) for tr in (trace_a, trace_b))
-    cap = n - 1 if max_lag_s is None else min(n - 1, math.floor(max_lag_s * fs))
     lags = np.arange(-cap, cap + 1)
     values = np.array([np.dot(a[:n - lag], b[lag:]) if lag >= 0 else np.dot(a[-lag:], b[:n + lag])
                        for lag in lags])
@@ -554,23 +551,27 @@ def _cross_correlate_reference(trace_a, trace_b, max_lag_s):
     return int(lags[peak]), (float(lags[peak]) + offset) / fs, float(values[peak] / norm)
 
 
-def _assert_matches_the_oracle(a, b, max_lag_s):
+def _assert_matches_the_oracle(a, b, cap):
     fs = a.sample_rate_hz
-    lag, ref_delay, ref_peak = _cross_correlate_reference(a, b, max_lag_s)
-    delay, peak = cross_correlate_delay(a, b, max_lag_s)
+    lag, ref_delay, ref_peak = _cross_correlate_reference(a, b, cap)
+    delay, peak = _correlate(a, b, cap)
     assert abs(delay * fs - lag) <= 0.5  # the same integer peak lag
     assert abs(delay - ref_delay) <= 1e-9 / fs
     assert abs(peak - ref_peak) <= 1e-12
 
 
-# cap = 0, a cap that cuts the true 150-sample lag off, one that holds it,
-# and caps at and past n - 1 = 3999 samples
+# a window of 0 s, one that cuts the true 150-sample lag off, one that holds it,
+# and windows at and past n - 1 = 3999 samples, None being every lag; the cap
+# is locate_traces' own, the window in samples rounded down, at most n - 1
 @pytest.mark.parametrize("max_lag_s", [0.0, 0.05, 0.2, 3.999, 4.0, 100.0, None])
 def test_lag_window_slices_equal_the_masked_full_window(max_lag_s):
     noise = np.random.default_rng(3).standard_normal((2, 4000)) * 0.05
     a = replace(_wavelet_trace(0), samples=_wavelet_trace(0).samples + noise[0])
     b = replace(_wavelet_trace(150), samples=_wavelet_trace(150).samples + noise[1])
-    _assert_matches_the_oracle(a, b, max_lag_s)
+    cap = _full(a)
+    if max_lag_s is not None:
+        cap = min(cap, math.floor(max_lag_s * a.sample_rate_hz))
+    _assert_matches_the_oracle(a, b, cap)
 
 
 # n + cap just below, at and just past a power of two, with the true lag at the
@@ -583,33 +584,38 @@ def test_a_lag_at_the_window_edge_does_not_wrap(cap, sign):
     late, early = source[:n], source[cap:]
     a, b = (PhaseTrace(samples=s, sample_rate_hz=1.0, origin="x")
             for s in ((early, late) if sign > 0 else (late, early)))
-    _assert_matches_the_oracle(a, b, float(cap))
-    assert cross_correlate_delay(a, b, float(cap))[0] == sign * cap
+    _assert_matches_the_oracle(a, b, cap)
+    assert _correlate(a, b, cap)[0] == sign * cap
 
 
-def test_an_infinite_lag_cap_caps_nothing_and_a_nan_cap_is_refused():
-    a, b = _wavelet_trace(0), _wavelet_trace(150)
-    assert cross_correlate_delay(a, b, math.inf) == cross_correlate_delay(a, b)
-    with pytest.raises(ValueError, match="max_lag_s must be >= 0, not nan"):
-        cross_correlate_delay(a, b, math.nan)
+def test_a_window_wider_than_the_trace_searches_every_lag():
+    # at 1e10 Hz the window of a 1e300 km link at 1 km/s, 1e300 s, is no finite
+    # sample count, so the cap falls back to n - 1
+    a, b = (replace(_wavelet_trace(shift), sample_rate_hz=1e10) for shift in (0, 150))
+    geo = LinkGeometry(length_km=1e300, light_speed_km_per_s=1.0)
+    assert (geo.max_delay_s + 1e-10) * 1e10 == math.inf
+    res = locate_traces(a, b, geo)
+    assert res.delay_s == _correlate(a, b, _full(a))[0]
+    assert res.delay_s == pytest.approx(150e-10, abs=1e-13)
 
 
 def test_correlation_degenerate_and_mismatched_inputs():
+    geo = LinkGeometry(length_km=1e6)
     flat = PhaseTrace(samples=np.zeros(100), sample_rate_hz=10.0, origin="x")
     wavy = PhaseTrace(samples=np.sin(np.arange(100.0)), sample_rate_hz=10.0, origin="x")
     with pytest.raises(Infeasible):
-        cross_correlate_delay(flat, wavy)
+        locate_traces(flat, wavy, geo)
     other_rate = PhaseTrace(samples=np.sin(np.arange(100.0)), sample_rate_hz=20.0,
                             origin="x")
-    with pytest.raises(ValueError):
-        cross_correlate_delay(wavy, other_rate)
+    with pytest.raises(ValueError, match="one sample rate"):
+        locate_traces(wavy, other_rate, geo)
     short = PhaseTrace(samples=np.ones(2), sample_rate_hz=10.0, origin="x")
-    with pytest.raises(ValueError):
-        cross_correlate_delay(short, short)
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        locate_traces(short, short, geo)
     longer = PhaseTrace(samples=np.sin(np.arange(120.0)), sample_rate_hz=10.0,
                         origin="x")
-    with pytest.raises(ValueError):
-        cross_correlate_delay(wavy, longer)
+    with pytest.raises(ValueError, match="equally long"):
+        locate_traces(wavy, longer, geo)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -619,7 +625,7 @@ def test_correlation_refuses_a_trace_that_is_not_finite(bad):
     broken = replace(wavy, samples=np.where(np.arange(100) == 5, bad, wavy.samples))
     for a, b in [(wavy, broken), (broken, wavy)]:
         with pytest.raises(Infeasible, match="not finite"):
-            cross_correlate_delay(a, b)
+            _correlate(a, b, _full(a))
         with pytest.raises(Infeasible, match="not finite"):
             locate_traces(a, b, LinkGeometry(length_km=1e6))
 
@@ -628,40 +634,40 @@ def test_correlation_refuses_a_trace_that_is_not_finite(bad):
 
 def test_locate_zero_delay_is_midpoint():
     geo = LinkGeometry(length_km=500.0)
-    res = locate(0.0, geo)
+    tr = _wavelet_trace(0)
+    res = locate_traces(tr, tr, geo)
+    assert res.delay_s == 0.0
     assert res.position_from_bob_km == pytest.approx(250.0)
     assert res.position_from_alice_km == pytest.approx(250.0)
     assert not res.out_of_range
-    assert math.isnan(res.correlation_peak)
+    assert res.correlation_peak == pytest.approx(1.0, abs=1e-9)
 
 
 def test_locate_slightly_beyond_the_end_clamps():
-    geo = LinkGeometry(length_km=500.0)
-    res = locate(2.531e-3, geo, slack_s=50e-6, correlation_peak=0.87)
-    assert res.position_from_bob_unclamped_km == pytest.approx(503.1)
-    assert res.position_from_bob_km == 500.0
+    # the link's 0.1495 s plus the 1 ms slack gives a 150-lag window, and the
+    # 150-sample shift peaks at its edge: 0.5 ms past the link, within the slack
+    geo = LinkGeometry(length_km=29900.0)
+    res = locate_traces(_wavelet_trace(0), _wavelet_trace(150), geo)
+    assert res.delay_s == 0.15
+    assert res.position_from_bob_unclamped_km == pytest.approx(29950.0)
+    assert res.position_from_bob_km == 29900.0
     assert res.position_from_alice_km == 0.0
     assert res.out_of_range
-    assert res.correlation_peak == 0.87
+    assert res.correlation_peak > 0.99
 
 
 def test_locate_rejects_delays_past_the_slack():
-    geo = LinkGeometry(length_km=500.0)
-    with pytest.raises(Infeasible):
-        locate(2.531e-3, geo, slack_s=5e-6)
-    with pytest.raises(ValueError):
-        locate(1e-3, geo, slack_s=-1e-9)
-
-
-def test_locate_refuses_a_nan_slack():
-    geo = LinkGeometry(length_km=500.0)
-    with pytest.raises(ValueError, match="slack_s must be >= 0"):
-        locate(1e-3, geo, slack_s=math.nan)
-
-
-def test_locate_refuses_a_nan_delay():
-    with pytest.raises(ValueError, match="delay_s must be a number, not nan"):
-        locate(math.nan, LinkGeometry(length_km=100.0))
+    # at 3 Hz the window of a 4 km link at 3 km/s, 4/3 + 1/3 s, rounds to 1.6666666666666665 s,
+    # but its 5 samples come to 1.6666666666666667 s, so a true lag of 5 samples, either
+    # way, lands one rounding past the slack
+    geo = LinkGeometry(length_km=4.0, light_speed_km_per_s=3.0)
+    assert 5 / 3.0 > geo.max_delay_s + 1 / 3.0
+    source = np.random.default_rng(5).standard_normal(65)
+    late, early = (PhaseTrace(samples=s, sample_rate_hz=3.0, origin="x")
+                   for s in (source[:60], source[5:]))
+    for a, b in [(early, late), (late, early)]:
+        with pytest.raises(Infeasible, match="exceeds the link"):
+            locate_traces(a, b, geo)
 
 
 @pytest.mark.parametrize("length_km, slack_s", [(100.0, 2.0), (1.7e308, 1e-3)])
@@ -669,17 +675,20 @@ def test_locate_refuses_a_window_whose_end_has_no_finite_position(length_km, sla
     # the end of the window maps to (length + v*(length/v + slack))/2 from bob,
     # which overflows even where the delay itself is small
     geo = LinkGeometry(length_km=length_km, light_speed_km_per_s=1.7e308)
+    tr = PhaseTrace(samples=np.sin(np.arange(10.0)), sample_rate_hz=1.0 / slack_s, origin="x")
     with pytest.raises(ValueError, match="maps to a non-finite position"):
-        locate(0.0, geo, slack_s=slack_s)
+        locate_traces(tr, tr, geo)
     with pytest.raises(ValueError, match="maps to a non-finite position"):
         SensePlan(geometry=geo, sources=(), seed=1, duration_s=10 * slack_s,
                   sample_rate_hz=1.0 / slack_s)
 
 
 def test_locate_negative_delay_mirrors():
-    geo = LinkGeometry(length_km=400.0)
-    fwd = locate(7e-4, geo)
-    rev = locate(-7e-4, geo)
+    geo = LinkGeometry(length_km=40000.0)  # a 0.2 s window
+    a, b = _wavelet_trace(0), _wavelet_trace(23)
+    fwd = locate_traces(a, b, geo)
+    rev = locate_traces(b, a, geo)
+    assert fwd.delay_s == pytest.approx(0.023, abs=1e-6)
     assert rev.position_from_bob_km == pytest.approx(fwd.position_from_alice_km)
     assert rev.position_from_alice_km == pytest.approx(fwd.position_from_bob_km)
 
