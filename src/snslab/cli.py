@@ -48,7 +48,9 @@ from .security import (
     plob_bound,
 )
 from .sensing import LinkGeometry, SensePlan, VibrationSource, sense, write_trace
-from .simulate import _click_table, _mix_tallies, expected_tallies, monte_carlo_session
+from .simulate import (
+    _CLICK_BLOCK, _click_table, _mix_tallies, expected_tallies, monte_carlo_session,
+)
 
 
 class ConfigError(Exception):
@@ -326,10 +328,6 @@ def _parse_distances(text: str) -> list[float]:
 
 
 _ETA_CEIL = 1.0 - 1e-12
-# the most distances one click table of the curve covers: a larger block
-# spreads the per-call cost of the table further, but its arrays grow with
-# it (about 1 MB of working set at 256)
-_CURVE_BLOCK = 256
 
 
 def _cmd_curve(cp, args) -> str:
@@ -363,12 +361,12 @@ def _cmd_curve(cp, args) -> str:
             "plob_relative": float(plob_bound(eta_rel)),
         })
         etas.append(channel_transmittance(scaled, det))
-    for start in range(0, len(rows), _CURVE_BLOCK):
+    for start in range(0, len(rows), _CLICK_BLOCK):
         # one click table for the block's transmittances, then each distance's
         # tally and post-processing in input order
-        block = np.array(etas[start:start + _CURVE_BLOCK])
+        block = np.array(etas[start:start + _CLICK_BLOCK])
         table = _click_table(block[:, :1], block[:, 1:], link.noise_per_pulse, src)
-        for i, row in enumerate(rows[start:start + _CURVE_BLOCK]):
+        for i, row in enumerate(rows[start:start + _CLICK_BLOCK]):
             tally = _mix_tallies(table.at(i), src, n_pulses)
             analysis = expected_post_processing(tally, src, sec)
             # display floor: a session past its reach yields no key

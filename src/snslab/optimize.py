@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    DetectorModel, Infeasible, LinkModel, SecurityParams, SourceParams, channel_transmittance,
+    MAX_INTENSITY, DetectorModel, Infeasible, LinkModel, SecurityParams, SourceParams,
+    channel_transmittance,
 )
 from .security import SessionAnalysis, expected_post_processing
-from .simulate import _click_table, _mix_tallies
+from .simulate import _CLICK_BLOCK, _click_table, _mix_tallies
 
 PARAM_NAMES = (
     "mu1",
@@ -34,6 +35,10 @@ PARAM_NAMES = (
 INFEASIBLE_RATE = -1.0e6
 
 _MAX_DECOY_SEND_PROB = 0.98
+
+# the coordinate descent's moves of mu1, mu2 and muz, in its order: the only
+# moves that can reach a new click table
+_INTENSITY_MOVES = tuple((d, sign) for d in range(3) for sign in (1.0, -1.0))
 
 # the most Latin hypercube starts optimize_params draws; README derives it
 # from the measured cost of drawing and repairing one start
@@ -231,6 +236,20 @@ def optimize_params(
     # coordinate descent moves one coordinate at a time, and 4 of the 7
     # never change the table
     tables = {}
+    eta_a, eta_b = channel_transmittance(link, det)
+
+    def build(vecs) -> None:
+        """Build the missing tables of the points vecs, _CLICK_BLOCK triples per
+        kernel call. A triple is keyed as params_to_source reads it; one the
+        kernel would refuse is left out, so that scoring its point raises
+        where it did when every table was built alone."""
+        triples = dict.fromkeys(tuple(vec[:3].tolist()) for vec in vecs)
+        todo = [t for t in triples
+                if t not in tables and all(0.0 <= mu <= MAX_INTENSITY for mu in t)]
+        for lo in range(0, len(todo), _CLICK_BLOCK):
+            block = todo[lo:lo + _CLICK_BLOCK]
+            table = _click_table(eta_a, eta_b, link.noise_per_pulse, base, np.array(block))
+            tables.update((t, table.at(i)) for i, t in enumerate(block))
 
     # scores compare as (feasible, rate) tuples: any feasible point beats
     # every infeasible one, then the higher rate wins
@@ -239,6 +258,7 @@ def optimize_params(
         analysis = _analyze(src, link, det, sec, n_pulses, tables)
         return analysis.feasible, analysis.report.rate_per_pulse
 
+    build(starts[:budget])
     evals = 0
     best_vec = starts[0]
     best_score = score(best_vec)
@@ -252,6 +272,11 @@ def optimize_params(
         if s > best_score:
             best_vec, best_score, best_start = vec, s, i
 
+    def move(vec: np.ndarray, d: int, sign: float) -> np.ndarray:
+        cand = vec.copy()
+        cand[d] += sign * step_frac * width[d]
+        return repair(space.clip(cand))
+
     step_frac = 0.25
     while step_frac >= 1e-3 and evals < budget:
         improved = False
@@ -259,11 +284,13 @@ def optimize_params(
             for sign in (1.0, -1.0):
                 if evals >= budget:
                     break
-                cand = best_vec.copy()
-                cand[d] += sign * step_frac * width[d]
-                cand = repair(space.clip(cand))
+                cand = move(best_vec, d, sign)
                 if np.array_equal(cand, best_vec):
                     continue
+                if tuple(cand[:3].tolist()) not in tables:
+                    # built with the other intensity moves this sweep still makes from this best
+                    later = _INTENSITY_MOVES[2 * d + (sign < 0):]
+                    build(move(best_vec, coord, step_sign) for coord, step_sign in later)
                 s = score(cand)
                 evals += 1
                 if s > best_score:

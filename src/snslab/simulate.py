@@ -72,11 +72,21 @@ def row_keys() -> list[RowKey]:
     return keys
 
 
-def _row_intensities(src: SourceParams) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's and Bob's intensity in every tally row, in row_keys() order."""
-    level = {VAC: 0.0, MU1: src.mu1, MU2: src.mu2, MUZ: src.muz}
-    keys = row_keys()
-    return np.array([level[a] for _, a, _ in keys]), np.array([level[b] for _, _, b in keys])
+# each row's level on Alice's and on Bob's side, as an index into (0, mu1, mu2, muz)
+_LEVELS = (VAC, MU1, MU2, MUZ)
+_SIDE_A = np.array([_LEVELS.index(a) for _, a, _ in row_keys()])
+_SIDE_B = np.array([_LEVELS.index(b) for _, _, b in row_keys()])
+
+
+def _row_intensities(src: SourceParams, triples=None) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's intensity in every tally row, in row_keys() order.
+
+    They are src's own, or with triples, an (n, 3) array of (mu1, mu2, muz)
+    rows, one row of intensities per triple.
+    """
+    mu = np.array([src.mu1, src.mu2, src.muz]) if triples is None else np.asarray(triples, float)
+    levels = np.concatenate([np.zeros(mu.shape[:-1] + (1,)), mu], axis=-1)
+    return levels[..., _SIDE_A], levels[..., _SIDE_B]
 
 
 def _row_pulses(src: SourceParams, n_pulses: float) -> np.ndarray:
@@ -323,6 +333,13 @@ def click_probabilities(
     return probs
 
 
+# the most transmittance pairs or intensity triples one click table covers,
+# for curve and optimize_params alike: a larger block spreads the per-call
+# cost of the table further, but its arrays grow with it (about 1 MB of
+# working set at 256)
+_CLICK_BLOCK = 256
+
+
 class _ClickTable(NamedTuple):
     """The part of expected_tallies that no mixing probability reaches.
 
@@ -331,7 +348,8 @@ class _ClickTable(NamedTuple):
     intensities, the jitter (from misalignment) and the slice half width.
     Built from column arrays of transmittances, the fields that read the
     channel (all but exp_total and total) hold one row per transmittance
-    pair; at(i) is the table of pair i.
+    pair; built from an array of intensity triples, every field holds one
+    row per triple. at(i) is the table of pair or triple i.
     """
 
     lone_l: np.ndarray
@@ -343,7 +361,7 @@ class _ClickTable(NamedTuple):
     p1: np.ndarray
 
     def at(self, i: int) -> "_ClickTable":
-        """The table of the i-th transmittance pair of a table built from columns."""
+        """The table of the i-th transmittance pair or triple of a table built from columns."""
         return _ClickTable(*(f[i] if np.ndim(f) == 2 else f for f in self))
 
 
@@ -352,19 +370,24 @@ def _click_table(
     eta_b: float | np.ndarray,
     nu: float,
     src: SourceParams,
+    triples: np.ndarray | None = None,
 ) -> _ClickTable:
     """Click and single-photon factors of every row of expected_tallies.
 
     eta_a, eta_b are the arm transmittances of channel_transmittance and nu
     the link's noise per pulse. Column arrays of transmittances give one
     table row per pair in one pass, each bit for bit the table of its own
-    scalar pair: _lone_clicks works entry by entry.
+    scalar pair: _lone_clicks works entry by entry, and the harmonics past
+    an entry's own count add exact zeros. triples, an (n, 3) array of
+    (mu1, mu2, muz) rows, stands in for src's intensities in the same way:
+    row i is bit for bit the table of src with triple i. Pass columns of
+    one kind only.
 
     One click_probabilities call covers every row under the uniform phase
     and then the lit decoy rows again under the announced-phase slice.
     """
     sigma, w = src.jitter_sigma_rad, src.slice_half_width_rad
-    ia, ib = _row_intensities(src)
+    ia, ib = _row_intensities(src, triples)
     sliced = np.arange(_N_ROWS + np.count_nonzero(_LIT)) >= _N_ROWS
 
     def phase_gain(k):
@@ -373,8 +396,9 @@ def _click_table(
         return np.where(sliced, np.sinc(k * (w / math.pi)) * np.exp(-0.5 * (k * sigma) ** 2), 0.0)
 
     left, right, _ = click_probabilities(
-        np.concatenate([ia, ia[_LIT]]), np.concatenate([ib, ib[_LIT]]), eta_a, eta_b, nu,
-        phase_gain=phase_gain,
+        np.concatenate([ia, ia[..., _LIT]], axis=-1),
+        np.concatenate([ib, ib[..., _LIT]], axis=-1),
+        eta_a, eta_b, nu, phase_gain=phase_gain,
     )
     lone_l, slice_l = left[..., :_N_ROWS], left[..., _N_ROWS:]
     lone_r, slice_r = right[..., :_N_ROWS], right[..., _N_ROWS:]

@@ -48,6 +48,8 @@ from snslab.presets import (
     reference_source,
 )
 from snslab.sensing import _BLOCK, DEFAULT_PHOTONS_PER_FRAME, MAX_TRACE_SAMPLES
+from snslab.optimize import DEFAULT_BUDGET, DEFAULT_N_STARTS, MAX_STARTS
+from snslab.simulate import _CLICK_BLOCK, MC_MAX_PULSES
 
 from conftest import sources, write_trace_reference
 
@@ -618,7 +620,32 @@ FUZZ_COMMANDS = {
     "keyrate-expected": (["keyrate"], {**_DESK_SECTIONS, "run": {"n_pulses": "1e10"}}),
     "curve": (["curve"], {**_DESK_SECTIONS, "run": {"n_pulses": "1e10"},
                           "curve": {"distances_km": "10,100"}}),
+    "optimize": (["optimize"], {**_DESK_SECTIONS, "run": {"n_pulses": "1e10", "seed": "1"},
+                                "optimize": {"n_starts": "3", "budget": "12"}}),
+    "simulate": (["simulate"], {**_DESK_SECTIONS,
+                                "run": {"n_pulses": "2e4", "seed": "1", "n_jobs": "1"}}),
 }
+# the most starts or evaluations an optimize file, and the most pulses a
+# simulate file, may ask for and still run: larger requests are skipped to
+# keep the test short, while requests past a cap are refused before any
+# work and so do run
+FUZZ_MAX_EVALUATIONS = 1000
+FUZZ_MAX_PULSES = 3e6
+
+
+def _fuzz_asks_too_much(command, drawn):
+    def asked(section, key, default, parse):
+        try:
+            return parse(drawn.get((section, key), default))
+        except ValueError:
+            return 0  # refused before any work
+    if command == "optimize":
+        n_starts = asked("optimize", "n_starts", DEFAULT_N_STARTS, int)
+        budget = asked("optimize", "budget", DEFAULT_BUDGET, int)
+        return FUZZ_MAX_EVALUATIONS < n_starts <= MAX_STARTS or FUZZ_MAX_EVALUATIONS < budget
+    if command == "simulate":
+        return FUZZ_MAX_PULSES < asked("run", "n_pulses", 1e6, float) <= MC_MAX_PULSES
+    return False
 
 
 def _is_number(text):
@@ -651,7 +678,7 @@ def _fuzz_command(draw):
     return [*argv, *([] if value is None else [f"{flag}={value}"])], drawn
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+@settings(max_examples=500, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=_fuzz_command())
 def test_keyrate_and_curve_end_in_a_result_or_one_refusal_on_drawn_configs(tmp_path, command):
@@ -659,6 +686,7 @@ def test_keyrate_and_curve_end_in_a_result_or_one_refusal_on_drawn_configs(tmp_p
     for _, sections in FUZZ_COMMANDS.values():
         assert all(set(keys) <= cli._SECTION_KEYS[name] for name, keys in sections.items())
     argv, drawn = command
+    assume(not _fuzz_asks_too_much(argv[0], drawn))
     cfg = tmp_path / "fuzz.ini"
     sections = {}
     for (section, key), value in drawn.items():
@@ -856,12 +884,12 @@ def test_curve_builds_one_click_table_per_block_of_distances(monkeypatch):
         return click_probabilities(*args, **kwargs)
 
     monkeypatch.setattr(snslab.simulate, "click_probabilities", counted)
-    n = 2 * cli._CURVE_BLOCK + 1
+    n = 2 * _CLICK_BLOCK + 1
     distances = ",".join(str(i % 300) for i in range(n))
     code, out, _ = run_cli("curve", "--distances", distances)
     assert code == 0
     assert len(out.splitlines()) == n + 1
-    assert builds == [(cli._CURVE_BLOCK, 1), (cli._CURVE_BLOCK, 1), (1, 1)]
+    assert builds == [(_CLICK_BLOCK, 1), (_CLICK_BLOCK, 1), (1, 1)]
 
 
 CURVE_LINK = "[link]\natten_db_per_km = 0.16\nstation_loss_db = 1.3\nnoise_per_pulse = 6e-9\n"

@@ -16,7 +16,9 @@ from snslab.optimize import (
     params_to_source,
     repair,
 )
+from snslab.model import channel_transmittance
 from snslab.presets import desk_link, desk_source
+from snslab.simulate import _CLICK_BLOCK
 
 DESK_VEC = np.array([0.1, 0.4, 0.45, 0.7, 0.6, 0.05, 0.2717])
 
@@ -250,28 +252,52 @@ def test_optimizer_result_is_pinned(desk):
     assert res.start_index == 1
 
 
-def test_optimizer_builds_one_click_table_per_intensity_triple(desk, monkeypatch):
+@pytest.mark.parametrize("n_starts, budget", [(4, 60), (_CLICK_BLOCK + 2, _CLICK_BLOCK + 12)])
+def test_optimizer_builds_each_triple_once_and_several_per_kernel_call(
+    desk, monkeypatch, n_starts, budget
+):
+    # the pinned desk search (budget 60), then one whose starts fill more
+    # than a block
     link, det, src, sec = desk
-    builds, scored = [], []
+    calls, built, scored = [], [], []
     click_probabilities = snslab.simulate.click_probabilities
-    params_to_source = snslab.optimize.params_to_source
+    click_table = snslab.optimize._click_table
+    analyze = snslab.optimize._analyze
 
     def counted(*args, **kwargs):
-        builds.append(args)
+        calls.append(args)
         return click_probabilities(*args, **kwargs)
 
-    def recorded(vec, base):
-        point = params_to_source(vec, base)
-        scored.append((point.mu1, point.mu2, point.muz))
-        return point
+    def building(eta_a, eta_b, nu, point, triples=None):
+        built.extend(map(tuple, triples.tolist()) if triples is not None
+                     else [(point.mu1, point.mu2, point.muz)])
+        return click_table(eta_a, eta_b, nu, point, triples)
+
+    def recorded(point, *args):
+        analysis = analyze(point, *args)
+        scored.append((point, args[-1][(point.mu1, point.mu2, point.muz)]))
+        return analysis
 
     monkeypatch.setattr(snslab.simulate, "click_probabilities", counted)
-    monkeypatch.setattr(snslab.optimize, "params_to_source", recorded)
+    monkeypatch.setattr(snslab.optimize, "_click_table", building)
+    monkeypatch.setattr(snslab.optimize, "_analyze", recorded)
     res = optimize_params(
-        link, det, sec, 1e9, seed=0, base=src, n_starts=4, budget=60,
+        link, det, sec, 1e9, seed=0, base=src, n_starts=n_starts, budget=budget,
     )
-    assert len(scored) == res.evaluations
-    assert len(builds) == len(set(scored)) < res.evaluations
+    assert len(scored) == res.evaluations == budget
+    assert len(built) == len(set(built))
+    triples = {(point.mu1, point.mu2, point.muz) for point, _ in scored}
+    assert len(calls) < len(triples)
+    # the starts come in one call per block, a full block first; then the
+    # descent too builds several triples in some call
+    sizes = [np.atleast_2d(args[0]).shape[0] for args in calls]
+    n_start_calls = -(-n_starts // _CLICK_BLOCK)
+    assert sizes[0] == min(n_starts, _CLICK_BLOCK)
+    assert max(sizes[n_start_calls:]) > 1
+    eta = channel_transmittance(link, det)
+    for point, table in scored:
+        own = click_table(*eta, link.noise_per_pulse, point)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(table, own))
 
 
 def test_each_search_reads_the_slice_of_its_base(desk):

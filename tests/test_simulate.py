@@ -27,7 +27,8 @@ from snslab.presets import (
 )
 from snslab.simulate import (
     DECOY, MC_CHUNK, MC_MAX_PULSES, MU1, MU2, MUZ, SIGNAL, VAC, _chunk_rng, _chunk_runs,
-    _LIT, _click_table, _lone_clicks, _mix_tallies, _N_ROWS, _sample_run, row_keys,
+    _CLICK_BLOCK, _ClickTable, _LIT, _click_table, _lone_clicks, _mix_tallies, _N_ROWS,
+    _sample_run, row_keys,
 )
 
 from conftest import balanced_source, sources
@@ -476,6 +477,30 @@ def test_click_table_reads_only_the_intensities_and_misalignment(
     direct = expected_tallies(link, det, b, n_pulses)
     assert mixed.n_pulses == direct.n_pulses
     assert mixed.counts.tobytes() == direct.counts.tobytes()
+
+
+@pytest.mark.parametrize("total_db", [0.1, 20.0])
+def test_click_table_of_a_column_of_triples_is_each_triples_own(total_db):
+    # more triples than one block holds, desk triples next to intensities at
+    # MAX_INTENSITY; on the short link these sum about ten times the harmonics
+    link, det, src = desk_link(total_db), desk_detector(), desk_source()
+    eta_a, eta_b = channel_transmittance(link, det)
+    rng = np.random.default_rng(5)
+    n = _CLICK_BLOCK + 9
+    mu2 = rng.uniform(0.05, 0.8, n)
+    triples = np.column_stack([mu2 * rng.uniform(0.05, 0.9, n), mu2, rng.uniform(0.0, 1.0, n)])
+    triples[::40, 2] = MAX_INTENSITY * rng.uniform(0.99, 1.0, len(triples[::40]))
+    triples[1] = (0.5, MAX_INTENSITY, MAX_INTENSITY)
+    n_harmonics = np.floor(12.0 + 12.0 * np.sqrt(triples[:, 2] * np.sqrt(eta_a * eta_b)))
+    assert n_harmonics.min() == 12.0 and n_harmonics.max() > (120.0 if total_db < 1.0 else 20.0)
+
+    batch = _click_table(eta_a, eta_b, link.noise_per_pulse, src, triples)
+    assert batch.lone_l.shape == (n, _N_ROWS)
+    for i, (mu1, mu2, muz) in enumerate(triples.tolist()):
+        own = _click_table(eta_a, eta_b, link.noise_per_pulse,
+                           replace(src, mu1=mu1, mu2=mu2, muz=muz))
+        for name, got, want in zip(_ClickTable._fields, batch.at(i), own):
+            assert got.tobytes() == want.tobytes(), (i, name)
 
 
 # -------------------------------------------------------------- monte carlo
