@@ -31,8 +31,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .model import (
     DetectorModel, Infeasible, LinkModel, SecurityParams, SourceParams, channel_transmittance,
     transmittance,
@@ -48,9 +46,7 @@ from .security import (
     plob_bound,
 )
 from .sensing import LinkGeometry, SensePlan, VibrationSource, sense, write_trace
-from .simulate import (
-    _CLICK_BLOCK, _click_table, _mix_tallies, expected_tallies, monte_carlo_session,
-)
+from .simulate import _click_tables, _mix_tallies, expected_tallies, monte_carlo_session
 
 
 class ConfigError(Exception):
@@ -361,16 +357,13 @@ def _cmd_curve(cp, args) -> str:
             "plob_relative": float(plob_bound(eta_rel)),
         })
         etas.append(channel_transmittance(scaled, det))
-    for start in range(0, len(rows), _CLICK_BLOCK):
-        # one click table for the block's transmittances, then each distance's
-        # tally and post-processing in input order
-        block = np.array(etas[start:start + _CLICK_BLOCK])
-        table = _click_table(block[:, :1], block[:, 1:], link.noise_per_pulse, src)
-        for i, row in enumerate(rows[start:start + _CLICK_BLOCK]):
-            tally = _mix_tallies(table.at(i), src, n_pulses)
-            analysis = expected_post_processing(tally, src, sec)
-            # display floor: a session past its reach yields no key
-            row["simulated_rate"] = float(max(analysis.report.rate_per_pulse, 0.0))
+    # one click table per distance, then each distance's tally and
+    # post-processing in input order
+    tables = _click_tables([a for a, _ in etas], [b for _, b in etas], link.noise_per_pulse, src)
+    for row, table in zip(rows, tables):
+        analysis = expected_post_processing(_mix_tallies(table, src, n_pulses), src, sec)
+        # display floor: a session past its reach yields no key
+        row["simulated_rate"] = float(max(analysis.report.rate_per_pulse, 0.0))
     if error is not None:
         raise error
     columns = ["distance_km", "loss_db", "simulated_rate", "plob_absolute", "plob_relative"]

@@ -153,7 +153,7 @@ class SourceParams:
         # the decoy analysis divides by this product
         if self.mu1 * self.mu2 * (self.mu2 - self.mu1) == 0.0:
             raise ValueError("mu1 is too small: mu1 * mu2 * (mu2 - mu1) underflows to 0")
-        if self.muz < 0.0:
+        if not self.muz >= 0.0:  # NaN included
             raise ValueError("muz must be >= 0")
         if max(self.mu2, self.muz) > MAX_INTENSITY:
             raise ValueError(f"intensities must be <= {MAX_INTENSITY:g} photons per pulse")

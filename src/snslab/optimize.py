@@ -18,8 +18,8 @@ from .model import (
     MAX_INTENSITY, DetectorModel, Infeasible, LinkModel, SecurityParams, SourceParams,
     channel_transmittance,
 )
-from .security import SessionAnalysis, expected_post_processing
-from .simulate import _CLICK_BLOCK, _click_table, _mix_tallies
+from .security import expected_post_processing
+from .simulate import _click_tables, _mix_tallies, expected_tallies
 
 PARAM_NAMES = (
     "mu1",
@@ -128,26 +128,6 @@ def params_to_source(vec, base: SourceParams) -> SourceParams:
     )
 
 
-def _analyze(
-    src: SourceParams,
-    link: LinkModel,
-    det: DetectorModel,
-    sec: SecurityParams,
-    n_pulses: float,
-    tables: dict,
-) -> SessionAnalysis:
-    """The full chain at one point. tables holds the click tables built so far
-    at this link for points of one base, keyed by the intensity triple: the
-    other fields a table reads are the base's."""
-    key = (src.mu1, src.mu2, src.muz)
-    table = tables.get(key)
-    if table is None:
-        table = tables[key] = _click_table(*channel_transmittance(link, det),
-                                           link.noise_per_pulse, src)
-    tally = _mix_tallies(table, src, n_pulses)
-    return expected_post_processing(tally, src, sec)
-
-
 def evaluate(
     src: SourceParams,
     link: LinkModel,
@@ -166,7 +146,7 @@ def evaluate(
     if not isinstance(src, SourceParams):
         raise TypeError("evaluate takes a SourceParams; build one from a vector "
                         "with params_to_source")
-    analysis = _analyze(src, link, det, sec, n_pulses, tables={})
+    analysis = expected_post_processing(expected_tallies(link, det, src, n_pulses), src, sec)
     if not analysis.feasible:
         return INFEASIBLE_RATE
     return analysis.report.rate_per_pulse
@@ -239,23 +219,20 @@ def optimize_params(
     eta_a, eta_b = channel_transmittance(link, det)
 
     def build(vecs) -> None:
-        """Build the missing tables of the points vecs, _CLICK_BLOCK triples per
-        kernel call. A triple is keyed as params_to_source reads it; one the
-        kernel would refuse is left out, so that scoring its point raises
-        where it did when every table was built alone."""
+        """Build the missing tables of the points vecs. A triple is keyed as
+        params_to_source reads it; one the kernel would refuse is left out,
+        since params_to_source refuses its point before score reads a table."""
         triples = dict.fromkeys(tuple(vec[:3].tolist()) for vec in vecs)
         todo = [t for t in triples
                 if t not in tables and all(0.0 <= mu <= MAX_INTENSITY for mu in t)]
-        for lo in range(0, len(todo), _CLICK_BLOCK):
-            block = todo[lo:lo + _CLICK_BLOCK]
-            table = _click_table(eta_a, eta_b, link.noise_per_pulse, base, np.array(block))
-            tables.update((t, table.at(i)) for i, t in enumerate(block))
+        tables.update(zip(todo, _click_tables(eta_a, eta_b, link.noise_per_pulse, base, todo)))
 
     # scores compare as (feasible, rate) tuples: any feasible point beats
     # every infeasible one, then the higher rate wins
     def score(vec: np.ndarray) -> tuple[bool, float]:
         src = params_to_source(vec, base)
-        analysis = _analyze(src, link, det, sec, n_pulses, tables)
+        tally = _mix_tallies(tables[src.mu1, src.mu2, src.muz], src, n_pulses)
+        analysis = expected_post_processing(tally, src, sec)
         return analysis.feasible, analysis.report.rate_per_pulse
 
     build(starts[:budget])

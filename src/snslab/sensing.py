@@ -449,8 +449,9 @@ def _check_window(geometry: LinkGeometry, sample_rate_hz: float) -> None:
     to a finite one."""
     end_s, v = geometry.max_delay_s + 1.0 / sample_rate_hz, geometry.light_speed_km_per_s
     if not math.isfinite(geometry.length_km + v * end_s):
-        raise ValueError(f"the delay window's end, max_delay_s + slack_s = {end_s:g} s, maps to "
-                         f"a non-finite position at light_speed_km_per_s {v:g}")
+        raise ValueError(f"the delay window's end, max_delay_s plus one sample period = "
+                         f"{end_s:g} s, maps to a non-finite position at "
+                         f"light_speed_km_per_s {v:g}")
 
 
 def locate_traces(

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -333,10 +334,9 @@ def click_probabilities(
     return probs
 
 
-# the most transmittance pairs or intensity triples one click table covers,
-# for curve and optimize_params alike: a larger block spreads the per-call
-# cost of the table further, but its arrays grow with it (about 1 MB of
-# working set at 256)
+# the most points one call of the kernel _click_table covers: a larger block
+# spreads the per-call cost of the kernel further, but its arrays grow with it
+# (about 1 MB of working set at 256)
 _CLICK_BLOCK = 256
 
 
@@ -346,10 +346,8 @@ class _ClickTable(NamedTuple):
     One entry per tally row, in row_keys() order, except slice_l and slice_r,
     which hold the lit decoy rows only. It reads the channel, the three
     intensities, the jitter (from misalignment) and the slice half width.
-    Built from column arrays of transmittances, the fields that read the
-    channel (all but exp_total and total) hold one row per transmittance
-    pair; built from an array of intensity triples, every field holds one
-    row per triple. at(i) is the table of pair or triple i.
+    _click_table builds one such row per point in every field, and
+    _click_tables hands each point's rows out as a table of its own.
     """
 
     lone_l: np.ndarray
@@ -360,28 +358,22 @@ class _ClickTable(NamedTuple):
     total: np.ndarray
     p1: np.ndarray
 
-    def at(self, i: int) -> "_ClickTable":
-        """The table of the i-th transmittance pair or triple of a table built from columns."""
-        return _ClickTable(*(f[i] if np.ndim(f) == 2 else f for f in self))
-
 
 def _click_table(
-    eta_a: float | np.ndarray,
-    eta_b: float | np.ndarray,
+    eta_a: np.ndarray,
+    eta_b: np.ndarray,
     nu: float,
     src: SourceParams,
-    triples: np.ndarray | None = None,
+    triples: np.ndarray,
 ) -> _ClickTable:
-    """Click and single-photon factors of every row of expected_tallies.
+    """Click and single-photon factors of every row of expected_tallies, at n points.
 
-    eta_a, eta_b are the arm transmittances of channel_transmittance and nu
-    the link's noise per pulse. Column arrays of transmittances give one
-    table row per pair in one pass, each bit for bit the table of its own
-    scalar pair: _lone_clicks works entry by entry, and the harmonics past
-    an entry's own count add exact zeros. triples, an (n, 3) array of
-    (mu1, mu2, muz) rows, stands in for src's intensities in the same way:
-    row i is bit for bit the table of src with triple i. Pass columns of
-    one kind only.
+    Point i has the arm transmittances eta_a[i, 0] and eta_b[i, 0] of
+    channel_transmittance and the intensities (mu1, mu2, muz) of triples[i];
+    nu is the link's noise per pulse, and src gives the jitter and the
+    slice. Row i of every field is bit for bit the table of point i built
+    alone: _lone_clicks works entry by entry, and the harmonics past an
+    entry's own count add exact zeros.
 
     One click_probabilities call covers every row under the uniform phase
     and then the lit decoy rows again under the announced-phase slice.
@@ -408,6 +400,29 @@ def _click_table(
     arrive = (ia * eta_a + ib * eta_b) / np.where(total > 0.0, total, 1.0)
     p1 = arrive * (1.0 - nu) + (1.0 - arrive) * 2.0 * nu * (1.0 - nu)
     return _ClickTable(lone_l, lone_r, slice_l, slice_r, np.exp(-total), total, p1)
+
+
+def _click_tables(
+    eta_a, eta_b, nu: float, src: SourceParams, triples=None,
+) -> Iterator[_ClickTable]:
+    """The click table of each point, built _CLICK_BLOCK points per kernel call.
+
+    A point is a pair of arm transmittances and an intensity triple
+    (mu1, mu2, muz). eta_a, eta_b and triples each give one value that
+    every point shares, or an array with one value per point: eta_a and
+    eta_b a float or an (n,) array, triples src's own triple (None), one
+    triple or an (n, 3) array. nu and src's jitter and slice are shared.
+    Yields the n tables in point order, one block at a time, each bit for
+    bit the table of its point built alone.
+    """
+    values = [np.array(v, dtype=float).reshape(-1, width) for v, width in (
+        (eta_a, 1), (eta_b, 1), ([src.mu1, src.mu2, src.muz] if triples is None else triples, 3))]
+    # every value has one row or one row per point; two point counts do not unpack
+    n, = {len(v) for v in values} - {1} or {1}
+    for lo in range(0, n, _CLICK_BLOCK):
+        size = min(n - lo, _CLICK_BLOCK)
+        ea, eb, mu = (v.repeat(size, axis=0) if len(v) == 1 else v[lo:lo + size] for v in values)
+        yield from map(_ClickTable._make, zip(*_click_table(ea, eb, nu, src, mu)))
 
 
 def _mix_tallies(table: _ClickTable, src: SourceParams, n_pulses: float) -> SessionTally:
@@ -450,13 +465,14 @@ def expected_tallies(
     of the phase by sin(k w) / (k w) for the announced window of half
     width w and by exp(-k^2 sigma^2 / 2) for the jitter.
 
-    The work is split in two: _click_table reads only the channel, the
-    intensities, the jitter and the slice, and _mix_tallies weighs it by the row
-    pulses, so a caller that varies only the mixing probabilities can
-    build the table once, and a caller that varies only the transmittances
-    can build one table for many of them.
+    The work is split in two: _click_tables reads only the channel, the
+    intensities, the jitter and the slice, and _mix_tallies weighs a table
+    by the row pulses, so a caller that varies only the mixing
+    probabilities can build the table once, and a caller that varies only
+    the transmittances or the intensities can build the tables of many
+    points in one call.
     """
-    table = _click_table(*channel_transmittance(link, det), link.noise_per_pulse, src)
+    table, = _click_tables(*channel_transmittance(link, det), link.noise_per_pulse, src)
     return _mix_tallies(table, src, n_pulses)
 
 

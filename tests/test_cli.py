@@ -1,6 +1,7 @@
 import configparser
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -369,8 +370,8 @@ ERROR_CASES = {
         "[sensing]\nlength_km = 100\nlight_speed_km_per_s = 1.7e308\nsample_rate_hz = 0.5\n"
         "duration_s = 40\nnoise_std_rad = 3\n"
         "[vibration.a]\nposition_km = 10\nfrequency_hz = 0.2\namplitude_rad = 1\n", 2,
-        "config error: [sensing] the delay window's end, max_delay_s + slack_s = 2 s, maps to a "
-        "non-finite position at light_speed_km_per_s 1.7e+308\n",
+        "config error: [sensing] the delay window's end, max_delay_s plus one sample period = "
+        "2 s, maps to a non-finite position at light_speed_km_per_s 1.7e+308\n",
     ),
     # an overflowing phase printed numpy warnings, then failed in the Poisson draw
     "phase-noise-not-finite": (
@@ -699,6 +700,28 @@ def test_keyrate_and_curve_end_in_a_result_or_one_refusal_on_drawn_configs(tmp_p
         assert err.endswith("\n") and err.count("\n") == 1
     else:
         json.loads(stdout, parse_constant=_refuse_constant)
+
+
+# plob reads no config file, only its two flags, so every combination of them
+# is run: each left out or set to one of the numeric edges. That is the one
+# limit on the values: argparse refuses the other edges as usage errors, which
+# lie outside entry's contract
+FUZZ_PLOB_VALUES = [None, *(edge for edge in FUZZ_EDGES if _is_number(edge))]
+
+
+def test_plob_ends_in_a_result_or_one_refusal_on_every_edge_flag():
+    for loss_db, eta in itertools.product(FUZZ_PLOB_VALUES, FUZZ_PLOB_VALUES):
+        argv = [f"--{flag}={value}" for flag, value in (("loss-db", loss_db),
+                                                         ("transmittance", eta))
+                if value is not None]
+        code, stdout, err = run_cli("plob", *argv, "--format", "json")
+        assert code in (0, 2), argv
+        if code:
+            assert err.startswith("config error:") and err.count("\n") == 1, argv
+            assert err.endswith("\n"), argv
+        else:
+            record = json.loads(stdout, parse_constant=_refuse_constant)
+            assert all(math.isfinite(value) for value in record.values()), argv
 
 
 @pytest.mark.parametrize(

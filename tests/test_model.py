@@ -104,6 +104,8 @@ def test_source_validation():
         _source(mu1=0.0)
     with pytest.raises(ValueError):
         _source(muz=-0.1)
+    with pytest.raises(ValueError, match="muz must be >= 0"):
+        _source(muz=math.nan)
     with pytest.raises(ValueError):
         _source(p_mu1=0.7, p_mu2=0.2, p_vac=0.2)  # mix must sum to one
     with pytest.raises(ValueError):

@@ -261,26 +261,25 @@ def test_optimizer_builds_each_triple_once_and_several_per_kernel_call(
     link, det, src, sec = desk
     calls, built, scored = [], [], []
     click_probabilities = snslab.simulate.click_probabilities
-    click_table = snslab.optimize._click_table
-    analyze = snslab.optimize._analyze
+    click_tables = snslab.optimize._click_tables
+    mix_tallies = snslab.optimize._mix_tallies
 
     def counted(*args, **kwargs):
         calls.append(args)
         return click_probabilities(*args, **kwargs)
 
     def building(eta_a, eta_b, nu, point, triples=None):
-        built.extend(map(tuple, triples.tolist()) if triples is not None
+        built.extend(map(tuple, np.reshape(triples, (-1, 3)).tolist()) if triples is not None
                      else [(point.mu1, point.mu2, point.muz)])
-        return click_table(eta_a, eta_b, nu, point, triples)
+        return click_tables(eta_a, eta_b, nu, point, triples)
 
-    def recorded(point, *args):
-        analysis = analyze(point, *args)
-        scored.append((point, args[-1][(point.mu1, point.mu2, point.muz)]))
-        return analysis
+    def recorded(table, point, n_pulses):
+        scored.append((point, table))
+        return mix_tallies(table, point, n_pulses)
 
     monkeypatch.setattr(snslab.simulate, "click_probabilities", counted)
-    monkeypatch.setattr(snslab.optimize, "_click_table", building)
-    monkeypatch.setattr(snslab.optimize, "_analyze", recorded)
+    monkeypatch.setattr(snslab.optimize, "_click_tables", building)
+    monkeypatch.setattr(snslab.optimize, "_mix_tallies", recorded)
     res = optimize_params(
         link, det, sec, 1e9, seed=0, base=src, n_starts=n_starts, budget=budget,
     )
@@ -296,7 +295,7 @@ def test_optimizer_builds_each_triple_once_and_several_per_kernel_call(
     assert max(sizes[n_start_calls:]) > 1
     eta = channel_transmittance(link, det)
     for point, table in scored:
-        own = click_table(*eta, link.noise_per_pulse, point)
+        own, = click_tables(*eta, link.noise_per_pulse, point)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(table, own))
 
 

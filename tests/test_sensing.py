@@ -670,17 +670,17 @@ def test_locate_rejects_delays_past_the_slack():
             locate_traces(a, b, geo)
 
 
-@pytest.mark.parametrize("length_km, slack_s", [(100.0, 2.0), (1.7e308, 1e-3)])
-def test_locate_refuses_a_window_whose_end_has_no_finite_position(length_km, slack_s):
-    # the end of the window maps to (length + v*(length/v + slack))/2 from bob,
+@pytest.mark.parametrize("length_km, period_s", [(100.0, 2.0), (1.7e308, 1e-3)])
+def test_locate_refuses_a_window_whose_end_has_no_finite_position(length_km, period_s):
+    # the end of the window maps to (length + v*(length/v + period))/2 from bob,
     # which overflows even where the delay itself is small
     geo = LinkGeometry(length_km=length_km, light_speed_km_per_s=1.7e308)
-    tr = PhaseTrace(samples=np.sin(np.arange(10.0)), sample_rate_hz=1.0 / slack_s, origin="x")
+    tr = PhaseTrace(samples=np.sin(np.arange(10.0)), sample_rate_hz=1.0 / period_s, origin="x")
     with pytest.raises(ValueError, match="maps to a non-finite position"):
         locate_traces(tr, tr, geo)
     with pytest.raises(ValueError, match="maps to a non-finite position"):
-        SensePlan(geometry=geo, sources=(), seed=1, duration_s=10 * slack_s,
-                  sample_rate_hz=1.0 / slack_s)
+        SensePlan(geometry=geo, sources=(), seed=1, duration_s=10 * period_s,
+                  sample_rate_hz=1.0 / period_s)
 
 
 def test_locate_negative_delay_mirrors():

@@ -27,7 +27,7 @@ from snslab.presets import (
 )
 from snslab.simulate import (
     DECOY, MC_CHUNK, MC_MAX_PULSES, MU1, MU2, MUZ, SIGNAL, VAC, _chunk_rng, _chunk_runs,
-    _CLICK_BLOCK, _ClickTable, _LIT, _click_table, _lone_clicks, _mix_tallies, _N_ROWS,
+    _CLICK_BLOCK, _ClickTable, _LIT, _click_tables, _lone_clicks, _mix_tallies, _N_ROWS,
     _sample_run, row_keys,
 )
 
@@ -222,7 +222,7 @@ def test_click_table_is_the_uniform_rows_and_the_sliced_lit_rows(
         # a block of 256 transmittance pairs, the shape curve builds
         eta_a, eta_b = (eta * np.logspace(-8.0, 0.0, 256)[:, None] for eta in etas)
     sigma = src.jitter_sigma_rad
-    table = _click_table(eta_a, eta_b, noise, src)
+    tables = list(_click_tables(np.ravel(eta_a), np.ravel(eta_b), noise, src))
     level = {VAC: 0.0, MU1: src.mu1, MU2: src.mu2, MUZ: src.muz}
     ia, ib = (np.array([level[key[side]] for key in row_keys()]) for side in (1, 2))
 
@@ -231,8 +231,10 @@ def test_click_table_is_the_uniform_rows_and_the_sliced_lit_rows(
 
     lone_l, lone_r, _ = click_probabilities(ia, ib, eta_a, eta_b, noise)
     slice_l, slice_r, _ = _lone_clicks(ia[_LIT] * eta_a, ib[_LIT] * eta_b, noise, slice_gain)
-    for got, want in zip(table, (lone_l, lone_r, slice_l, slice_r)):
-        assert np.array_equal(got, want)
+    # one table per pair; a lone pair's table is its scalar call's
+    for got, want in zip(zip(*tables), (lone_l, lone_r, slice_l, slice_r)):
+        got = np.stack(got)
+        assert np.array_equal(got, np.broadcast_to(want, got.shape))
 
 
 # ------------------------------------------------------------------- tallies
@@ -472,7 +474,7 @@ def test_click_table_reads_only_the_intensities_and_misalignment(
         p_vac=1.0 - p_mu1 - p_mu2, epsilon_send=epsilon_send,
     )
     link, det = (make() for make in channel)
-    table = _click_table(*channel_transmittance(link, det), link.noise_per_pulse, a)
+    table, = _click_tables(*channel_transmittance(link, det), link.noise_per_pulse, a)
     mixed = _mix_tallies(table, b, n_pulses)
     direct = expected_tallies(link, det, b, n_pulses)
     assert mixed.n_pulses == direct.n_pulses
@@ -494,13 +496,44 @@ def test_click_table_of_a_column_of_triples_is_each_triples_own(total_db):
     n_harmonics = np.floor(12.0 + 12.0 * np.sqrt(triples[:, 2] * np.sqrt(eta_a * eta_b)))
     assert n_harmonics.min() == 12.0 and n_harmonics.max() > (120.0 if total_db < 1.0 else 20.0)
 
-    batch = _click_table(eta_a, eta_b, link.noise_per_pulse, src, triples)
-    assert batch.lone_l.shape == (n, _N_ROWS)
+    batch = list(_click_tables(eta_a, eta_b, link.noise_per_pulse, src, triples))
+    assert len(batch) == n and batch[0].lone_l.shape == (_N_ROWS,)
     for i, (mu1, mu2, muz) in enumerate(triples.tolist()):
-        own = _click_table(eta_a, eta_b, link.noise_per_pulse,
-                           replace(src, mu1=mu1, mu2=mu2, muz=muz))
-        for name, got, want in zip(_ClickTable._fields, batch.at(i), own):
+        own, = _click_tables(eta_a, eta_b, link.noise_per_pulse,
+                             replace(src, mu1=mu1, mu2=mu2, muz=muz))
+        for name, got, want in zip(_ClickTable._fields, batch[i], own):
             assert got.tobytes() == want.tobytes(), (i, name)
+
+
+def test_click_tables_spread_each_shared_value_over_the_points():
+    # a point's table does not depend on which of its values the other points
+    # share: per-point transmittances and triples, or either of them shared,
+    # over more points than one block holds, give each point its table alone
+    link, det, src = desk_link(), desk_detector(), desk_source()
+    nu = link.noise_per_pulse
+    rng = np.random.default_rng(11)
+    n = _CLICK_BLOCK + 3
+    etas = rng.uniform(1e-6, 1.0, (2, n))
+    mu2 = rng.uniform(0.05, 0.8, n)
+    triples = np.column_stack([mu2 * rng.uniform(0.05, 0.9, n), mu2, rng.uniform(0.0, 1.0, n)])
+    cases = [
+        (etas[0], etas[1], triples),
+        (etas[0, 0], etas[1, 0], triples),
+        (etas[0], etas[1], None),
+        (etas[0], etas[1], triples[0]),
+        (etas[0, 0], etas[1, 0], np.tile(triples[0], (n, 1))),
+    ]
+    for eta_a, eta_b, points in cases:
+        got = list(_click_tables(eta_a, eta_b, nu, src, points))
+        assert len(got) == n
+        mus = np.broadcast_to(np.reshape((src.mu1, src.mu2, src.muz) if points is None
+                                         else points, (-1, 3)), (n, 3))
+        for i, (a, b, (mu1, mu2, muz)) in enumerate(zip(
+                np.broadcast_to(eta_a, n).tolist(), np.broadcast_to(eta_b, n).tolist(),
+                mus.tolist())):
+            alone, = _click_tables(a, b, nu, replace(src, mu1=mu1, mu2=mu2, muz=muz))
+            for name, x, y in zip(_ClickTable._fields, got[i], alone):
+                assert x.tobytes() == y.tobytes(), (i, name)
 
 
 # -------------------------------------------------------------- monte carlo
