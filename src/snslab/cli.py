@@ -94,7 +94,12 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     try:
-        cp.read(path)
+        with open(path, encoding="utf-8") as fh:
+            cp.read_file(fh, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     for section in cp.sections():
@@ -283,7 +288,7 @@ def _cmd_keyrate(cp, args) -> dict:
         return {
             "mode": "direct",
             "n_pulses": float(report.n_pulses),
-            "inputs": _fields(report, _AGGREGATES),
+            "inputs": {key: inputs[key] for key in _AGGREGATES},
             "rate": _rate_payload(report, det),
         }
     link, src = _build(cp, "link"), _build(cp, "source")
@@ -329,11 +334,13 @@ _ETA_CEIL = 1.0 - 1e-12
 def _cmd_curve(cp, args) -> str:
     link, det, src, sec = (_build(cp, section) for section in _MODEL_SECTIONS)
     n_pulses = _n_pulses(cp, args, default_pulses=1e10)
+    # the key is checked even beside the flag; the flag wins
+    distances = None
+    if cp.has_option("curve", "distances_km"):
+        distances = _parse_distances(cp.get("curve", "distances_km"))
     if args.distances is not None:
         distances = _parse_distances(args.distances)
-    elif cp.has_option("curve", "distances_km"):
-        distances = _parse_distances(cp.get("curve", "distances_km"))
-    else:
+    if distances is None:
         raise ConfigError("[curve] is missing required key 'distances_km'")
 
     rows, etas, error = [], [], None

@@ -24,8 +24,6 @@ import numpy as np
 
 from .model import Infeasible, SecurityParams, SourceParams, binary_entropy
 from .simulate import (
-    _BITS_A,
-    _BITS_B,
     DECOY,
     MU1,
     MU2,
@@ -270,10 +268,6 @@ def post_aopp_phase_error(phase_error_before: float) -> float:
 class KeyRateReport:
     """Secret-length accounting for one session."""
 
-    n_untagged: float
-    phase_error_rate: float
-    n_sifted: float
-    bit_error_rate: float
     n_pulses: float
     privacy_bits: float
     error_correction_bits: float
@@ -315,10 +309,6 @@ def key_rate(
     secrecy = 2.0 * math.log2(1.0 / (math.sqrt(2.0) * sec.eps_pa * sec.eps_hat))
     secret = privacy - error_correction - correctness - secrecy
     return KeyRateReport(
-        n_untagged=n_untagged,
-        phase_error_rate=phase_error_rate,
-        n_sifted=n_sifted,
-        bit_error_rate=bit_error_rate,
         n_pulses=n_pulses,
         privacy_bits=privacy,
         error_correction_bits=error_correction,
@@ -342,28 +332,6 @@ class SessionAnalysis:
     phase_error_rate: float
     report: KeyRateReport
     feasible: bool
-
-
-# each signal row's index, receiver bit and whether its two bits differ
-_SIGNAL_BITS = [(i, int(_BITS_B[i]), bool(_BITS_A[i] != _BITS_B[i]))
-                for i, (kind, _, _) in enumerate(row_keys()) if kind == SIGNAL]
-
-
-def _signal_groups(tally: SessionTally) -> tuple[float, float, float, float]:
-    """Signal heralds split by the receiver's key bit, with error shares.
-
-    Returns (group1, err1, group0, err0): group1 counts the heralds whose
-    receiver bit is 1 and err1 those of them whose sender bit differs;
-    group0 and err0 the same for bit 0. The bits are z_bit_assignment's,
-    through _BITS_A and _BITS_B.
-    """
-    heralds = tally.counts[:, 1].tolist()
-    group, err = [0.0, 0.0], [0.0, 0.0]
-    for i, bit, is_error in _SIGNAL_BITS:
-        group[bit] += heralds[i]
-        if is_error:
-            err[bit] += heralds[i]
-    return group[1], err[1], group[0], err[0]
 
 
 def _pairing_tail(
@@ -411,7 +379,11 @@ def expected_post_processing(
     the untagged pair count from the per-group untagged fractions.
     """
     bounds = decoy_bounds(tally, src, sec)
-    group1, err1, group0, err0 = _signal_groups(tally)
+    n = tally.key_bit_cells()
+    # the heralds of each receiver bit, summed in row order, and the errors
+    # among them: those whose sender bit differs
+    group1, err1 = 0.0 + n[1, 1] + n[0, 1], 0.0 + n[0, 1]
+    group0, err0 = 0.0 + n[0, 0] + n[1, 0], 0.0 + n[1, 0]
     if group1 <= 0.0 or group0 <= 0.0:
         report = key_rate(0.0, 0.5, 0.0, 0.0, tally.n_pulses, sec)
         return SessionAnalysis(bounds, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, report, False)
@@ -435,7 +407,8 @@ def mc_post_processing(
     session can be re-paired independently of how it was sampled.
     """
     bounds = decoy_bounds(tally, src, sec)
-    group1, _, group0, _ = _signal_groups(tally)
+    n = tally.key_bit_cells()
+    group1, group0 = 0.0 + n[1, 1] + n[0, 1], 0.0 + n[0, 0] + n[1, 0]
     paired = aopp(tally.z_bits_alice, tally.z_bits_bob, seed)
     n_sifted = float(paired.n_kept)
     if n_sifted > 0.0:

@@ -108,8 +108,6 @@ def _row_pulses(src: SourceParams, n_pulses: float) -> np.ndarray:
     )
 
 
-# a signal row's heralds are all bit errors when both or neither side sent
-_ALL_ERRORS = np.array([k == SIGNAL and a == b for k, a, b in row_keys()])
 # decoy rows with light on both sides; mu1 and mu2 are > 0 in every SourceParams
 _LIT = np.array([k == DECOY and a != VAC and b != VAC for k, a, b in row_keys()])
 
@@ -135,10 +133,12 @@ def z_bit_assignment(alice_sent, bob_sent):
 
 
 # the key bits of Alice and Bob that each row code stands for, from the
-# send decisions of its signal combo
-_BITS_A, _BITS_B, _ = z_bit_assignment(
+# send decisions of its signal combo; a signal row's heralds are all bit
+# errors where its two bits differ
+_BITS_A, _BITS_B, _ALL_ERRORS = z_bit_assignment(
     *np.array([(a == MUZ, b == MUZ) for _, a, b in row_keys()]).T
 )
+_ALL_ERRORS[:_N_DECOY_ROWS] = False
 
 
 @dataclass
@@ -207,6 +207,16 @@ class SessionTally:
 
     def signal_heralded(self) -> float:
         return sum(self.counts[_N_DECOY_ROWS:, 1].tolist())
+
+    def key_bit_cells(self) -> dict[tuple[int, int], float]:
+        """Signal heralds by (Alice bit, Bob bit) cell, as z_bit_assignment assigns them.
+
+        Each signal row is one cell, and the cells come in row order. A cell
+        is a bit error where its two bits differ.
+        """
+        signal = slice(_N_DECOY_ROWS, None)
+        cells = zip(_BITS_A[signal].tolist(), _BITS_B[signal].tolist())
+        return dict(zip(cells, self.counts[signal, 1].tolist()))
 
     def pre_pairing_qber(self) -> float:
         """Raw key error rate before pairing, from the signal rows."""

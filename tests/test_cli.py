@@ -231,10 +231,18 @@ def sensing_ini(**keys):
     return "[sensing]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + VIBRATION
 
 
-# (arguments, INI text written to {cfg} or None for no file, exit code,
-# a piece of the message)
+# (arguments, INI text or bytes written to {cfg} or None for no file, exit
+# code, a piece of the message)
 ERROR_CASES = {
     "missing-file": (KEYRATE_CONFIG, None, 2, "not found"),
+    # configparser skipped a path it could not open and ran the desk preset
+    "config-is-a-directory": (
+        ["keyrate", "--config", str(CONFIGS)], None, 2, f"cannot read {CONFIGS}:",
+    ),
+    # the file was decoded in the locale's encoding, and a bad byte escaped as a traceback
+    "config-not-utf8": (
+        KEYRATE_CONFIG, b"[link]\nlength_a_km = 5\xff\n", 2, "not UTF-8 text",
+    ),
     "unknown-section": (KEYRATE_CONFIG, "[warp]\nfactor = 9\n", 2, "[warp]"),
     "unknown-key": (KEYRATE_CONFIG, "[link]\ncolour = blue\n", 2, "colour"),
     "not-a-number": (KEYRATE_CONFIG, "[link]\nlength_a_km = abc\n", 2, "must be a number"),
@@ -293,6 +301,11 @@ ERROR_CASES = {
     ),
     "keyrate-nan": (KEYRATE_CONFIG, KEYRATE + "n_untagged = nan\n", 2, "n_untagged"),
     "distance-nan": (["curve", "--distances", "10,nan"], None, 2, "distances_km"),
+    # a flag wins over its key, but the key is still read and checked
+    "distances-flag-bad-key": (
+        ["curve", "--distances", "10", "--config", "{cfg}"], "[curve]\ndistances_km = abc\n", 2,
+        "[curve] distances_km must be comma-separated numbers",
+    ),
     # [run] n_pulses is the one session-length key
     "curve-pulses-key": (
         ["curve", "--distances", "10", "--config", "{cfg}"], "[curve]\nn_pulses = 1e9\n", 2,
@@ -498,7 +511,9 @@ ERROR_CASES = {
 def test_config_error_battery(tmp_path, case):
     argv, text, code, fragment = ERROR_CASES[case]
     cfg = tmp_path / "case.ini"
-    if text is not None:
+    if isinstance(text, bytes):
+        cfg.write_bytes(text)
+    elif text is not None:
         cfg.write_text(text)
     out = tmp_path / "out"
     argv = [arg.replace("{cfg}", str(cfg)).replace("{out}", str(out)) for arg in argv]

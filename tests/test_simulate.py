@@ -441,6 +441,12 @@ def test_expected_tallies_match_the_row_by_row_evaluation(
         # np.exp and math.exp may differ in the last bit
         assert row.single_photon_events == pytest.approx(ref.single_photon_events,
                                                          rel=1e-15, abs=0.0), key
+    # each signal row is the key-bit cell its send decisions map to, in row order
+    signal = [(key, row) for key, row in tally.rows.items() if key[0] == SIGNAL]
+    cells = tally.key_bit_cells()
+    for ((_, la, lb), row), (cell, heralds) in zip(signal, cells.items(), strict=True):
+        assert cell == z_bit_assignment(la == MUZ, lb == MUZ)[:2]
+        assert repr(heralds) == repr(row.one_detector_events)
     # array intensities give exactly the per-pair scalar results
     levels = [0.0, src.mu1, src.mu2, src.muz]
     ia = np.repeat(levels, 4)
@@ -591,6 +597,19 @@ def test_session_tally_merge_is_additive():
     assert np.array_equal(merged.counts, a.counts + b.counts)
     assert np.array_equal(merged.z_bits_alice, np.concatenate([a.z_bits_alice, b.z_bits_alice]))
     assert np.array_equal(merged.z_bits_bob, np.concatenate([a.z_bits_bob, b.z_bits_bob]))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_key_bit_cells_count_the_sampled_bit_pairs(seed, n_jobs):
+    # three chunks, so two workers split the session
+    tally = monte_carlo_session(desk_link(), desk_detector(), desk_source(), 2 * MC_CHUNK + 9,
+                                seed, n_jobs)
+    cells = tally.key_bit_cells()
+    assert sorted(cells) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for (bit_a, bit_b), heralds in cells.items():
+        pairs = (tally.z_bits_alice == bit_a) & (tally.z_bits_bob == bit_b)
+        assert heralds == float(np.count_nonzero(pairs)) > 0.0, (bit_a, bit_b)
 
 
 def test_seeded_monte_carlo_stream_is_frozen():
