@@ -329,6 +329,9 @@ def _parse_distances(text: str) -> list[float]:
 
 
 _ETA_CEIL = 1.0 - 1e-12
+# the most distances `curve` takes in one call. README derives it from the
+# measured cost of one distance, about 80 us and 0.8 kB
+MAX_DISTANCES = 10_000
 
 
 def _cmd_curve(cp, args) -> str:
@@ -342,6 +345,9 @@ def _cmd_curve(cp, args) -> str:
         distances = _parse_distances(args.distances)
     if distances is None:
         raise ConfigError("[curve] is missing required key 'distances_km'")
+    if len(distances) > MAX_DISTANCES:
+        raise Infeasible(f"{len(distances)} distances are past curve's cap of {MAX_DISTANCES} "
+                         "distances (MAX_DISTANCES)")
 
     rows, etas, error = [], [], None
     for d in distances:
@@ -484,7 +490,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="key rate and repeaterless bounds vs distance")
     _add_common(p)
-    p.add_argument("--distances", help="comma-separated total distances in km")
+    p.add_argument("--distances", help="comma-separated total distances in km, at most "
+                   f"{MAX_DISTANCES} (MAX_DISTANCES); more exit 3")
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("optimize", help="tune source parameters for a link")

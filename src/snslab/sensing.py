@@ -5,8 +5,9 @@ distributed sensor: a mechanical disturbance at position x along the
 fiber shows up in the phase streams recovered at both ends, delayed by
 its optical distance to each end. locate_traces, the one localization
 call, cross-correlates the two streams over the delays the link allows
-and maps the differential delay to a position. A SensePlan holds one
-run's inputs and checks them all when it is built; sense runs it.
+and maps the differential delay to a position. A SensePlan declares one
+run's inputs, their defaults and every check on them; simulate_phase_traces
+and sense read it.
 
 Traces are stored as text, one sample per line under a small key=value
 header that holds the sample rate, so files round-trip byte for byte.
@@ -23,10 +24,7 @@ import numpy as np
 
 from .model import Infeasible
 
-DEFAULT_DRIFT_RATE_RAD2_PER_S = 0.01
-DEFAULT_NOISE_STD_RAD = 0.02
-DEFAULT_PHOTONS_PER_FRAME = 1e4
-# the most samples simulate_phase_traces accepts per trace. README derives it
+# the most samples a SensePlan accepts per trace. README derives it
 # from the time sense takes to write its traces as text, 14-30 s at the cap;
 # sense peaks there near 0.8 GB, so memory alone would allow more
 MAX_TRACE_SAMPLES = 10**7
@@ -75,6 +73,8 @@ class VibrationSource:
             raise ValueError("start_s must be >= 0")
         if self.duration_s is not None and not self.duration_s > 0.0:
             raise ValueError("duration_s must be > 0 when given")
+        if not math.isfinite(self.phase_rad):
+            raise ValueError("phase_rad must be finite")
 
     def waveform(self, t: np.ndarray) -> np.ndarray:
         active = t >= self.start_s
@@ -159,68 +159,82 @@ def read_trace(path) -> PhaseTrace:
     return replace(head, samples=body.reshape(-1))
 
 
-def _sample_count(geometry, sources, duration_s, sample_rate_hz, drift_rate_rad2_per_s,
-                  noise_std_rad) -> int:
-    """The samples per trace of simulate_phase_traces, once its inputs pass every check."""
-    if not (0.0 < duration_s < math.inf and 0.0 < sample_rate_hz < math.inf):
-        raise ValueError("duration_s and sample_rate_hz must be > 0 and finite")
-    for s in sources:
-        if s.position_km > geometry.length_km:
-            raise ValueError(
-                f"source at {s.position_km} km lies past the {geometry.length_km} km link"
+@dataclass(frozen=True)
+class SensePlan:
+    """One sensing run: its inputs, their defaults and every check on them.
+
+    Building the plan makes every check on its inputs, in the order the run
+    meets them, before any array exists. Traces longer than MAX_TRACE_SAMPLES
+    raise Infeasible; every other refusal is a ValueError.
+    """
+
+    geometry: LinkGeometry
+    sources: tuple[VibrationSource, ...]
+    seed: int
+    duration_s: float
+    sample_rate_hz: float
+    drift_rate_rad2_per_s: float = 0.01
+    noise_std_rad: float = 0.02
+    photons_per_frame: float = 1e4
+
+    def __post_init__(self) -> None:
+        fs = self.sample_rate_hz
+        if not (0.0 < self.duration_s < math.inf and 0.0 < fs < math.inf):
+            raise ValueError("duration_s and sample_rate_hz must be > 0 and finite")
+        for s in self.sources:
+            if s.position_km > self.geometry.length_km:
+                raise ValueError(
+                    f"source at {s.position_km} km lies past the {self.geometry.length_km} km link"
+                )
+            if 2.0 * s.frequency_hz > fs:
+                raise ValueError(
+                    f"sample_rate_hz {fs} aliases the {s.frequency_hz} Hz "
+                    "source; need at least twice the highest source frequency"
+                )
+        if not (self.drift_rate_rad2_per_s >= 0.0 and self.noise_std_rad >= 0.0):
+            raise ValueError("noise magnitudes must be >= 0")
+
+        n_samples = self.duration_s * fs
+        if not math.isfinite(n_samples):
+            raise ValueError(f"duration_s * sample_rate_hz = {n_samples} samples is not finite")
+        n = self.n_samples
+        if n == 0:
+            raise ValueError(f"duration_s * sample_rate_hz = {n_samples!r} rounds to no samples")
+        if n > MAX_TRACE_SAMPLES:
+            raise Infeasible(
+                f"duration_s * sample_rate_hz = {n_samples:g} samples is past the trace cap of "
+                f"{MAX_TRACE_SAMPLES:g} samples (MAX_TRACE_SAMPLES)"
             )
-        if 2.0 * s.frequency_hz > sample_rate_hz:
-            raise ValueError(
-                f"sample_rate_hz {sample_rate_hz} aliases the {s.frequency_hz} Hz "
-                "source; need at least twice the highest source frequency"
-            )
-    if not (drift_rate_rad2_per_s >= 0.0 and noise_std_rad >= 0.0):
-        raise ValueError("noise magnitudes must be >= 0")
+        # |sin| <= 1 bounds each waveform by |dc_offset_rad| + |amplitude_rad|, and K = 64 each
+        # normal draw, noise or drift step, with room for rounding (numpy's ziggurat normal stays
+        # below about 13.7 in magnitude): a finite bound keeps every sample finite
+        bound = sum(abs(s.dc_offset_rad) + abs(s.amplitude_rad) for s in self.sources)
+        bound += 64.0 * (self.noise_std_rad + n * math.sqrt(self.drift_rate_rad2_per_s / fs))
+        if not math.isfinite(bound):
+            raise ValueError("the simulated phase is not finite: amplitude_rad, dc_offset_rad, "
+                             "drift_rate_rad2_per_s or noise_std_rad is too large")
+        _check_photons(self.photons_per_frame)
+        _check_lag(n)
+        _check_window(self.geometry, fs)
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed {self.seed!r} must be an integer >= 0")
 
-    n_samples = duration_s * sample_rate_hz
-    if not math.isfinite(n_samples):
-        raise ValueError(f"duration_s * sample_rate_hz = {n_samples} samples is not finite")
-    n = int(round(n_samples))
-    if n == 0:
-        raise ValueError(f"duration_s * sample_rate_hz = {n_samples!r} rounds to no samples")
-    if n > MAX_TRACE_SAMPLES:
-        raise Infeasible(
-            f"duration_s * sample_rate_hz = {n_samples:g} samples is past the trace cap of "
-            f"{MAX_TRACE_SAMPLES:g} samples (MAX_TRACE_SAMPLES)"
-        )
-    # |sin| <= 1 bounds each waveform by |dc_offset_rad| + |amplitude_rad|, and K = 64 each
-    # normal draw, noise or drift step, with room for rounding (numpy's ziggurat normal stays
-    # below about 13.7 in magnitude): a finite bound keeps every sample finite
-    bound = sum(abs(s.dc_offset_rad) + abs(s.amplitude_rad) for s in sources)
-    bound += 64.0 * (noise_std_rad + n * math.sqrt(drift_rate_rad2_per_s / sample_rate_hz))
-    if not math.isfinite(bound):
-        raise ValueError("the simulated phase is not finite: amplitude_rad, dc_offset_rad, "
-                         "drift_rate_rad2_per_s or noise_std_rad is too large")
-    return n
+    @property
+    def n_samples(self) -> int:
+        """Samples per trace: duration_s * sample_rate_hz, rounded."""
+        return int(round(self.duration_s * self.sample_rate_hz))
 
 
-def simulate_phase_traces(
-    geometry: LinkGeometry,
-    sources,
-    duration_s: float,
-    sample_rate_hz: float,
-    seed: int,
-    drift_rate_rad2_per_s: float = DEFAULT_DRIFT_RATE_RAD2_PER_S,
-    noise_std_rad: float = DEFAULT_NOISE_STD_RAD,
-) -> tuple[PhaseTrace, PhaseTrace]:
-    """Phase streams both ends would recover for the given disturbances.
+def simulate_phase_traces(plan: SensePlan) -> tuple[PhaseTrace, PhaseTrace]:
+    """Phase streams both ends would recover for the plan's disturbances.
 
     A source at x reaches the alice-side stream after x/v and the
     bob-side stream after (length - x)/v. Both streams share one slow
     random-walk drift (common-mode fiber and laser wander) and carry
-    independent white readout noise. Every input is checked before any
-    array is built: traces longer than MAX_TRACE_SAMPLES raise Infeasible,
-    and magnitudes whose bound on the phase overflows raise ValueError.
+    independent white readout noise.
     """
-    if isinstance(sources, VibrationSource):
-        sources = [sources]
-    n = _sample_count(geometry, sources, duration_s, sample_rate_hz, drift_rate_rad2_per_s,
-                      noise_std_rad)
+    geometry, sample_rate_hz = plan.geometry, plan.sample_rate_hz
+    n = plan.n_samples
     t = np.arange(n) / sample_rate_hz
     v = geometry.light_speed_km_per_s
     alice = np.zeros(n)
@@ -228,20 +242,20 @@ def simulate_phase_traces(
     # a source that starts, or arrives, far past the trace overflows the sine's
     # argument in the samples where it is not active, which the waveform masks
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in sources:
+        for s in plan.sources:
             alice += s.waveform(t - s.position_km / v)
             bob += s.waveform(t - (geometry.length_km - s.position_km) / v)
 
     # in place, with each sum in the order alice + drift + noise
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(plan.seed)
     drift = rng.standard_normal(n)
-    drift *= math.sqrt(drift_rate_rad2_per_s / sample_rate_hz)
+    drift *= math.sqrt(plan.drift_rate_rad2_per_s / sample_rate_hz)
     np.cumsum(drift, out=drift)
     noise = np.empty(n)
     for samples in (alice, bob):
         samples += drift
         rng.standard_normal(out=noise)
-        noise *= noise_std_rad
+        noise *= plan.noise_std_rad
         samples += noise
     return (
         PhaseTrace(samples=alice, sample_rate_hz=sample_rate_hz, origin="alice"),
@@ -443,15 +457,17 @@ class LocalizationResult:
     out_of_range: bool
 
 
-def _check_window(geometry: LinkGeometry, sample_rate_hz: float) -> None:
-    """Refuse a delay window, the link's max_delay_s plus one sample period, whose end maps
-    to a non-finite position: the position grows with |delay|, so every delay inside maps
-    to a finite one."""
+def _check_window(geometry: LinkGeometry, sample_rate_hz: float) -> float:
+    """The end of the delay window, the link's max_delay_s plus one sample period, in s.
+
+    A window whose end maps to a non-finite position is refused: the position
+    grows with |delay|, so every delay inside maps to a finite one."""
     end_s, v = geometry.max_delay_s + 1.0 / sample_rate_hz, geometry.light_speed_km_per_s
     if not math.isfinite(geometry.length_km + v * end_s):
         raise ValueError(f"the delay window's end, max_delay_s plus one sample period = "
                          f"{end_s:g} s, maps to a non-finite position at "
                          f"light_speed_km_per_s {v:g}")
+    return end_s
 
 
 def locate_traces(
@@ -478,8 +494,7 @@ def locate_traces(
         raise ValueError("traces must be equally long")
     n, fs = trace_alice.n_samples, trace_alice.sample_rate_hz
     _check_lag(n)
-    _check_window(geometry, fs)
-    window_s = geometry.max_delay_s + 1.0 / fs
+    window_s = _check_window(geometry, fs)
     cap = n - 1
     if window_s * fs < cap:  # a window wider than the trace leaves every lag
         cap = math.floor(window_s * fs)
@@ -499,38 +514,13 @@ def locate_traces(
     )
 
 
-@dataclass(frozen=True)
-class SensePlan:
-    """One sensing run; building it makes every check sense makes on its inputs."""
-
-    geometry: LinkGeometry
-    sources: tuple[VibrationSource, ...]
-    seed: int
-    duration_s: float
-    sample_rate_hz: float
-    drift_rate_rad2_per_s: float = DEFAULT_DRIFT_RATE_RAD2_PER_S
-    noise_std_rad: float = DEFAULT_NOISE_STD_RAD
-    photons_per_frame: float = DEFAULT_PHOTONS_PER_FRAME
-
-    def __post_init__(self) -> None:
-        # in the order sense meets them
-        n = _sample_count(self.geometry, self.sources, self.duration_s, self.sample_rate_hz,
-                          self.drift_rate_rad2_per_s, self.noise_std_rad)
-        _check_photons(self.photons_per_frame)
-        _check_lag(n)
-        _check_window(self.geometry, self.sample_rate_hz)
-
-
 def sense(plan: SensePlan) -> tuple[PhaseTrace, PhaseTrace, LocalizationResult]:
     """Simulate both ends, recover each from its reference counts, and localize.
 
     Each end's counts are drawn on a substream of the seed of its own: alice's
     spawn key is 2 and bob's 1.
     """
-    traces = list(simulate_phase_traces(
-        plan.geometry, plan.sources, plan.duration_s, plan.sample_rate_hz, plan.seed,
-        drift_rate_rad2_per_s=plan.drift_rate_rad2_per_s, noise_std_rad=plan.noise_std_rad,
-    ))
+    traces = list(simulate_phase_traces(plan))
     for i, key in enumerate((2, 1)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=plan.seed, spawn_key=(key,)))
         counts = synthesize_reference_counts(traces[i].samples, plan.photons_per_frame, rng)

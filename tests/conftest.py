@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from snslab import SourceParams, expected_tallies, monte_carlo_session
+from snslab import SensePlan, SourceParams, expected_tallies, monte_carlo_session
 from snslab.presets import (
     desk_detector,
     desk_link,
@@ -22,6 +22,12 @@ def write_trace_reference(path, trace):
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# sample_rate_hz={trace.sample_rate_hz!r} origin={trace.origin}\n")
         fh.writelines(f"{v!r}\n" for v in trace.samples.tolist())
+
+
+def sense_plan(geometry, sources, duration_s, sample_rate_hz, seed, **settings):
+    """The SensePlan of a link, its sources, the trace length and rate, and the seed."""
+    return SensePlan(geometry=geometry, sources=tuple(sources), seed=seed, duration_s=duration_s,
+                     sample_rate_hz=sample_rate_hz, **settings)
 
 
 @pytest.fixture

@@ -37,7 +37,7 @@ from snslab.sensing import (
 )
 from snslab.simulate import MUZ, SIGNAL, VAC, expected_tallies
 
-from conftest import balanced_source
+from conftest import balanced_source, sense_plan
 
 TALLY_FIELDS = (
     "pulses_sent",
@@ -104,7 +104,7 @@ def test_end_of_link_disturbance_is_localized():
         dc_offset_rad=1.0, start_s=2.0, duration_s=3.0,
     )
     t0 = perf_counter()
-    alice, bob = simulate_phase_traces(geo, src, 10.0, 200e3, seed=5)
+    alice, bob = simulate_phase_traces(sense_plan(geo, [src], 10.0, 200e3, seed=5))
     result = locate_traces(alice, bob, geo)
     elapsed = perf_counter() - t0
     delay_ok = abs(result.delay_s - 1.000e-3) <= 5e-6
@@ -168,9 +168,9 @@ def _worst_grid_error(fs: float) -> float:
             position_km=float(x), frequency_hz=500.0, amplitude_rad=0.02,
             dc_offset_rad=1.0, start_s=0.035, duration_s=0.03,
         )
-        alice, bob = simulate_phase_traces(
-            geo, src, 0.1, fs, seed=1, drift_rate_rad2_per_s=0.0, noise_std_rad=0.0
-        )
+        alice, bob = simulate_phase_traces(sense_plan(
+            geo, [src], 0.1, fs, seed=1, drift_rate_rad2_per_s=0.0, noise_std_rad=0.0
+        ))
         res = locate_traces(alice, bob, geo)
         worst = max(worst, abs(res.position_from_alice_km - float(x)))
     return worst

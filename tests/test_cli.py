@@ -48,11 +48,11 @@ from snslab.presets import (
     reference_security,
     reference_source,
 )
-from snslab.sensing import _BLOCK, DEFAULT_PHOTONS_PER_FRAME, MAX_TRACE_SAMPLES
+from snslab.sensing import _BLOCK, MAX_TRACE_SAMPLES
 from snslab.optimize import DEFAULT_BUDGET, DEFAULT_N_STARTS, MAX_STARTS
 from snslab.simulate import _CLICK_BLOCK, MC_MAX_PULSES
 
-from conftest import sources, write_trace_reference
+from conftest import sense_plan, sources, write_trace_reference
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 README = CONFIGS.parent / "README.md"
@@ -301,6 +301,11 @@ ERROR_CASES = {
     ),
     "keyrate-nan": (KEYRATE_CONFIG, KEYRATE + "n_untagged = nan\n", 2, "n_untagged"),
     "distance-nan": (["curve", "--distances", "10,nan"], None, 2, "distances_km"),
+    # refused once parsed, before any row or table is built; it took about 80 us a distance
+    "distances-past-cap": (
+        ["curve", "--distances", ",".join(["0"] * 10_001)], None, 3,
+        "infeasible: 10001 distances are past curve's cap of 10000 distances (MAX_DISTANCES)",
+    ),
     # a flag wins over its key, but the key is still read and checked
     "distances-flag-bad-key": (
         ["curve", "--distances", "10", "--config", "{cfg}"], "[curve]\ndistances_km = abc\n", 2,
@@ -906,6 +911,20 @@ def test_curve_rates_fall_with_distance_and_clear_the_bound():
     )
 
 
+def test_curve_takes_max_distances_and_refuses_one_more(monkeypatch, tmp_path):
+    # from the flag and from the key alike; the cap is lowered so that the test stays short
+    monkeypatch.setattr(cli, "MAX_DISTANCES", 2)
+    cfg = tmp_path / "curve.ini"
+    for distances, code in (("10,20", 0), ("10,20,30", 3)):
+        cfg.write_text(f"[curve]\ndistances_km = {distances}\n")
+        for argv in (["--distances", distances], ["--config", str(cfg)]):
+            rc, out, err = run_cli("curve", *argv)
+            assert rc == code, argv
+            if code:
+                assert (out, err) == ("", "infeasible: 3 distances are past curve's cap of 2 "
+                                          "distances (MAX_DISTANCES)\n")
+
+
 def test_curve_prints_minus_zero_as_zero():
     code, out, _ = run_cli("curve", "--distances", "-0.0")
     assert code == 0
@@ -1142,10 +1161,10 @@ def test_sense_recovers_through_the_reference_channel_by_default(tmp_path):
         outputs[name] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert outputs["default"] == outputs["explicit"]
     # each written stream is a noisy recovery of the library's raw trace, not a copy of it
-    raw = simulate_phase_traces(
+    raw = simulate_phase_traces(sense_plan(
         LinkGeometry(length_km=100.0),
-        VibrationSource(position_km=10.0, frequency_hz=5.0, amplitude_rad=0.1), 0.1, 1000.0, 1,
-    )
+        [VibrationSource(position_km=10.0, frequency_hz=5.0, amplitude_rad=0.1)], 0.1, 1000.0, 1,
+    ))
     for trace in raw:
         recovered = read_trace(tmp_path / "default" / f"trace_{trace.origin}.txt").samples
         assert not np.array_equal(recovered, trace.samples)
@@ -1194,17 +1213,18 @@ def test_sense_trace_files_equal_the_per_line_writer_on_the_library_traces(tmp_p
     cfg.write_text(sensing_ini(duration_s=1.2))
     out = tmp_path / "out"
     assert run_cli("sense", "--config", str(cfg), "--out", str(out), "--seed", "9")[0] == 0
-    alice, bob = simulate_phase_traces(
+    plan = sense_plan(
         LinkGeometry(length_km=100.0),
-        VibrationSource(position_km=10.0, frequency_hz=5.0, amplitude_rad=0.1),
+        [VibrationSource(position_km=10.0, frequency_hz=5.0, amplitude_rad=0.1)],
         1.2, 1000.0, 9,
     )
+    alice, bob = simulate_phase_traces(plan)
     assert alice.n_samples == 1200 > 2 * _BLOCK
     # each end recovered on its own substream: alice on key 2, bob on key 1
     for raw, key in [(alice, 2), (bob, 1)]:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=9, spawn_key=(key,)))
         recovered = recover_phase_from_reference(
-            *synthesize_reference_counts(raw.samples, DEFAULT_PHOTONS_PER_FRAME, rng), 1000.0,
+            *synthesize_reference_counts(raw.samples, plan.photons_per_frame, rng), 1000.0,
             raw.origin,
         )
         write_trace_reference(tmp_path / "ref.txt", recovered)
@@ -1227,14 +1247,14 @@ def test_sense_recovers_the_two_ends_with_independent_noise(tmp_path, text):
     cp.read_string(text)
     sensing = cp["sensing"]
     (vibration,) = (cp[s] for s in cp.sections() if s.startswith("vibration."))
-    raw = simulate_phase_traces(
+    raw = simulate_phase_traces(sense_plan(
         LinkGeometry(length_km=sensing.getfloat("length_km")),
-        VibrationSource(**{k: vibration.getfloat(k) for k in vibration}),
+        [VibrationSource(**{k: vibration.getfloat(k) for k in vibration})],
         sensing.getfloat("duration_s"), sensing.getfloat("sample_rate_hz"),
         cp.getint("run", "seed"),
         drift_rate_rad2_per_s=sensing.getfloat("drift_rate_rad2_per_s"),
         noise_std_rad=sensing.getfloat("noise_std_rad"),
-    )
+    ))
     noise = [read_trace(out / f"trace_{t.origin}.txt").samples - t.samples for t in raw]
     assert abs(np.corrcoef(*noise)[0, 1]) < 5.0 / math.sqrt(noise[0].size)
 

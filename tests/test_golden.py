@@ -8,10 +8,12 @@ command's stdout and of every file it writes. It was generated on a 2-core
 x86-64 Xeon with Python 3.11.7 and numpy 2.4.6; no other machine has
 confirmed it yet. numpy's SIMD exp, log and sums may round differently on
 another CPU, so a mismatch there on new hardware says which build differs,
-not that the code changed. A change that moves a hash on purpose
-regenerates the table (`PYTHONPATH=src python3 tests/test_golden.py`, which
-prints each command whose entry changed and what moved in it) and states
-why in CHANGES.md.
+not that the code changed. So a mismatch, and the regeneration, name the
+numpy version and the SIMD target of the four kernels seen to round
+differently from one target to another (exp, expm1, log1p, arctan2). A
+change that moves a hash on purpose regenerates the table
+(`PYTHONPATH=src python3 tests/test_golden.py`, which prints each command
+whose entry changed and what moved in it) and states why in CHANGES.md.
 """
 
 import hashlib
@@ -25,6 +27,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import snslab
@@ -70,6 +73,18 @@ def run_in(cwd: Path, command: str) -> dict:
     }
 
 
+def numpy_kernels() -> str:
+    """The numpy version and the SIMD target its float64 exp, expm1, log1p and arctan2 run on."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy before 2.0 does not report its kernels
+        return f"numpy {np.__version__}"
+    info = opt_func_info(func_name="^(exp|expm1|log1p|arctan2)$", signature="^d+$")
+    targets = (f"{name} {kernel['current']}" for name, kernels in info.items()
+               for kernel in kernels.values())
+    return f"numpy {np.__version__} ({', '.join(targets)})"
+
+
 def test_the_table_covers_every_readme_command():
     assert list(json.loads(TABLE.read_text())) == readme_commands()
     assert len(readme_commands()) == 8
@@ -77,7 +92,7 @@ def test_the_table_covers_every_readme_command():
 
 @pytest.mark.parametrize("command", readme_commands())
 def test_readme_command_prints_and_writes_the_frozen_bytes(tmp_path, command):
-    assert run_in(tmp_path, command) == json.loads(TABLE.read_text())[command]
+    assert run_in(tmp_path, command) == json.loads(TABLE.read_text())[command], numpy_kernels()
 
 
 def test_the_readme_quick_start_runs_and_prints_two_numbers():
@@ -105,6 +120,7 @@ if __name__ == "__main__":
     import tempfile
 
     old = json.loads(TABLE.read_text()) if TABLE.exists() else {}
+    sys.stdout.write(f"{numpy_kernels()}\n")
     table = {}
     for command in readme_commands():
         with tempfile.TemporaryDirectory() as tmp:

@@ -2,11 +2,11 @@ import math
 import re
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from snslab.model import Infeasible
@@ -29,7 +29,7 @@ from snslab.sensing import (
     write_trace,
 )
 
-from conftest import write_trace_reference
+from conftest import sense_plan, write_trace_reference
 
 V = 2.0e5  # km/s, the default propagation speed
 
@@ -87,7 +87,8 @@ def test_vibration_source_validation():
                         start_s=-0.5)
 
 
-@pytest.mark.parametrize("field", ["position_km", "frequency_hz", "start_s", "duration_s"])
+@pytest.mark.parametrize("field",
+                         ["position_km", "frequency_hz", "phase_rad", "start_s", "duration_s"])
 def test_vibration_source_refuses_nan(field):
     with pytest.raises(ValueError, match=f"{field} must be"):
         VibrationSource(**{"position_km": 0.0, "frequency_hz": 1.0, "amplitude_rad": 0.1,
@@ -124,9 +125,9 @@ def _burst(position_km):
 def test_noiseless_traces_are_pure_delayed_waveforms():
     geo = LinkGeometry(length_km=200.0)
     s = _burst(50.0)
-    alice, bob = simulate_phase_traces(
-        geo, s, 0.2, 200e3, seed=0, drift_rate_rad2_per_s=0.0, noise_std_rad=0.0
-    )
+    alice, bob = simulate_phase_traces(sense_plan(
+        geo, [s], 0.2, 200e3, seed=0, drift_rate_rad2_per_s=0.0, noise_std_rad=0.0
+    ))
     t = np.arange(alice.n_samples) / 200e3
     assert np.array_equal(alice.samples, s.waveform(t - 50.0 / V))
     assert np.array_equal(bob.samples, s.waveform(t - 150.0 / V))
@@ -135,18 +136,18 @@ def test_noiseless_traces_are_pure_delayed_waveforms():
 
 def test_drift_is_common_mode():
     geo = LinkGeometry(length_km=100.0)
-    alice, bob = simulate_phase_traces(
+    alice, bob = simulate_phase_traces(sense_plan(
         geo, [], 0.5, 1e3, seed=7, drift_rate_rad2_per_s=0.5, noise_std_rad=0.0
-    )
+    ))
     assert np.array_equal(alice.samples, bob.samples)
     assert np.std(alice.samples) > 0.0
 
 
 def test_simulation_is_seed_deterministic():
     geo = LinkGeometry(length_km=100.0)
-    a1, b1 = simulate_phase_traces(geo, _burst(30.0), 0.1, 50e3, seed=4)
-    a2, b2 = simulate_phase_traces(geo, _burst(30.0), 0.1, 50e3, seed=4)
-    a3, _ = simulate_phase_traces(geo, _burst(30.0), 0.1, 50e3, seed=5)
+    a1, b1 = simulate_phase_traces(sense_plan(geo, [_burst(30.0)], 0.1, 50e3, seed=4))
+    a2, b2 = simulate_phase_traces(sense_plan(geo, [_burst(30.0)], 0.1, 50e3, seed=4))
+    a3, _ = simulate_phase_traces(sense_plan(geo, [_burst(30.0)], 0.1, 50e3, seed=5))
     assert np.array_equal(a1.samples, a2.samples)
     assert np.array_equal(b1.samples, b2.samples)
     assert not np.array_equal(a1.samples, a3.samples)
@@ -155,36 +156,49 @@ def test_simulation_is_seed_deterministic():
 def test_simulation_validation():
     geo = LinkGeometry(length_km=100.0)
     with pytest.raises(ValueError):
-        simulate_phase_traces(geo, _burst(150.0), 0.1, 50e3, seed=0)
+        sense_plan(geo, [_burst(150.0)], 0.1, 50e3, seed=0)
     with pytest.raises(ValueError):  # 500 Hz source needs >= 1 kHz sampling
-        simulate_phase_traces(geo, _burst(50.0), 0.1, 999.0, seed=0)
+        sense_plan(geo, [_burst(50.0)], 0.1, 999.0, seed=0)
     with pytest.raises(ValueError):
-        simulate_phase_traces(geo, _burst(50.0), 0.0, 50e3, seed=0)
+        sense_plan(geo, [_burst(50.0)], 0.0, 50e3, seed=0)
     with pytest.raises(ValueError):
-        simulate_phase_traces(geo, _burst(50.0), 0.1, 50e3, seed=0,
-                              noise_std_rad=-1.0)
+        sense_plan(geo, [_burst(50.0)], 0.1, 50e3, seed=0, noise_std_rad=-1.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="must be > 0 and finite"):
-            simulate_phase_traces(geo, _burst(50.0), bad, 50e3, seed=0)
+            sense_plan(geo, [_burst(50.0)], bad, 50e3, seed=0)
         with pytest.raises(ValueError, match="must be > 0 and finite"):
-            simulate_phase_traces(geo, _burst(50.0), 0.1, bad, seed=0)
+            sense_plan(geo, [_burst(50.0)], 0.1, bad, seed=0)
     # sampling at exactly twice the source frequency is allowed
-    a, _ = simulate_phase_traces(geo, _burst(50.0), 0.1, 1000.0, seed=0)
+    a, _ = simulate_phase_traces(sense_plan(geo, [_burst(50.0)], 0.1, 1000.0, seed=0))
     assert a.n_samples == 100
 
 
 @pytest.mark.parametrize("key", ["drift_rate_rad2_per_s", "noise_std_rad"])
 def test_simulation_refuses_a_nan_noise_magnitude(key):
     with pytest.raises(ValueError, match="noise magnitudes must be >= 0"):
-        simulate_phase_traces(LinkGeometry(length_km=100.0), _burst(50.0), 0.1, 50e3, seed=0,
-                              **{key: math.nan})
+        sense_plan(LinkGeometry(length_km=100.0), [_burst(50.0)], 0.1, 50e3, seed=0,
+                   **{key: math.nan})
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, math.nan, "7"])
+def test_plan_refuses_a_seed_that_is_not_an_integer_at_least_0(seed):
+    # numpy refused each of these only once the run had begun
+    with pytest.raises(ValueError, match="must be an integer >= 0"):
+        sense_plan(LinkGeometry(length_km=100.0), [_burst(50.0)], 0.1, 50e3, seed=seed)
+
+
+def test_plan_takes_a_numpy_integer_seed_as_its_value():
+    geo = LinkGeometry(length_km=100.0)
+    a1, _ = simulate_phase_traces(sense_plan(geo, [_burst(30.0)], 0.1, 50e3, seed=np.int64(4)))
+    a2, _ = simulate_phase_traces(sense_plan(geo, [_burst(30.0)], 0.1, 50e3, seed=4))
+    assert np.array_equal(a1.samples, a2.samples)
 
 
 def test_simulation_refuses_a_sample_count_that_overflows():
     # each factor is finite, their product is not
     geo = LinkGeometry(length_km=100.0)
     with pytest.raises(ValueError, match="samples is not finite"):
-        simulate_phase_traces(geo, _burst(50.0), 1e200, 1e200, seed=0)
+        sense_plan(geo, [_burst(50.0)], 1e200, 1e200, seed=0)
 
 
 def test_simulation_refuses_a_sample_count_past_the_cap_before_allocating():
@@ -193,7 +207,7 @@ def test_simulation_refuses_a_sample_count_past_the_cap_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(Infeasible, match=r"\(MAX_TRACE_SAMPLES\)"):
-            simulate_phase_traces(geo, _burst(50.0), (MAX_TRACE_SAMPLES + 1) / 1e3, 1e3, seed=0)
+            sense_plan(geo, [_burst(50.0)], (MAX_TRACE_SAMPLES + 1) / 1e3, 1e3, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -258,8 +272,8 @@ def _sense_demo_traces(drift_rate_rad2_per_s):
     geo = LinkGeometry(length_km=200.0)
     source = VibrationSource(position_km=60.0, frequency_hz=800.0, amplitude_rad=0.8,
                              dc_offset_rad=1.2, start_s=0.05, duration_s=0.1)
-    alice, bob = simulate_phase_traces(geo, source, 0.25, 200e3, seed=5,
-                                       drift_rate_rad2_per_s=drift_rate_rad2_per_s)
+    alice, bob = simulate_phase_traces(sense_plan(geo, [source], 0.25, 200e3, seed=5,
+                                                  drift_rate_rad2_per_s=drift_rate_rad2_per_s))
     rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(1,)))
     counts = synthesize_reference_counts(bob.samples, 1e4, rng)
     return geo, alice, bob, recover_phase_from_reference(*counts, bob.sample_rate_hz)
@@ -695,10 +709,10 @@ def test_locate_negative_delay_mirrors():
 
 def test_locate_traces_places_a_burst():
     geo = LinkGeometry(length_km=200.0)
-    alice, bob = simulate_phase_traces(
-        geo, _burst(50.0), 0.2, 200e3, seed=0,
+    alice, bob = simulate_phase_traces(sense_plan(
+        geo, [_burst(50.0)], 0.2, 200e3, seed=0,
         drift_rate_rad2_per_s=0.0, noise_std_rad=0.0,
-    )
+    ))
     res = locate_traces(alice, bob, geo)
     assert res.delay_s == pytest.approx((200.0 - 2 * 50.0) / V, abs=2.5e-6)
     assert res.position_from_alice_km == pytest.approx(50.0, abs=0.5)
@@ -710,10 +724,10 @@ def test_locate_traces_midpoint_source_is_exact():
     # equidistant source: both ends see the identical stream, so the
     # correlation peaks at lag zero with no interpolation offset at all
     geo = LinkGeometry(length_km=200.0)
-    alice, bob = simulate_phase_traces(
-        geo, _burst(100.0), 0.2, 200e3, seed=0,
+    alice, bob = simulate_phase_traces(sense_plan(
+        geo, [_burst(100.0)], 0.2, 200e3, seed=0,
         drift_rate_rad2_per_s=0.0, noise_std_rad=0.0,
-    )
+    ))
     assert np.array_equal(alice.samples, bob.samples)
     res = locate_traces(alice, bob, geo)
     assert abs(res.delay_s) < 1e-12
@@ -748,3 +762,63 @@ def test_sense_peaks_at_most_72_bytes_per_sample():
     finally:
         tracemalloc.stop()
     assert (peak - entry) / n <= 72.0
+
+
+# the values a drawn sensing run takes in place of an ordinary one: other
+# finite values, zeros, subnormals, values near the float range, negatives,
+# NaN, infinities, and numbers that are no seed
+CONTRACT_EDGES = [0.5, 7, 1e3, 0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7e308, -1.0, -1e300, math.nan,
+                  math.inf, -math.inf, -1, 2**70, 1.5]
+CONTRACT_GEOMETRY = {"length_km": 100.0, "light_speed_km_per_s": 2e5}
+CONTRACT_SOURCE = {
+    "position_km": 10.0, "frequency_hz": 5.0, "amplitude_rad": 0.1, "phase_rad": 0.3,
+    "dc_offset_rad": 0.2, "start_s": 0.01, "duration_s": 0.05,
+}
+CONTRACT_PLAN = {
+    "seed": 1, "duration_s": 0.1, "sample_rate_hz": 1000.0, "drift_rate_rad2_per_s": 0.01,
+    "noise_std_rad": 0.02, "photons_per_frame": 1e4,
+}
+# the most samples per trace a drawn run may ask for and still run: larger
+# counts up to MAX_TRACE_SAMPLES are skipped to keep the test short, while
+# counts past the cap are refused before any array is built and so do run
+CONTRACT_MAX_SAMPLES = 4000
+
+
+@st.composite
+def _contract_run(draw):
+    # the ordinary link, up to two sources and the plan's own fields, with up
+    # to three fields across them set to an edge value
+    parts = {"geometry": CONTRACT_GEOMETRY, "plan": CONTRACT_PLAN,
+             **{i: CONTRACT_SOURCE for i in range(draw(st.integers(0, 2)))}}
+    run = {(part, key): value for part, keys in parts.items() for key, value in keys.items()}
+    run.update(draw(st.dictionaries(st.sampled_from(list(run)), st.sampled_from(CONTRACT_EDGES),
+                                    max_size=3)))
+    return {part: {key: run[part, key] for key in keys} for part, keys in parts.items()}
+
+
+def _contract_samples(plan):
+    n = plan["duration_s"] * plan["sample_rate_hz"]
+    return round(n) if math.isfinite(n) else 0
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(run=_contract_run())
+def test_a_plan_refuses_its_inputs_or_sense_runs_it_to_a_result_or_infeasible(run):
+    # building the plan is the one place a ValueError may come from: any
+    # exception that sense raises other than Infeasible fails the test
+    assert set(CONTRACT_GEOMETRY) == {f.name for f in fields(LinkGeometry)}
+    assert set(CONTRACT_SOURCE) == {f.name for f in fields(VibrationSource)}
+    assert set(CONTRACT_PLAN) == {f.name for f in fields(SensePlan)} - {"geometry", "sources"}
+    plan = run.pop("plan")
+    assume(not CONTRACT_MAX_SAMPLES < _contract_samples(plan) <= MAX_TRACE_SAMPLES)
+    try:
+        built = SensePlan(geometry=LinkGeometry(**run.pop("geometry")),
+                          sources=tuple(VibrationSource(**s) for s in run.values()), **plan)
+    except (ValueError, Infeasible):
+        return
+    try:
+        alice, bob, result = sense(built)
+    except Infeasible:
+        return
+    assert alice.n_samples == bob.n_samples
+    assert all(math.isfinite(value) for value in astuple(result))
