@@ -20,7 +20,6 @@ from .optimize import (
     PARAM_NAMES,
     OptimizeResult,
     SearchSpace,
-    evaluate,
     optimize_params,
     params_to_source,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "channel_transmittance",
     "click_probabilities",
     "decoy_bounds",
-    "evaluate",
     "expected_post_processing",
     "expected_tallies",
     "fluctuation_bounds",

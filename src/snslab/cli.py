@@ -392,8 +392,6 @@ def _cmd_optimize(cp, args) -> dict:
         if value < 1:
             raise ConfigError(f"[optimize] {key} must be >= 1")
     result = optimize_params(link, det, sec, n_pulses, seed, src, n_starts, budget)
-    if not result.feasible:
-        raise Infeasible("no parameter vector produced usable decoy statistics")
     return {
         "params": {k: float(v) for k, v in result.params.items()},
         **_rate(result.rate, det),

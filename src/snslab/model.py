@@ -108,6 +108,8 @@ class DetectorModel:
             raise ValueError("efficiency must lie in [0, 1]")
         if self.pulse_rate_hz <= 0.0:
             raise ValueError("pulse_rate_hz must be > 0")
+        if not math.isfinite(self.pulse_rate_hz):  # NaN and inf
+            raise ValueError("pulse_rate_hz must be finite")
 
 
 def channel_transmittance(link: LinkModel, det: DetectorModel) -> tuple[float, float]:
@@ -208,6 +210,8 @@ class SecurityParams:
     def __post_init__(self) -> None:
         if self.f_ec < 1.0:
             raise ValueError("f_ec must be >= 1")
+        if not math.isfinite(self.f_ec):  # NaN and inf
+            raise ValueError("f_ec must be finite")
         for name in ("eps_cor", "eps_pa", "eps_hat", "xi_decoy"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:

@@ -2,14 +2,14 @@
 
 The objective is the full analytic chain (expected tallies, decoy bounds,
 pairing in expectation, key rate) at a fixed link, detector and session
-length. Everything is driven by one seed: Latin hypercube starts, then a
+length: the rate_per_pulse of expected_post_processing(expected_tallies(...)).
+Everything is driven by one seed: Latin hypercube starts, then a
 shrinking coordinate descent from the best start only. Two runs with the
 same arguments return identical results.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +19,7 @@ from .model import (
     channel_transmittance,
 )
 from .security import expected_post_processing
-from .simulate import _click_tables, _mix_tallies, expected_tallies
+from .simulate import _click_tables, _mix_tallies
 
 PARAM_NAMES = (
     "mu1",
@@ -31,14 +31,7 @@ PARAM_NAMES = (
     "epsilon_send",
 )
 
-# far below any physical rate per pulse, so it can never shadow a real value
-INFEASIBLE_RATE = -1.0e6
-
 _MAX_DECOY_SEND_PROB = 0.98
-
-# the coordinate descent's moves of mu1, mu2 and muz, in its order: the only
-# moves that can reach a new click table
-_INTENSITY_MOVES = tuple((d, sign) for d in range(3) for sign in (1.0, -1.0))
 
 # the most Latin hypercube starts optimize_params draws; README derives it
 # from the measured cost of drawing and repairing one start
@@ -128,35 +121,10 @@ def params_to_source(vec, base: SourceParams) -> SourceParams:
     )
 
 
-def evaluate(
-    src: SourceParams,
-    link: LinkModel,
-    det: DetectorModel,
-    sec: SecurityParams,
-    n_pulses: float,
-) -> float:
-    """Expected key rate of the source program src.
-
-    src must be a SourceParams: anything else, a vector in PARAM_NAMES
-    order included, raises TypeError (params_to_source builds one from a
-    vector). Returns the (possibly negative) rate per pulse, or
-    INFEASIBLE_RATE when the decoy statistics cannot certify any
-    single-photon events at all.
-    """
-    if not isinstance(src, SourceParams):
-        raise TypeError("evaluate takes a SourceParams; build one from a vector "
-                        "with params_to_source")
-    analysis = expected_post_processing(expected_tallies(link, det, src, n_pulses), src, sec)
-    if not analysis.feasible:
-        return INFEASIBLE_RATE
-    return analysis.report.rate_per_pulse
-
-
 @dataclass(frozen=True)
 class OptimizeResult:
     params: dict[str, float]
     rate: float
-    feasible: bool
     evaluations: int
     start_index: int
 
@@ -179,12 +147,16 @@ def optimize_params(
     it does not tune (the misalignment and the slice half width) from base,
     through params_to_source; base's own PARAM_NAMES fields and p_vac are
     not read. Starts from a seeded Latin hypercube (plus the optional
-    initial vector at index 0), then refines only the best start by
-    coordinate descent with a step that halves after each sweep without
-    improvement.
+    initial vector, in PARAM_NAMES order, at index 0), then refines only
+    the best start by coordinate descent with a step that halves after each
+    sweep without improvement.
+    Any feasible point beats every infeasible one, then the higher rate
+    wins. Of equal scores the first evaluated is kept: the earliest of
+    tied starts wins, and a descent move is taken only when it scores
+    strictly higher.
     budget caps the total number of objective evaluations; a budget of 1
-    returns the single evaluated start. If no evaluation is feasible the
-    result carries rate -inf. Every start is drawn before the first
+    returns the single evaluated start. If no evaluated point is feasible
+    the search raises Infeasible. Every start is drawn before the first
     evaluation, so more than MAX_STARTS starts raise Infeasible before any is.
     """
     if n_starts < 1:
@@ -208,8 +180,6 @@ def optimize_params(
         points[:, d] = lows[d] + (strata + offsets) / n_starts * width[d]
     starts = [repair(space.clip(p)) for p in points]
     if initial is not None:
-        if isinstance(initial, dict):
-            initial = [initial[n] for n in PARAM_NAMES]
         starts.insert(0, repair(space.clip(np.asarray(initial, dtype=float))))
 
     # the click tables of this search only, one per intensity triple: the
@@ -227,8 +197,7 @@ def optimize_params(
                 if t not in tables and all(0.0 <= mu <= MAX_INTENSITY for mu in t)]
         tables.update(zip(todo, _click_tables(eta_a, eta_b, link.noise_per_pulse, base, todo)))
 
-    # scores compare as (feasible, rate) tuples: any feasible point beats
-    # every infeasible one, then the higher rate wins
+    # scores compare as (feasible, rate) tuples
     def score(vec: np.ndarray) -> tuple[bool, float]:
         src = params_to_source(vec, base)
         tally = _mix_tallies(tables[src.mu1, src.mu2, src.muz], src, n_pulses)
@@ -236,53 +205,46 @@ def optimize_params(
         return analysis.feasible, analysis.report.rate_per_pulse
 
     build(starts[:budget])
-    evals = 0
-    best_vec = starts[0]
-    best_score = score(best_vec)
-    best_start = 0
-    evals += 1
-    for i, vec in enumerate(starts[1:], start=1):
-        if evals >= budget:
-            break
-        s = score(vec)
-        evals += 1
-        if s > best_score:
-            best_vec, best_score, best_start = vec, s, i
+    scores = [score(vec) for vec in starts[:budget]]
+    evals = len(scores)
+    # max keeps the first of equal scores
+    best_start = max(range(evals), key=scores.__getitem__)
+    best_vec, best_score = starts[best_start], scores[best_start]
 
     def move(vec: np.ndarray, d: int, sign: float) -> np.ndarray:
         cand = vec.copy()
         cand[d] += sign * step_frac * width[d]
         return repair(space.clip(cand))
 
+    # one sweep, in order; only the moves of mu1, mu2 and muz (d < 3) can
+    # reach a new click table
+    moves = [(d, sign) for d in range(dim) for sign in (1.0, -1.0)]
     step_frac = 0.25
     while step_frac >= 1e-3 and evals < budget:
         improved = False
-        for d in range(dim):
-            for sign in (1.0, -1.0):
-                if evals >= budget:
-                    break
-                cand = move(best_vec, d, sign)
-                if np.array_equal(cand, best_vec):
-                    continue
-                if tuple(cand[:3].tolist()) not in tables:
-                    # built with the other intensity moves this sweep still makes from this best
-                    later = _INTENSITY_MOVES[2 * d + (sign < 0):]
-                    build(move(best_vec, coord, step_sign) for coord, step_sign in later)
-                s = score(cand)
-                evals += 1
-                if s > best_score:
-                    best_vec, best_score = cand, s
-                    improved = True
+        for k, (d, sign) in enumerate(moves):
             if evals >= budget:
                 break
+            cand = move(best_vec, d, sign)
+            if np.array_equal(cand, best_vec):
+                continue
+            if tuple(cand[:3].tolist()) not in tables:
+                # built with the other intensity moves this sweep still makes from this best
+                build(move(best_vec, *later) for later in moves[k:] if later[0] < 3)
+            s = score(cand)
+            evals += 1
+            if s > best_score:
+                best_vec, best_score = cand, s
+                improved = True
         if not improved:
             step_frac *= 0.5
 
     feasible, rate = best_score
+    if not feasible:
+        raise Infeasible("no parameter vector produced usable decoy statistics")
     return OptimizeResult(
         params={n: float(v) for n, v in zip(PARAM_NAMES, best_vec)},
-        rate=rate if feasible else -math.inf,
-        feasible=feasible,
+        rate=rate,
         evaluations=evals,
         start_index=best_start,
     )

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from snslab import SensePlan, SourceParams, expected_tallies, monte_carlo_session
+from snslab import (
+    SensePlan, SourceParams, expected_post_processing, expected_tallies, monte_carlo_session,
+)
 from snslab.presets import (
     desk_detector,
     desk_link,
@@ -22,6 +24,13 @@ def write_trace_reference(path, trace):
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# sample_rate_hz={trace.sample_rate_hz!r} origin={trace.origin}\n")
         fh.writelines(f"{v!r}\n" for v in trace.samples.tolist())
+
+
+def expected_rate(src, link, det, sec, n_pulses):
+    """The optimizer's objective at src: the key rate per pulse of the
+    post-processing of its expected tallies."""
+    analysis = expected_post_processing(expected_tallies(link, det, src, n_pulses), src, sec)
+    return analysis.report.rate_per_pulse
 
 
 def sense_plan(geometry, sources, duration_s, sample_rate_hz, seed, **settings):

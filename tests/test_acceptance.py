@@ -19,7 +19,7 @@ from snslab import (
     monte_carlo_session,
     plob_bound,
 )
-from snslab.optimize import evaluate, optimize_params, params_to_source
+from snslab.optimize import optimize_params, params_to_source
 from snslab.presets import (
     desk_detector,
     desk_link,
@@ -37,7 +37,7 @@ from snslab.sensing import (
 )
 from snslab.simulate import MUZ, SIGNAL, VAC, expected_tallies
 
-from conftest import balanced_source, sense_plan
+from conftest import balanced_source, expected_rate, sense_plan
 
 TALLY_FIELDS = (
     "pulses_sent",
@@ -369,7 +369,7 @@ def test_optimizer_recovers_from_perturbed_starts():
     n_pulses = 1e10
     base = np.array([0.1, 0.4, 0.45, 0.7, 0.6, 0.05, 0.2717])
     src = desk_source()  # misalignment 0.028, the default slice
-    r0 = evaluate(params_to_source(base, src), link, det, sec, n_pulses)
+    r0 = expected_rate(params_to_source(base, src), link, det, sec, n_pulses)
     rng = np.random.default_rng(2024)
     starts = [
         base * 1.2,

@@ -80,6 +80,14 @@ def test_detector_efficiency_range():
         DetectorModel(efficiency=1.01, pulse_rate_hz=1e6)
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf])
+def test_detector_refuses_a_pulse_rate_that_is_not_finite(rate):
+    with pytest.raises(ValueError, match="pulse_rate_hz must be finite"):
+        DetectorModel(efficiency=0.5, pulse_rate_hz=rate)
+    with pytest.raises(ValueError, match="pulse_rate_hz must be > 0"):
+        DetectorModel(efficiency=0.5, pulse_rate_hz=-math.inf)
+
+
 def test_channel_transmittance_composition():
     link = LinkModel(length_a_km=50.0, length_b_km=100.0, atten_db_per_km=0.2,
                      station_loss_db=3.0)
@@ -154,6 +162,10 @@ def test_security_params_validation():
     with pytest.raises(ValueError):
         SecurityParams(f_ec=1.16, eps_cor=1e-10, eps_pa=1e-10, eps_hat=1e-10,
                        xi_decoy=1.0)
+    for f_ec in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="f_ec must be finite"):
+            SecurityParams(f_ec=f_ec, eps_cor=1e-10, eps_pa=1e-10, eps_hat=1e-10,
+                           xi_decoy=1e-10)
 
 
 def _security(**overrides):
