@@ -150,10 +150,10 @@ def optimize_params(
     initial vector, in PARAM_NAMES order, at index 0), then refines only
     the best start by coordinate descent with a step that halves after each
     sweep without improvement.
-    Any feasible point beats every infeasible one, then the higher rate
-    wins. Of equal scores the first evaluated is kept: the earliest of
-    tied starts wins, and a descent move is taken only when it scores
-    strictly higher.
+    A point whose decoy bounds are feasible (decoy.feasible) beats every
+    infeasible one, then the higher rate wins. Of equal scores the first
+    evaluated is kept: the earliest of tied starts wins, and a descent
+    move is taken only when it scores strictly higher.
     budget caps the total number of objective evaluations; a budget of 1
     returns the single evaluated start. If no evaluated point is feasible
     the search raises Infeasible. Every start is drawn before the first
@@ -202,7 +202,7 @@ def optimize_params(
         src = params_to_source(vec, base)
         tally = _mix_tallies(tables[src.mu1, src.mu2, src.muz], src, n_pulses)
         analysis = expected_post_processing(tally, src, sec)
-        return analysis.feasible, analysis.report.rate_per_pulse
+        return analysis.decoy.feasible, analysis.report.rate_per_pulse
 
     build(starts[:budget])
     scores = [score(vec) for vec in starts[:budget]]

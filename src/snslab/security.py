@@ -233,12 +233,13 @@ def aopp(bits_alice, bits_bob, seed) -> AoppResult:
     already-built Generator.
     """
     rng = np.random.default_rng(seed)
-    a = np.asarray(bits_alice, dtype=np.uint8)
-    b = np.asarray(bits_bob, dtype=np.uint8)
+    a, b = np.asarray(bits_alice), np.asarray(bits_bob)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError("bit arrays must be one-dimensional and equally long")
-    if a.size and (a.max() > 1 or b.max() > 1):
+    # checked before the cast, which would wrap 256 and truncate 0.7 to 0
+    if not all(((x == 0) | (x == 1)).all() for x in (a, b)):
         raise ValueError("bit arrays must contain only 0 and 1")
+    a, b = a.astype(np.uint8, copy=False), b.astype(np.uint8, copy=False)
 
     ones = np.flatnonzero(b == 1)
     zeros = np.flatnonzero(b == 0)
@@ -302,6 +303,8 @@ def key_rate(
     for name, v in (("phase_error_rate", phase_error_rate), ("bit_error_rate", bit_error_rate)):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1]")
+    if not all(map(math.isfinite, (n_pulses, n_sifted, n_untagged))):
+        raise ValueError("n_pulses, n_sifted and n_untagged must be finite")
 
     privacy = n_untagged * (1.0 - binary_entropy(phase_error_rate))
     error_correction = sec.f_ec * n_sifted * binary_entropy(bit_error_rate)
@@ -321,7 +324,8 @@ def key_rate(
 
 @dataclass(frozen=True)
 class SessionAnalysis:
-    """End-to-end result of the post-processing chain on one tally."""
+    """End-to-end result of the post-processing chain on one tally. Its one
+    feasibility flag is decoy.feasible; infeasible bounds give no privacy."""
 
     decoy: DecoyBounds
     pair_count: float
@@ -331,23 +335,19 @@ class SessionAnalysis:
     n_untagged: float
     phase_error_rate: float
     report: KeyRateReport
-    feasible: bool
 
 
 def _pairing_tail(
-    tally: SessionTally,
-    sec: SecurityParams,
-    bounds: DecoyBounds,
-    group1: float,
-    group0: float,
-    pair_count: float,
-    survival: float,
-    n_sifted: float,
-    bit_error: float,
+    tally: SessionTally, sec: SecurityParams, bounds: DecoyBounds, cells: dict,
+    pair_count: float, survival: float, n_sifted: float, bit_error: float,
 ) -> SessionAnalysis:
-    """Untagged count, post-pairing phase error and key rate of one pairing."""
+    """Build the SessionAnalysis of one pairing, given as its pair count, survival,
+    kept pairs and bit error; cells is tally.key_bit_cells(). Both chains end here."""
+    # the heralds of each receiver bit, summed in row order
+    group1, group0 = cells[1, 1] + cells[0, 1], cells[0, 0] + cells[1, 0]
     # untagged pairs need an untagged member on each side; they always
-    # survive the parity test, and never more of them than kept pairs
+    # survive the parity test, and never more of them than kept pairs. The
+    # guard keeps a hand-built tally whose bits and counts disagree finite
     n_untagged = 0.0
     if group1 > 0.0 and group0 > 0.0:
         n_untagged = pair_count * (bounds.n1_alice_low / group1) * (bounds.n1_bob_low / group0)
@@ -355,15 +355,9 @@ def _pairing_tail(
     phase_error = post_aopp_phase_error(bounds.phase_error_up)
     report = key_rate(n_untagged, phase_error, n_sifted, bit_error, tally.n_pulses, sec)
     return SessionAnalysis(
-        decoy=bounds,
-        pair_count=pair_count,
-        survival_fraction=survival,
-        n_sifted=n_sifted,
-        bit_error_rate=bit_error,
-        n_untagged=n_untagged,
-        phase_error_rate=phase_error,
+        decoy=bounds, pair_count=pair_count, survival_fraction=survival, n_sifted=n_sifted,
+        bit_error_rate=bit_error, n_untagged=n_untagged, phase_error_rate=phase_error,
         report=report,
-        feasible=bounds.feasible,
     )
 
 
@@ -376,23 +370,22 @@ def expected_post_processing(
 
     The pairing step is applied in expectation: pair count, survival and
     distilled error rate follow from the per-group error fractions, and
-    the untagged pair count from the per-group untagged fractions.
+    the untagged pair count from the per-group untagged fractions. A
+    receiver bit with no heralds leaves nothing to pair: pair count,
+    survival, kept pairs and bit error are all 0, as an empty aopp gives.
     """
     bounds = decoy_bounds(tally, src, sec)
     n = tally.key_bit_cells()
-    # the heralds of each receiver bit, summed in row order, and the errors
-    # among them: those whose sender bit differs
-    group1, err1 = 0.0 + n[1, 1] + n[0, 1], 0.0 + n[0, 1]
-    group0, err0 = 0.0 + n[0, 0] + n[1, 0], 0.0 + n[1, 0]
-    if group1 <= 0.0 or group0 <= 0.0:
-        report = key_rate(0.0, 0.5, 0.0, 0.0, tally.n_pulses, sec)
-        return SessionAnalysis(bounds, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, report, False)
-    eps1 = err1 / group1
-    eps0 = err0 / group0
-    g = min(group1, group0)
-    survival = (1.0 - eps1) * (1.0 - eps0) + eps1 * eps0
-    bit_error = (eps1 * eps0 / survival) if survival > 0.0 else 0.0
-    return _pairing_tail(tally, sec, bounds, group1, group0, g, survival, g * survival, bit_error)
+    # the heralds of each receiver bit, summed in row order; the errors
+    # among them are those whose sender bit differs
+    group1, group0 = n[1, 1] + n[0, 1], n[0, 0] + n[1, 0]
+    pairs = survival = bit_error = 0.0
+    if group1 > 0.0 and group0 > 0.0:
+        eps1, eps0 = n[0, 1] / group1, n[1, 0] / group0
+        pairs = min(group1, group0)
+        survival = (1.0 - eps1) * (1.0 - eps0) + eps1 * eps0
+        bit_error = (eps1 * eps0 / survival) if survival > 0.0 else 0.0
+    return _pairing_tail(tally, sec, bounds, n, pairs, survival, pairs * survival, bit_error)
 
 
 def mc_post_processing(
@@ -407,15 +400,10 @@ def mc_post_processing(
     session can be re-paired independently of how it was sampled.
     """
     bounds = decoy_bounds(tally, src, sec)
-    n = tally.key_bit_cells()
-    group1, group0 = 0.0 + n[1, 1] + n[0, 1], 0.0 + n[0, 0] + n[1, 0]
     paired = aopp(tally.z_bits_alice, tally.z_bits_bob, seed)
-    n_sifted = float(paired.n_kept)
-    if n_sifted > 0.0:
-        bit_error = float(np.count_nonzero(paired.bits_alice != paired.bits_bob)) / n_sifted
-    else:
-        bit_error = 0.0
-    survival = paired.n_kept / paired.n_pairs if paired.n_pairs else 0.0
-    return _pairing_tail(
-        tally, sec, bounds, group1, group0, float(paired.n_pairs), survival, n_sifted, bit_error
-    )
+    kept, pairs = paired.n_kept, paired.n_pairs
+    errors = int(np.count_nonzero(paired.bits_alice != paired.bits_bob))
+    bit_error = errors / kept if kept else 0.0
+    survival = kept / pairs if pairs else 0.0
+    cells = tally.key_bit_cells()
+    return _pairing_tail(tally, sec, bounds, cells, float(pairs), survival, float(kept), bit_error)

@@ -291,6 +291,29 @@ def test_aopp_degenerate_inputs():
         aopp(np.zeros(3, np.uint8), np.zeros(4, np.uint8), seed=1)
 
 
+@pytest.mark.parametrize("alice, bob", [
+    ([0.7, 1.0], [1, 0]),
+    (np.array([256, 1]), np.array([1, 0])),
+    ([1, 0], [1, -1]),
+    ([math.nan, 1.0], [1, 0]),
+])
+def test_aopp_refuses_values_that_are_not_bits(alice, bob):
+    # each is checked before the uint8 cast, which would pair it as a 0
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        aopp(alice, bob, 1)
+
+
+def test_aopp_takes_bool_and_uint8_bits_alike():
+    rng = np.random.default_rng(17)
+    a, b = rng.random(60) < 0.5, rng.random(60) < 0.4
+    as_bool = aopp(a, b, seed=5)
+    as_uint8 = aopp(a.astype(np.uint8), b.astype(np.uint8), seed=5)
+    assert np.array_equal(as_bool.pairs, as_uint8.pairs)
+    assert as_bool.bits_alice.dtype == np.uint8
+    assert np.array_equal(as_bool.bits_alice, as_uint8.bits_alice)
+    assert np.array_equal(as_bool.bits_bob, as_uint8.bits_bob)
+
+
 def test_aopp_shuffling_preserves_error_statistics():
     # relabeling positions changes which bits pair up but not the
     # distribution of the distilled error rate
@@ -378,6 +401,30 @@ def test_key_rate_validation():
     assert report.rate_per_pulse < 0.0  # constants still get paid
 
 
+@pytest.mark.parametrize("counts", [
+    dict(n_sifted=math.nan),
+    dict(n_untagged=math.nan),
+    dict(n_pulses=math.nan),
+    dict(n_pulses=math.inf),
+    dict(n_untagged=math.inf, n_sifted=math.inf),
+])
+def test_key_rate_refuses_counts_that_are_not_finite(counts):
+    session = dict(n_untagged=2.4e5, phase_error_rate=0.13, n_sifted=5.6e5, bit_error_rate=0.02,
+                   n_pulses=1e13)
+    with pytest.raises(ValueError, match="n_pulses, n_sifted and n_untagged must be finite"):
+        key_rate(**{**session, **counts}, sec=reference_security())
+
+
+def test_key_rate_checks_finiteness_after_its_other_checks():
+    sec = reference_security()
+    with pytest.raises(ValueError, match="n_pulses must be > 0"):
+        key_rate(2.4e5, 0.13, 5.6e5, 0.02, -math.inf, sec)
+    with pytest.raises(ValueError, match="counts must be >= 0"):
+        key_rate(-math.inf, 0.13, 5.6e5, 0.02, 1e13, sec)
+    with pytest.raises(ValueError, match="phase_error_rate must lie in"):
+        key_rate(math.nan, math.nan, 5.6e5, 0.02, 1e13, sec)
+
+
 @pytest.mark.parametrize("overrides", [
     dict(eps_cor=1.2e-308),
     dict(eps_pa=1e-300, eps_hat=1e-8),
@@ -394,7 +441,7 @@ def test_the_smallest_accepted_budgets_are_charged_finitely(overrides):
 
 def test_expected_chain_reference_scale(ref_expected, ref_src, ref_sec):
     analysis = expected_post_processing(ref_expected, ref_src, ref_sec)
-    assert analysis.feasible
+    assert analysis.decoy.feasible
     rate = analysis.report.rate_per_pulse
     # frozen regression value; the loose band below is the real contract
     assert rate == pytest.approx(7.656948558080954e-10, rel=1e-9, abs=0.0)
@@ -412,7 +459,7 @@ def test_the_smallest_accepted_mu1_runs_the_decoy_analysis(desk, mu1):
     src = dataclasses.replace(src, mu1=mu1)
     analysis = expected_post_processing(expected_tallies(link, det, src, 1e10), src, sec)
     # no provable single photons at so dim a decoy, and a finite rate
-    assert not analysis.feasible
+    assert not analysis.decoy.feasible
     assert math.isfinite(analysis.decoy.y1_alice_low) and math.isfinite(analysis.decoy.y1_bob_low)
     assert math.isfinite(analysis.report.rate_per_pulse)
 
@@ -425,6 +472,22 @@ def test_a_mu1_whose_yield_bound_overflows_is_refused(desk, mu1):
     tally = expected_tallies(link, det, src, 1e10)
     with pytest.raises(Infeasible, match="mu1 is too small: the single-photon yield bound"):
         decoy_bounds(tally, src, sec)
+
+
+def test_an_empty_receiver_bit_goes_through_the_one_pairing_step(desk):
+    # no noise and no signal light: the signal windows herald nothing, so a
+    # receiver bit has no heralds while the decoy rows stay feasible
+    link, det, src, sec = desk
+    link = dataclasses.replace(link, noise_per_pulse=0.0)
+    src = dataclasses.replace(src, muz=0.0)
+    analysis = expected_post_processing(expected_tallies(link, det, src, 1e10), src, sec)
+    assert analysis.decoy.feasible
+    assert analysis.pair_count == analysis.survival_fraction == 0.0
+    assert analysis.n_sifted == analysis.n_untagged == 0.0
+    # the same rule as the sampled chain's empty aopp
+    assert analysis.phase_error_rate == post_aopp_phase_error(analysis.decoy.phase_error_up)
+    # frozen: no privacy either way, so only the constant terms are charged
+    assert analysis.report.rate_per_pulse == -2.0031568569324174e-08
 
 
 def test_expected_chain_scales_with_session_length(desk):
@@ -440,7 +503,7 @@ def test_expected_chain_scales_with_session_length(desk):
 def test_mc_chain_desk_scale(big_desk_session):
     tally, src = big_desk_session
     analysis = mc_post_processing(tally, src, desk_security(), seed=55)
-    assert analysis.feasible
+    assert analysis.decoy.feasible
     assert analysis.bit_error_rate < tally.pre_pairing_qber()
     assert analysis.n_untagged <= analysis.n_sifted
     assert analysis.pair_count >= analysis.n_sifted
