@@ -9,24 +9,25 @@ and maps the differential delay to a position. A SensePlan declares one
 run's inputs, their defaults and every check on them; simulate_phase_traces
 and sense read it.
 
-Traces are stored as text, one sample per line under a small key=value
-header that holds the sample rate, so files round-trip byte for byte.
+Traces are stored as text under a small key=value header that holds the
+sample rate: one fixed-width hexadecimal line per sample, C99's %a form, so
+every sample round-trips bit for bit and a file is written and read as
+array operations on the samples' bit patterns.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import Infeasible
 
-# the most samples a SensePlan accepts per trace. README derives it
-# from the time sense takes to write its traces as text, 14-30 s at the cap;
-# sense peaks there near 0.8 GB, so memory alone would allow more
+# the most samples a SensePlan accepts per trace. README derives it from the
+# memory sense needs, near 0.8 GB at the cap; writing its two traces there
+# takes about a second
 MAX_TRACE_SAMPLES = 10**7
 
 
@@ -108,55 +109,178 @@ class PhaseTrace:
         return self.n_samples / self.sample_rate_hz
 
 
-# samples per block of the trace-line loop: the per-block calls are amortized
-# and no Python object spans the whole trace. At 4096 two-column lines a block's
-# text (~160 kB) crossed malloc's mmap threshold, and the sense bench's peak RSS
-# then crept up by as much as 9 MB over repeated writes
-_BLOCK = 512
+# A trace file is a header line, then one line per sample: the float64 in C99's
+# %a form at a fixed width of 25 bytes, "+0x1.8000000000000p+0001\n". After the
+# sign come "0x", the leading digit (1 for a normal number, 0 for zero and the
+# subnormals, which take the exponent -1022), ".", 13 lowercase hex digits of the
+# fraction, "p", the signed 4-digit decimal exponent and the newline. An infinity
+# or a nan is its sign, "inf" or "nan", and spaces up to the width. Sample i thus
+# starts at byte len(header) + 25*i, and both float.fromhex and C's strtod read
+# every line. The lines are written and read from the bit patterns, as three
+# 8-byte words and the newline: the sign, "0x1." and hex digits 1-3; digits
+# 4-11; digits 12 and 13 with the exponent.
+_LINE = 25
+# samples per block: each block buffer, and each temporary of a block, stays
+# below malloc's 128 kB mmap threshold, whatever the trace length
+_BLOCK = 4096
+_FRACTION = (1 << 52) - 1
+_INF, _NAN = np.uint64(0x7FF0000000000000), np.uint64(0x7FF8000000000000)
+_HEAD = int.from_bytes(b"+0x0.\0\0\0", "big")
+_SPACES = int.from_bytes(b" " * 8, "big")
+# the first word of an infinite and of a nan line
+_SPECIAL = np.array([int.from_bytes(b"+%-7s" % name, "big") for name in (b"inf", b"nan")],
+                    np.uint64)
+# the big-endian word b"\0\0p+dddd" of each biased exponent; 0 and 1 both give
+# p-1022. Python formats it: numpy's integer division would page about 0.4 MB of
+# its code into every process that imports snslab
+_EXPONENT = np.frombuffer(
+    b"\0\0p-1022" + b"".join([b"\0\0p%+05d" % e for e in range(-1022, 1025)]), ">u8"
+).astype(np.uint64)
+# (shift, mask): one step each of spreading 32 bits to one nibble per byte
+_SPREAD = ((16, 0xFFFF), (8, 0x000000FF000000FF), (4, 0x000F000F000F000F))
+_BYTES = 0x0101010101010101
+
+
+def _words(lines: np.ndarray) -> list[np.ndarray]:
+    """Big-endian views of the three 8-byte words of each line."""
+    return [lines[:, first : first + 8].view(">u8")[:, 0] for first in (0, 8, 16)]
+
+
+def _encode(bits: np.ndarray) -> np.ndarray:
+    """The (3, n) words of the trace lines of float64 bit patterns."""
+    fraction, exponent = bits & _FRACTION, bits >> 52 & 0x7FF
+    # the 13 hex digits as two 32-bit values, digits 4-11 and digits 1-3 with
+    # 12-13, spread to one digit a byte; 0-9 then go to "0"-"9", 10-15 to "a"-"f"
+    digits = np.stack([fraction >> 8 & 0xFFFFFFFF, fraction >> 40 << 20 | fraction & 0xFF])
+    for shift, mask in _SPREAD:
+        digits = (digits & mask << shift) << shift | digits & mask
+    digits += 0x3030303030303030 + ((digits + 0x0606060606060606) >> 4 & _BYTES) * 39
+    # "+" or "-" (2 apart), "0x", "1" or "0", "." and digits 1-3; digits 4-11;
+    # digits 12 and 13 with the exponent. The leading digit is 1 unless the
+    # biased exponent is 0
+    head = (digits[1] >> 40 | _HEAD) + (bits >> 63 << 57 | (exponent + 0x7FF) >> 11 << 32)
+    words = np.stack([head, digits[0], digits[1] << 48 | _EXPONENT[exponent]])
+    special = np.flatnonzero((exponent + 1) >> 11)  # the biased exponent 0x7FF
+    if special.size:
+        words[:, special] = _SPACES
+        words[0, special] = _SPECIAL[(fraction[special] != 0).view(np.uint8)]
+        words[0, special] += bits[special] >> 63 << 57
+    return words
+
+
+def _decode(words: np.ndarray) -> np.ndarray:
+    """The float64 bit pattern of each trace line, given as its (3, n) words.
+
+    Only the bytes a trace line can hold are read as such: any other line
+    decodes to some pattern whose words, by _encode, differ from its own.
+    """
+    head, tail = words[0], words[2]
+    digits = np.stack([words[1], head << 40 | tail >> 48])
+    digits = (digits & 0x0F0F0F0F0F0F0F0F) + (digits >> 6 & _BYTES) * 9
+    for shift, mask in reversed(_SPREAD):
+        digits = (digits | digits >> shift) & (mask | mask << shift)
+    fraction = digits[1] >> 20 << 40 | digits[0] << 8 | digits[1] & 0xFF
+    # the exponent's four decimal digits, one a byte, as two pairs, then its sign:
+    # "+" and "-" lie 2 apart, and the sum wraps as it should
+    decimal = (tail & 0xFFFFFFFF) - 0x30303030
+    decimal = (decimal >> 8 & 0x00FF00FF) * 10 + (decimal & 0x00FF00FF)
+    power = (decimal >> 16) * 100 + (decimal & 0xFFFF)
+    power -= (((tail >> 32 & 0xFF) - ord("+")) >> 1 & 1) * power << 1
+    # a leading 0 has the biased exponent 0
+    exponent = (power + 1023) * ((head >> 32 & 0xFF) - ord("0") & 1) & 0x7FF
+    bits = ((head >> 56) - ord("+")) >> 1 << 63 | exponent << 52 | fraction
+    special = np.flatnonzero((head >> 48 & 0xFF) - ord("0"))  # "inf" or "nan" for "0x"
+    if special.size:
+        nan = head[special] >> 48 & 0xFF == ord("n")
+        bits[special] = np.where(nan, _NAN, _INF) | bits[special] & 1 << 63
+    return bits
 
 
 def write_trace(path, trace: PhaseTrace) -> None:
-    """One-column text dump: the header, then repr(samples[i]) on line i.
+    """The header, then the 25-byte hex line of samples[i] on line i + 2.
 
     Sample i lies at i / sample_rate_hz, so the file holds no time column,
-    and repr keeps the round trip exact. Each block of lines is formatted by
-    one %-operation from C. The origin is checked before the file is opened.
+    and the hex lines keep the round trip exact. The lines are built in
+    blocks of _BLOCK samples. The origin is checked before the file is opened.
     """
     if not trace.origin.isascii() or any(ch.isspace() for ch in trace.origin):
         raise ValueError(f"origin {trace.origin!r} must be ASCII without whitespace")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# sample_rate_hz={trace.sample_rate_hz!r} origin={trace.origin}\n")
-        for start in range(0, trace.n_samples, _BLOCK):
-            block = trace.samples[start : start + _BLOCK].tolist()
-            fh.write("%r\n" * len(block) % tuple(block))
+    bits = trace.samples.view(np.uint64)
+    lines = np.empty((min(bits.size, _BLOCK), _LINE), np.uint8)
+    lines[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(f"# sample_rate_hz={trace.sample_rate_hz!r} origin={trace.origin}\n".encode())
+        for start in range(0, bits.size, _BLOCK):
+            block = lines[: min(_BLOCK, bits.size - start)]
+            for view, word in zip(_words(block), _encode(bits[start : start + _BLOCK])):
+                view[:] = word
+            fh.write(block)
+
+
+def _is_decimal(line: bytes) -> bool:
+    """Whether line holds one or more numbers in decimal, as the old trace format did."""
+    try:
+        return bool([float(field) for field in line.split()])
+    except ValueError:
+        return False
+
+
+def _bad_line(path: str, number: int, text: bytes) -> ValueError:
+    """The refusal of line `number` of path, whose bytes start with text: the
+    25 bytes of its row, or, for the last line, all that is left of the file."""
+    line = text.split(b"\n", 1)[0]
+    if not line.strip():
+        why = "is blank"
+    elif _is_decimal(line):
+        why = ("holds decimal text: this is the old decimal trace format, which read_trace "
+               "no longer reads")
+    elif len(text) < _LINE and not text.endswith(b"\n"):
+        why = "is truncated"
+    else:
+        why = "is not a 25-byte hex sample line"
+    return ValueError(f"{path}: line {number} {why}: {line!r}")
 
 
 def read_trace(path) -> PhaseTrace:
-    """Read a write_trace file; blank lines are skipped, every other holds one number."""
+    """Read a write_trace file, one block of lines at a time.
+
+    Every line after the header must be a sample line exactly as write_trace
+    writes it; any other line, a blank one included, is refused by number.
+    """
     path = os.fsdecode(path)
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         header = fh.readline()
-    if not header.startswith("# "):
-        raise ValueError(f"{path}: missing trace header")
-    try:
-        fields = dict(part.split("=", 1) for part in header[2:].split())
-        head = PhaseTrace(samples=np.empty(0), sample_rate_hz=float(fields["sample_rate_hz"]),
-                          origin=fields["origin"])
-    except KeyError as exc:
-        raise ValueError(f"{path}: header lacks {exc.args[0]}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: bad trace header: {exc}") from None
-    with warnings.catch_warnings():
-        # a header-only trace is valid and holds no samples
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        if not header.startswith(b"# "):
+            raise ValueError(f"{path}: missing trace header")
         try:
-            # by name, not by handle: numpy then reads the file in chunks from C
-            body = np.loadtxt(path, skiprows=1, encoding="ascii", comments=None, ndmin=2)
+            fields = dict(part.split("=", 1) for part in header[2:].decode("ascii").split())
+            head = PhaseTrace(samples=np.empty(0), sample_rate_hz=float(fields["sample_rate_hz"]),
+                              origin=fields["origin"])
+        except KeyError as exc:
+            raise ValueError(f"{path}: header lacks {exc.args[0]}") from None
         except ValueError as exc:
-            raise ValueError(f"{path}: expected one number per sample line: {exc}") from None
-    if body.shape[1] > 1:
-        raise ValueError(f"{path}: expected one number per sample line, not {body.shape[1]}")
-    return replace(head, samples=body.reshape(-1))
+            raise ValueError(f"{path}: bad trace header: {exc}") from None
+        n, rest = divmod(os.fstat(fh.fileno()).st_size - len(header), _LINE)
+        samples = np.empty(n)
+        lines = np.empty((min(n, _BLOCK), _LINE), np.uint8)
+        for start in range(0, n, _BLOCK):
+            block = lines[: min(_BLOCK, n - start)]
+            if fh.readinto(block) != block.nbytes:
+                raise ValueError(f"{path}: the file shrank while it was read")
+            words = np.array(_words(block), np.uint64)
+            bits = _decode(words)
+            # the words are compared as float64: written words are ASCII text, never
+            # nan, inf or 0, so they equal only themselves bit for bit. numpy's
+            # integer comparisons would page in 64 kB of code sense needs nowhere else
+            if not (np.array_equal(_encode(bits).view(np.float64), words.view(np.float64))
+                    and block[:, -1].tobytes() == b"\n" * len(block)):
+                bad = (_encode(bits) != words).any(axis=0) | (block[:, -1] != ord("\n"))
+                first = int(np.argmax(bad))
+                raise _bad_line(path, start + first + 2, block[first].tobytes())
+            samples[start : start + len(block)] = bits.view(np.float64)
+        if rest:
+            raise _bad_line(path, n + 2, fh.read(_LINE))
+    return replace(head, samples=samples)
 
 
 @dataclass(frozen=True)

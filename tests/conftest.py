@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -19,11 +21,22 @@ from snslab.presets import (
 REFERENCE_PULSES = 1.007e13
 
 
+def trace_line_reference(value):
+    """One sample's trace line from float.hex(), padded to the fixed width of 25 bytes."""
+    sign = "-" if math.copysign(1.0, value) < 0.0 else "+"
+    if not math.isfinite(value):
+        return f"{sign}{'nan' if math.isnan(value) else 'inf':<23}\n"
+    if value == 0.0:  # float.hex gives 0x0.0p+0; the trace form takes the subnormals' exponent
+        return f"{sign}0x0.0000000000000p-1022\n"
+    digits, power = float.hex(abs(value)).split("p")
+    return f"{sign}{digits}p{int(power):+05d}\n"
+
+
 def write_trace_reference(path, trace):
     """The per-line trace writer, one file per call: the byte reference for trace files."""
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"# sample_rate_hz={trace.sample_rate_hz!r} origin={trace.origin}\n")
-        fh.writelines(f"{v!r}\n" for v in trace.samples.tolist())
+        fh.writelines(map(trace_line_reference, trace.samples.tolist()))
 
 
 def expected_rate(src, link, det, sec, n_pulses):

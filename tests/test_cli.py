@@ -1208,18 +1208,18 @@ def test_sense_write_failure_on_the_second_trace_leaves_no_file(tmp_path, monkey
 
 
 def test_sense_trace_files_equal_the_per_line_writer_on_the_library_traces(tmp_path):
-    # 1200 samples span three blocks, so a lost or repeated block shows
+    # 8500 samples span three blocks, so a lost or repeated block shows
     cfg = tmp_path / "case.ini"
-    cfg.write_text(sensing_ini(duration_s=1.2))
+    cfg.write_text(sensing_ini(duration_s=8.5))
     out = tmp_path / "out"
     assert run_cli("sense", "--config", str(cfg), "--out", str(out), "--seed", "9")[0] == 0
     plan = sense_plan(
         LinkGeometry(length_km=100.0),
         [VibrationSource(position_km=10.0, frequency_hz=5.0, amplitude_rad=0.1)],
-        1.2, 1000.0, 9,
+        8.5, 1000.0, 9,
     )
     alice, bob = simulate_phase_traces(plan)
-    assert alice.n_samples == 1200 > 2 * _BLOCK
+    assert alice.n_samples == 8500 > 2 * _BLOCK
     # each end recovered on its own substream: alice on key 2, bob on key 1
     for raw, key in [(alice, 2), (bob, 1)]:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=9, spawn_key=(key,)))

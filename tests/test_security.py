@@ -24,7 +24,7 @@ from snslab import (
 )
 from snslab.presets import desk_security, desk_source, reference_security
 from snslab.security import ROW_INDEX
-from snslab.simulate import DECOY, MUZ, SIGNAL, VAC
+from snslab.simulate import DECOY, MUZ, SIGNAL, VAC, z_bit_assignment
 
 from conftest import REFERENCE_PULSES
 
@@ -350,6 +350,12 @@ def test_post_aopp_phase_error_anchors():
     assert 0.10 <= mapped <= 0.17
 
 
+def test_post_aopp_phase_error_maps_every_rate_past_half_to_half():
+    # the cap at one half, then 2 e (1 - e), both exact
+    assert post_aopp_phase_error(1.0) == 0.5
+    assert post_aopp_phase_error(0.75) == 0.5
+
+
 def test_post_aopp_phase_error_monotone_and_capped():
     grid = np.linspace(0.0, 0.5, 26)
     vals = [post_aopp_phase_error(e) for e in grid]
@@ -399,6 +405,15 @@ def test_key_rate_validation():
         key_rate(10.0, 0.1, 20.0, 0.02, 0.0, sec)
     report = key_rate(0.0, 0.5, 0.0, 0.0, 1e6, sec)
     assert report.rate_per_pulse < 0.0  # constants still get paid
+
+
+def test_key_rate_takes_every_sifted_bit_as_untagged():
+    # n_untagged may reach n_sifted: every distilled bit single-photon on both sides
+    sec = reference_security()
+    report = key_rate(5.6e5, 0.13, 5.6e5, 0.02, 1e13, sec)
+    assert report.privacy_bits == 5.6e5 * (1.0 - binary_entropy(0.13))
+    with pytest.raises(ValueError, match="n_untagged cannot exceed n_sifted"):
+        key_rate(5.6e5 * (1.0 + 1e-11), 0.13, 5.6e5, 0.02, 1e13, sec)
 
 
 @pytest.mark.parametrize("counts", [
@@ -488,6 +503,23 @@ def test_an_empty_receiver_bit_goes_through_the_one_pairing_step(desk):
     assert analysis.phase_error_rate == post_aopp_phase_error(analysis.decoy.phase_error_up)
     # frozen: no privacy either way, so only the constant terms are charged
     assert analysis.report.rate_per_pulse == -2.0031568569324174e-08
+
+
+@pytest.mark.parametrize("empty_bit", [0, 1])
+def test_one_receiver_bit_without_heralds_leaves_nothing_to_pair(desk, empty_bit):
+    # a hand-built tally: the signal rows of one Bob bit hold no heralds, the
+    # other bit's rows keep theirs, so only one receiver group is empty
+    link, det, src, sec = desk
+    tally = expected_tallies(link, det, src, 1e10)
+    for kind, la, lb in ROW_INDEX:
+        if kind == SIGNAL and z_bit_assignment(la == MUZ, lb == MUZ)[1] == empty_bit:
+            tally.counts[ROW_INDEX[(kind, la, lb)], 1:] = 0.0
+    cells = tally.key_bit_cells()
+    assert cells[0, empty_bit] + cells[1, empty_bit] == 0.0
+    assert cells[0, 1 - empty_bit] + cells[1, 1 - empty_bit] > 0.0
+    analysis = expected_post_processing(tally, src, sec)
+    assert analysis.pair_count == analysis.survival_fraction == 0.0
+    assert analysis.n_sifted == analysis.n_untagged == analysis.bit_error_rate == 0.0
 
 
 def test_expected_chain_scales_with_session_length(desk):

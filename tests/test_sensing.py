@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -29,7 +30,7 @@ from snslab.sensing import (
     write_trace,
 )
 
-from conftest import sense_plan, write_trace_reference
+from conftest import sense_plan, trace_line_reference, write_trace_reference
 
 V = 2.0e5  # km/s, the default propagation speed
 
@@ -403,26 +404,123 @@ def test_trace_files_round_trip_exactly(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _hex_lines(*values):
+    return "".join(map(trace_line_reference, values))
+
+
+HEADER = "# sample_rate_hz=10.0 origin=alice\n"
+
+
 def test_trace_reader_rejects_malformed_files(tmp_path):
     bad = tmp_path / "bad.txt"
-    bad.write_text("1.0\n")
-    with pytest.raises(ValueError):
+    bad.write_text(_hex_lines(1.0))
+    with pytest.raises(ValueError, match="missing trace header"):
         read_trace(bad)
-    bad.write_text("# origin=alice\n1.0\n")
-    with pytest.raises(ValueError):
-        read_trace(bad)
-    bad.write_text("# sample_rate_hz=10.0 origin=alice\n0.0 1.0 2.0\n")
-    with pytest.raises(ValueError):
-        read_trace(bad)
-    # the two-column format, each sample behind its time, is refused by name
-    bad.write_text("# sample_rate_hz=2.0 origin=a\n0.0 1.5\n0.5 -2.5\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: expected one number per"):
+    bad.write_text("# origin=alice\n" + _hex_lines(1.0))
+    with pytest.raises(ValueError, match="header lacks sample_rate_hz"):
         read_trace(bad)
     # header faults name the file too
     for header in ("rate origin=a", "sample_rate_hz=abc origin=a", "sample_rate_hz=nan origin=a"):
-        bad.write_text(f"# {header}\n1.0\n")
+        bad.write_text(f"# {header}\n" + _hex_lines(1.0))
         with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: bad trace header"):
             read_trace(bad)
+    bad.write_bytes(b"# sample_rate_hz=10.0 origin=\xe9\n" + _hex_lines(1.0).encode())
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: bad trace header"):
+        read_trace(bad)
+
+
+@pytest.mark.parametrize("body", [
+    # the decimal repr lines of the previous format, and the two-column format before it
+    "0.5\n-2.5\n1e-05\n",
+    "0.0 1.5\n0.5 -2.5\n",
+], ids=["decimal", "two-column"])
+def test_trace_reader_names_the_old_decimal_format(tmp_path, body):
+    path = tmp_path / "old.txt"
+    path.write_text(HEADER + body)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2 .*old decimal trace"):
+        read_trace(path)
+
+
+def _bad_body(line, row, n=6):
+    lines = [trace_line_reference(0.25 * i - 1.0) for i in range(n)]
+    lines[row] = line
+    return HEADER + "".join(lines)
+
+
+# each a sample line write_trace never writes, beside the 25-byte lines it does
+NOT_TRACE_LINES = {
+    "short": "+0x1.8p+0\n",
+    "uppercase-digit": "+0x1.8000000000A00p+0000\n",
+    "digit-g": "+0x1.8000000000g00p+0000\n",
+    "uppercase-x": "+0X1.8000000000000p+0000\n",
+    "no-sign": " 0x1.8000000000000p+0000\n",
+    "lead-2": "+0x2.8000000000000p+0000\n",
+    "exponent-too-low": "+0x1.8000000000000p-1023\n",
+    "exponent-too-high": "+0x1.8000000000000p+1024\n",
+    "exponent-minus-zero": "+0x1.8000000000000p-0000\n",
+    "exponent-digit": "+0x1.8000000000000p+00a0\n",
+    "subnormal-exponent": "+0x0.8000000000000p-1021\n",
+    "zero-exponent": "+0x0.0000000000000p+0000\n",
+    "crlf": "+0x1.8000000000000p+000\r\n",
+    "inf-short": "+inf\n" + " " * 20,
+    "inf-typo": "+inx                    \n",
+    "nan-upper": "+NAN                    \n",
+    "spaces": " " * 24 + "\n",
+    "trailing-space": "+0x1.8000000000000p+0000 \n",
+}
+
+
+@pytest.mark.parametrize("line", NOT_TRACE_LINES.values(), ids=NOT_TRACE_LINES.keys())
+@pytest.mark.parametrize("row", [0, 3, 5])
+def test_trace_reader_refuses_every_line_it_does_not_write(tmp_path, line, row):
+    path = tmp_path / "bad.txt"
+    path.write_text(_bad_body(line, row), newline="")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {row + 2} "):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("cut", [1, 12, 24])
+def test_trace_reader_refuses_a_truncated_last_line(tmp_path, cut):
+    path = tmp_path / "cut.txt"
+    text = _bad_body(trace_line_reference(1.5), 5)
+    path.write_text(text[:-cut])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 7 is truncated"):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("line, row", [
+    ("+0x1.80000000000000p+0000\n", 2), ("+0x1.8000000000000p+00000\n", 2),
+    # whole, but short: the last line, not truncated
+    ("+0x1.8p+0\n", 5),
+], ids=["long-fraction", "long-exponent", "short-last"])
+def test_trace_reader_refuses_a_line_of_another_width(tmp_path, line, row):
+    path = tmp_path / "width.txt"
+    path.write_text(_bad_body(line, row))
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}: line {row + 2} is not a 25-byte hex"):
+        read_trace(path)
+
+
+def test_trace_reader_refuses_a_file_that_shrinks_while_it_is_read(tmp_path, monkeypatch):
+    # the sample count comes from the file's size when it is opened
+    path = tmp_path / "t.txt"
+    write_trace(path, PhaseTrace(samples=np.ones(10), sample_rate_hz=1.0, origin="a"))
+    size = path.stat().st_size
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((0,) * 6 + (size + 25, 0, 0, 0)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the file shrank"):
+        read_trace(path)
+
+
+def test_trace_reader_refuses_a_bad_hex_digit_past_the_first_block(tmp_path):
+    samples = np.random.default_rng(3).standard_normal(_BLOCK + 10)
+    path = tmp_path / "t.txt"
+    write_trace(path, PhaseTrace(samples=samples, sample_rate_hz=1.0, origin="a"))
+    data = bytearray(path.read_bytes())
+    at = data.index(b"\n") + 1 + 25 * (_BLOCK + 4) + 9
+    data[at : at + 1] = b"G"
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {_BLOCK + 6} is not a "):
+        read_trace(path)
 
 
 def _assert_same_samples(got, want):
@@ -433,18 +531,28 @@ def _assert_same_samples(got, want):
 
 
 def _check_writer(directory, samples, rate):
-    """write_trace's file must equal the per-line writer's output and read back exactly."""
+    """write_trace's file must equal the per-line writer's output, every line must parse
+    with float.fromhex and np.loadtxt to the samples' bits, and the file must read back
+    exactly."""
     trace = PhaseTrace(samples=np.array(samples, dtype=float), sample_rate_hz=rate, origin="x")
     path, ref = directory / "x.txt", directory / "ref.txt"
     write_trace(path, trace)
     write_trace_reference(ref, trace)
     assert path.read_bytes() == ref.read_bytes()
+    lines = path.read_text(encoding="ascii").split("\n")[1:-1]
+    assert all(len(line) == 24 for line in lines)
+    _assert_same_samples(np.array([float.fromhex(line) for line in lines]), trace.samples)
+    if lines:
+        _assert_same_samples(np.loadtxt(path, skiprows=1, converters=float.fromhex, ndmin=1,
+                                        encoding="ascii"), trace.samples)
     back = read_trace(path)
     assert back.sample_rate_hz == rate and back.origin == trace.origin
     _assert_same_samples(back.samples, trace.samples)
 
 
-SPECIAL_FLOATS = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e-5]
+SPECIAL_FLOATS = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                  2.225073858507201e-308, 2.2250738585072014e-308, 1e16, 1e-5,
+                  1.7976931348623157e308]
 
 
 @settings(max_examples=200, deadline=None)
@@ -464,7 +572,20 @@ def test_block_writer_matches_the_per_line_writer(tmp_path_factory, samples, rat
 def test_block_writer_matches_at_block_edges(tmp_path, n):
     samples = np.random.default_rng(n).standard_normal(n)
     samples[::97] = SPECIAL_FLOATS[n % len(SPECIAL_FLOATS)]
+    samples[-1:] = SPECIAL_FLOATS[(n + 1) % len(SPECIAL_FLOATS)]
     _check_writer(tmp_path, samples, 200e3)
+
+
+def test_trace_lines_are_fixed_width(tmp_path):
+    # sample i starts at byte len(header) + 25 i, whatever its value
+    samples = np.array([1.0, -math.inf, math.nan, 5e-324, -0.0, 1e300])
+    path = tmp_path / "t.txt"
+    write_trace(path, PhaseTrace(samples=samples, sample_rate_hz=8.0, origin="a"))
+    data = path.read_bytes()
+    start = data.index(b"\n") + 1
+    assert len(data) == start + 25 * samples.size
+    assert data[start + 25 * 3 : start + 25 * 4] == b"+0x0.0000000000001p-1022\n"
+    assert data[start + 25 : start + 50] == b"-inf" + b" " * 20 + b"\n"
 
 
 def test_writer_refuses_an_origin_the_reader_cannot_split(tmp_path):
@@ -475,21 +596,26 @@ def test_writer_refuses_an_origin_the_reader_cannot_split(tmp_path):
         assert not path.exists()
 
 
-def test_trace_reader_skips_blank_lines(tmp_path):
+@pytest.mark.parametrize("text, number", [
+    ("\n" + _hex_lines(1.5, -2.5), 2),
+    (_hex_lines(1.5) + "\n" + _hex_lines(-2.5), 3),
+    (_hex_lines(1.5, -2.5) + "   \n", 4),
+    (_hex_lines(1.5, -2.5) + "\t\n", 4),
+    (_hex_lines(1.5, -2.5) + "\n", 4),
+], ids=["first", "middle", "spaces-last", "tab-last", "empty-last"])
+def test_trace_reader_refuses_blank_lines(tmp_path, text, number):
     path = tmp_path / "t.txt"
-    path.write_text("# sample_rate_hz=2.0 origin=a\n\n1.5\n   \n\t\n-2.5\n \n")
-    back = read_trace(path)
-    assert back.samples.tolist() == [1.5, -2.5]
+    path.write_text("# sample_rate_hz=2.0 origin=a\n" + text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {number} is blank"):
+        read_trace(path)
 
 
 @pytest.mark.parametrize("line", ["1.0 2.0", "1.0 2.0 3.0", "1.0 abc"])
 @pytest.mark.parametrize("row", [0, 1, 5])
 def test_trace_reader_names_the_file_of_a_bad_line_at_any_row(tmp_path, line, row):
-    rows = ["1.0"] * 6
-    rows[row] = line
     path = tmp_path / "bad.txt"
-    path.write_text("# sample_rate_hz=10.0 origin=alice\n" + "\n".join(rows) + "\n")
-    with pytest.raises(ValueError, match=str(path)):
+    path.write_text(_bad_body(line + "\n", row))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {row + 2} "):
         read_trace(path)
 
 
@@ -501,6 +627,26 @@ def test_header_only_trace_reads_as_no_samples_without_warning(tmp_path):
         warnings.simplefilter("error")
         back = read_trace(path)
     assert back.n_samples == 0 and back.sample_rate_hz == 5.0
+
+
+@pytest.mark.parametrize("call", ["write", "read"])
+def test_trace_io_memory_does_not_grow_with_the_trace(tmp_path, call):
+    # the block buffers are a fixed size: beyond the returned samples, 8 B each,
+    # a 10x longer trace needs no more memory
+    peaks = {}
+    for n in (100_000, 1_000_000):
+        trace = PhaseTrace(samples=np.random.default_rng(n).standard_normal(n),
+                           sample_rate_hz=1.0, origin="a")
+        path = tmp_path / f"{n}.txt"
+        write_trace(path, trace)
+        tracemalloc.start()
+        try:
+            write_trace(path, trace) if call == "write" else read_trace(path)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    returned = 8 * 900_000 if call == "read" else 0
+    assert peaks[1_000_000] <= 1.1 * (peaks[100_000] + returned)
 
 
 # ------------------------------------------------------------- correlation
@@ -600,6 +746,24 @@ def test_a_lag_at_the_window_edge_does_not_wrap(cap, sign):
             for s in ((early, late) if sign > 0 else (late, early)))
     _assert_matches_the_oracle(a, b, cap)
     assert _correlate(a, b, cap)[0] == sign * cap
+
+
+def test_a_parabolic_offset_past_half_a_sample_is_clipped(monkeypatch):
+    # the vertex through a peak and its lower neighbours lies within half a
+    # sample of the peak, but rounding can put it just past: with the left
+    # neighbour one ulp below the peak and a deep right one, the raw offset
+    # is -0.5000000000000001. The correlation is given; the clip makes it -0.5
+    r0 = float.fromhex("0x1.cf3239e9888d7p-1")
+    rm = float.fromhex("0x1.cf3239e9888d6p-1")
+    rp = -float.fromhex("0x1.890a5fac080f1p+4")
+    assert (rp - rm) / (2.0 * (2.0 * r0 - rp - rm)) < -0.5
+    # at lag 0, where the delay is the offset alone and no rounding hides it
+    a, b = _wavelet_trace(0), _wavelet_trace(5)
+    corr = np.zeros(1 << (a.n_samples + 20 - 1).bit_length())
+    corr[[-1, 0, 1]] = rm, r0, rp
+    monkeypatch.setattr(np.fft, "irfft", lambda spectrum, n: corr)
+    delay, _ = _correlate(a, b, 20)
+    assert delay == -0.5 / a.sample_rate_hz
 
 
 def test_a_window_wider_than_the_trace_searches_every_lag():
